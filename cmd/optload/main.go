@@ -39,20 +39,6 @@
 //	                                   # in-process server journals every
 //	                                   # job to a WAL, so BENCH_http.json
 //	                                   # shows the durability overhead
-//	optload -restart                   # durability drill: drive jobs to
-//	                                   # completion, restart the server on
-//	                                   # the same directory, and verify the
-//	                                   # recovered result pages are
-//	                                   # byte-identical
-//	optload -overload                  # overload drill: drive an
-//	                                   # in-process server with a tight
-//	                                   # admission gate at 3x its
-//	                                   # capacity and verify every
-//	                                   # rejection is an explicit 429/503
-//	                                   # with Retry-After — no other 5xx,
-//	                                   # no severed NDJSON streams, no
-//	                                   # leaked goroutines, admitted p99
-//	                                   # near the uncontended baseline
 //
 // With no -addr, optload starts an in-process server on a loopback
 // listener and drives it through the full HTTP stack — same handlers,
@@ -69,8 +55,6 @@
 package main
 
 import (
-	"bufio"
-	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
@@ -87,8 +71,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"optspeed/internal/admit"
-	"optspeed/internal/chaos"
 	"optspeed/internal/dispatch"
 	"optspeed/internal/jobs"
 	"optspeed/internal/service"
@@ -99,14 +81,12 @@ import (
 
 // sample is one timed request. A shed is an explicit 429/503 admission
 // rejection — expected behavior under overload, counted apart from hard
-// errors; noRetryAfter marks a shed that arrived without the mandatory
-// Retry-After header (a contract violation the -overload drill gates on).
+// errors.
 type sample struct {
-	workload     string
-	latency      time.Duration
-	err          bool
-	shed         bool
-	noRetryAfter bool
+	workload string
+	latency  time.Duration
+	err      bool
+	shed     bool
 }
 
 // WorkloadReport is one workload's aggregate in BENCH_http.json.
@@ -149,7 +129,6 @@ type Report struct {
 	Workloads      []WorkloadReport  `json:"workloads"`
 	Baseline       *Report           `json:"baseline,omitempty"`
 	TraceProbe     *TraceProbeReport `json:"trace_probe,omitempty"`
-	HedgeProbe     *HedgeProbeReport `json:"hedge_probe,omitempty"`
 }
 
 // TraceProbeReport is the -cluster trace check: one oversized sweep job
@@ -331,7 +310,6 @@ func (w *worker) do(ctx context.Context, workload, method, path, body string, ke
 	case err == nil && (resp.StatusCode == http.StatusTooManyRequests ||
 		resp.StatusCode == http.StatusServiceUnavailable):
 		s.shed = true
-		s.noRetryAfter = resp.Header.Get("Retry-After") == ""
 	case err != nil || resp.StatusCode >= 300:
 		s.err = true
 	}
@@ -433,79 +411,38 @@ func aggregate(name string, samples []sample, elapsed time.Duration) WorkloadRep
 	return rep
 }
 
-// serverOpts configures one in-process daemon.
-type serverOpts struct {
-	workers   int
-	peers     []string
-	shardSize int
-	dataDir   string
-	fsync     store.FsyncPolicy
-	adm       *admit.Controller
-	// hedgeOff disables hedged shard requests (coordinator mode).
-	hedgeOff bool
-	// plane wires the chaos fault-injection plane in: a non-empty
-	// sitePrefix wraps the server's handler (service-side faults), a
-	// coordinator additionally gets the chaos transport on its dispatch
-	// client, and a durable store gets the injected write faults.
-	plane      *chaos.Plane
-	sitePrefix string
-}
-
 // startServer runs one in-process daemon (a worker, or a coordinator
 // when peers are given), returning its base URL; the caller runs the
 // cleanup when done. A non-empty dataDir opens (or reopens) a durable
 // job store there, so the server journals v2 jobs and replays whatever
 // the directory already holds.
-func startServer(workers int, peers []string, shardSize int, dataDir string, fsync store.FsyncPolicy, adm *admit.Controller) (string, func()) {
-	return startServerWith(serverOpts{
-		workers: workers, peers: peers, shardSize: shardSize,
-		dataDir: dataDir, fsync: fsync, adm: adm,
-	})
-}
-
-func startServerWith(o serverOpts) (string, func()) {
-	eng := sweep.New(sweep.Options{Workers: o.workers})
-	cfg := service.Config{Engine: eng, Admission: o.adm}
-	if len(o.peers) > 0 {
-		dopts := dispatch.Options{
+func startServer(workers int, peers []string, shardSize int, dataDir string, fsync store.FsyncPolicy) (string, func()) {
+	eng := sweep.New(sweep.Options{Workers: workers})
+	cfg := service.Config{Engine: eng}
+	if len(peers) > 0 {
+		cfg.Dispatcher = dispatch.New(dispatch.Options{
 			Engine:    eng,
-			Peers:     o.peers,
-			ShardSize: o.shardSize,
-			Hedge:     dispatch.HedgeConfig{Disable: o.hedgeOff},
-		}
-		if o.plane != nil {
-			dopts.HTTPClient = &http.Client{Transport: o.plane.Transport(nil)}
-		}
-		cfg.Dispatcher = dispatch.New(dopts)
+			Peers:     peers,
+			ShardSize: shardSize,
+		})
 	}
 	var persistence *store.Store
-	if o.dataDir != "" {
-		sopts := store.Options{Dir: o.dataDir, Fsync: o.fsync}
-		if o.plane != nil {
-			sopts.WriteFault = o.plane.StoreWriteFault()
-		}
+	if dataDir != "" {
 		var recovered []jobs.PersistedJob
 		var err error
-		persistence, recovered, err = store.Open(sopts)
+		persistence, recovered, err = store.Open(store.Options{Dir: dataDir, Fsync: fsync})
 		if err != nil {
 			fatal(err)
 		}
 		cfg.Persistence = persistence
 		cfg.Recovered = recovered
 	}
-	if o.plane != nil {
-		cfg.Collectors = append(cfg.Collectors, o.plane.RegisterMetrics)
-	}
 	srv := service.New(cfg)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		fatal(err)
 	}
-	handler := srv.Handler()
-	if o.plane != nil && o.sitePrefix != "" {
-		handler = o.plane.Middleware(o.sitePrefix, handler)
-	}
-	hs := &http.Server{Handler: handler}
+	hs := &http.Server{Handler: srv.Handler()}
 	go hs.Serve(ln)
 	return "http://" + ln.Addr().String(), func() {
 		hs.Close()
@@ -614,13 +551,9 @@ func main() {
 		quick    = flag.Bool("quick", false, "CI smoke: 3s at -c 4 unless overridden")
 		cluster  = flag.Int("cluster", 0, "in-process cluster: N worker daemons behind a coordinator, measured against a single-node baseline")
 		shardSz  = flag.Int("shard-size", 96, "coordinator shard size in specs (cluster mode)")
-		dataDir  = flag.String("data-dir", "", "durable job store directory for the in-process server (empty = in-memory; -restart defaults to a temp dir)")
+		dataDir  = flag.String("data-dir", "", "durable job store directory for the in-process server (empty = in-memory)")
 		fsyncPol = flag.String("fsync", string(store.FsyncInterval), "WAL fsync policy with -data-dir: always, interval, or off")
 		scrape   = flag.String("scrape", "", "after the run, scrape GET /metrics from the target, validate the exposition format, and archive it to this file")
-		restart  = flag.Bool("restart", false, "restart-recovery drill: run jobs to completion, restart the in-process server on the same data dir, verify recovered pages byte-identical")
-		overload = flag.Bool("overload", false, "overload drill: drive a tightly-gated in-process server at 3x capacity; fail unless every rejection is an explicit 429/503 with Retry-After, no streams sever, goroutines stay stable, and admitted p99 stays near baseline")
-		chaosOn  = flag.String("chaos", "", "chaos drill: a seed (\"42\") or spec (\"seed=42,drop=0.1,latency=0.2:50ms\"); builds a fault-injected in-process cluster, asserts byte-identical sweeps, schedule determinism, and the hedging p99 win, then writes the drill report")
-		slowPeer = flag.Duration("slow-peer", 0, "cluster mode: inject this much latency into one worker and record a hedging-on vs hedging-off sweep p99 comparison in the report")
 	)
 	flag.Parse()
 	if *quick {
@@ -647,45 +580,6 @@ func main() {
 		fatal(err)
 	}
 
-	if *restart {
-		if *addr != "" || *cluster > 0 {
-			fatal(fmt.Errorf("-restart drives its own in-process server; drop -addr/-cluster"))
-		}
-		runRestart(*dataDir, policy, *workers, *out)
-		return
-	}
-
-	if *overload {
-		if *addr != "" || *cluster > 0 || *dataDir != "" {
-			fatal(fmt.Errorf("-overload drives its own in-process server; drop -addr/-cluster/-data-dir"))
-		}
-		runOverload(*workers, *duration, *out)
-		return
-	}
-
-	if *chaosOn != "" {
-		cfg, on, err := chaos.ParseSpec(*chaosOn)
-		if err != nil {
-			fatal(err)
-		}
-		if !on {
-			fatal(fmt.Errorf("-chaos %q parses to off; give a seed or spec", *chaosOn))
-		}
-		if *addr != "" {
-			fatal(fmt.Errorf("-chaos builds its own in-process topology; drop -addr"))
-		}
-		n := *cluster
-		if n < 2 {
-			n = 3
-		}
-		chaosOut := *out
-		if chaosOut == "BENCH_http.json" {
-			chaosOut = "CHAOS_drill.json"
-		}
-		runChaos(cfg, *chaosOn, *workers, n, *shardSz, policy, chaosOut)
-		return
-	}
-
 	if *cluster > 0 {
 		if *addr != "" {
 			fatal(fmt.Errorf("-cluster builds its own in-process topology; drop -addr"))
@@ -694,7 +588,7 @@ func main() {
 			fatal(fmt.Errorf("-data-dir does not combine with -cluster"))
 		}
 		// Phase 1: single node with the same per-node engine budget.
-		singleBase, stopSingle := startServer(*workers, nil, 0, "", policy, nil)
+		singleBase, stopSingle := startServer(*workers, nil, 0, "", policy)
 		baseline := runPhase(fmt.Sprintf("single node (workers=%d)", *workers),
 			singleBase, *mix, deck, *conc, *duration, true)
 		stopSingle()
@@ -702,11 +596,11 @@ func main() {
 		var peers []string
 		var stops []func()
 		for i := 0; i < *cluster; i++ {
-			base, stop := startServer(*workers, nil, 0, "", policy, nil)
+			base, stop := startServer(*workers, nil, 0, "", policy)
 			peers = append(peers, base)
 			stops = append(stops, stop)
 		}
-		coordBase, stopCoord := startServer(*workers, peers, *shardSz, "", policy, nil)
+		coordBase, stopCoord := startServer(*workers, peers, *shardSz, "", policy)
 		report := runPhase(fmt.Sprintf("coordinator (%d workers × workers=%d, shard=%d)",
 			*cluster, *workers, *shardSz), coordBase, *mix, deck, *conc, *duration, true)
 		report.ClusterWorkers = *cluster
@@ -729,11 +623,6 @@ func main() {
 		for _, stop := range stops {
 			stop()
 		}
-		if *slowPeer > 0 {
-			// Fresh topology with one always-slow worker: how much does
-			// hedged dispatch claw back of the injected tail latency?
-			report.HedgeProbe = hedgeProbe(*workers, *cluster, *slowPeer, *shardSz, 30)
-		}
 		writeReport(*out, report)
 		if report.TraceProbe != nil && !report.TraceProbe.OK {
 			fatal(fmt.Errorf("cluster trace probe failed (see report)"))
@@ -745,7 +634,7 @@ func main() {
 	inProcess := base == ""
 	var stop func()
 	if inProcess {
-		base, stop = startServer(*workers, nil, 0, *dataDir, policy, nil)
+		base, stop = startServer(*workers, nil, 0, *dataDir, policy)
 		defer stop()
 		if *dataDir != "" {
 			fmt.Fprintf(os.Stderr, "optload: in-process server at %s (data-dir %s, fsync %s)\n",
@@ -850,700 +739,10 @@ func traceProbe(base string) *TraceProbeReport {
 	return rep
 }
 
-// RestartReport is the -restart drill artifact: how many jobs survived
-// the restart and whether their result pages came back byte-identical.
-type RestartReport struct {
-	DataDir        string `json:"data_dir"`
-	Fsync          string `json:"fsync"`
-	JobsSubmitted  int    `json:"jobs_submitted"`
-	JobsRecovered  int    `json:"jobs_recovered"`
-	PageBytes      int    `json:"page_bytes"`
-	PageMismatches int    `json:"page_mismatches"`
-	MidFlightState string `json:"mid_flight_state"`
-	OK             bool   `json:"ok"`
-}
-
-// runRestart drives a batch of sweep jobs to completion on a durable
-// in-process server, snapshots every result page, restarts the server
-// on the same directory, and verifies each recovered job serves the
-// exact same page bytes. One extra job is left mid-flight at shutdown
-// to confirm it resurfaces terminal (never silently dropped).
-func runRestart(dataDir string, policy store.FsyncPolicy, workers int, out string) {
-	if dataDir == "" {
-		dir, err := os.MkdirTemp("", "optload-restart-")
-		if err != nil {
-			fatal(err)
-		}
-		defer os.RemoveAll(dir)
-		dataDir = dir
-	}
-	hc := &http.Client{Timeout: time.Minute}
-	rep := RestartReport{DataDir: dataDir, Fsync: string(policy)}
-
-	base, stop := startServer(workers, nil, 0, dataDir, policy, nil)
-	fmt.Fprintf(os.Stderr, "optload: restart drill at %s (data-dir %s, fsync %s)\n", base, dataDir, policy)
-
-	var ids []string
-	pages := map[string][]byte{}
-	for round := 0; round < 2; round++ {
-		for _, body := range sweepBodies {
-			id, err := submitJob(hc, base, `{"sweep":`+body+`}`)
-			if err != nil {
-				fatal(err)
-			}
-			ids = append(ids, id)
-		}
-	}
-	rep.JobsSubmitted = len(ids)
-	for _, id := range ids {
-		state, err := waitTerminal(hc, base, id)
-		if err != nil {
-			fatal(err)
-		}
-		if state != "succeeded" {
-			fatal(fmt.Errorf("job %s finished %s before restart", id, state))
-		}
-		page, err := readAllPages(hc, base, id)
-		if err != nil {
-			fatal(err)
-		}
-		pages[id] = page
-		rep.PageBytes += len(page)
-	}
-	// Leave one big job mid-flight: shutdown cancels it, and recovery
-	// must bring it back terminal rather than losing it.
-	midID, err := submitJob(hc, base, `{"sweep":`+coldSweepBody()+`}`)
-	if err != nil {
-		fatal(err)
-	}
-	stop()
-
-	base, stop = startServer(workers, nil, 0, dataDir, policy, nil)
-	defer stop()
-	for _, id := range ids {
-		job, err := jobStatus(hc, base, id)
-		if err != nil {
-			fatal(fmt.Errorf("job %s lost across restart: %w", id, err))
-		}
-		if job.State != "succeeded" || !job.Recovered {
-			fatal(fmt.Errorf("job %s recovered as state=%s recovered=%v", id, job.State, job.Recovered))
-		}
-		rep.JobsRecovered++
-		page, err := readAllPages(hc, base, id)
-		if err != nil {
-			fatal(err)
-		}
-		if !bytesEqual(page, pages[id]) {
-			rep.PageMismatches++
-			fmt.Fprintf(os.Stderr, "optload: job %s pages diverged across restart (%d vs %d bytes)\n",
-				id, len(pages[id]), len(page))
-		}
-	}
-	mid, err := jobStatus(hc, base, midID)
-	if err != nil {
-		fatal(fmt.Errorf("mid-flight job %s lost across restart: %w", midID, err))
-	}
-	rep.MidFlightState = mid.State
-
-	rep.OK = rep.JobsRecovered == rep.JobsSubmitted && rep.PageMismatches == 0 &&
-		(mid.State == "cancelled" || mid.State == "failed" || mid.State == "succeeded")
-	fmt.Fprintf(os.Stderr, "optload: restart drill: %d/%d jobs recovered, %d bytes compared, %d mismatches, mid-flight %s\n",
-		rep.JobsRecovered, rep.JobsSubmitted, rep.PageBytes, rep.PageMismatches, rep.MidFlightState)
-	writeReport(out, rep)
-	if !rep.OK {
-		fatal(fmt.Errorf("restart drill failed"))
-	}
-}
-
-// OverloadReport is the -overload drill artifact. The drill passes
-// (OK) only when overload degraded gracefully: plenty of explicit
-// sheds, every one carrying Retry-After, zero 5xx-other-than-503, zero
-// severed NDJSON streams, a settled goroutine count, and admitted-
-// request p99 within 2x of the uncontended baseline (plus a small
-// absolute floor so microsecond baselines don't gate on noise).
-type OverloadReport struct {
-	Capacity               int     `json:"capacity"`
-	BaselineConcurrency    int     `json:"baseline_concurrency"`
-	OverloadConcurrency    int     `json:"overload_concurrency"`
-	BaselineP99Ms          float64 `json:"baseline_p99_ms"`
-	OverloadP99Ms          float64 `json:"overload_p99_ms"`
-	P99Ratio               float64 `json:"p99_ratio"`
-	Admitted               int     `json:"admitted"`
-	Sheds                  int     `json:"sheds"`
-	ShedRate               float64 `json:"shed_rate"`
-	ShedsMissingRetryAfter int     `json:"sheds_missing_retry_after"`
-	HardErrors             int     `json:"hard_errors"`
-	StreamsCompleted       int     `json:"streams_completed"`
-	StreamsShed            int     `json:"streams_shed"`
-	StreamsSevered         int     `json:"streams_severed"`
-	GoroutineGrowth        int     `json:"goroutine_growth"`
-	OK                     bool    `json:"ok"`
-}
-
-// overloadStreamBody is a deliberately tiny space (2 specs), so stream
-// requests contend for gate slots without each one hogging the server.
-const overloadStreamBody = `{"space":{"ns":[96,160],"stencils":["5-point"],"shapes":["strip"],` +
-	`"machines":[{"type":"sync-bus"}]}}`
-
-// drive runs conc closed-loop workers over the deck for d and returns
-// every sample.
-func drive(base string, deck []string, conc int, d time.Duration) []sample {
-	client := &http.Client{
-		Transport: &http.Transport{
-			MaxIdleConns:        conc * 2,
-			MaxIdleConnsPerHost: conc * 2,
-		},
-		Timeout: time.Minute,
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), d)
-	defer cancel()
-	ws := make([]*worker, conc)
-	var wg sync.WaitGroup
-	for i := range ws {
-		ws[i] = &worker{id: i, base: base, client: client, deck: deck}
-		wg.Add(1)
-		go func(w *worker) {
-			defer wg.Done()
-			w.run(ctx)
-		}(ws[i])
-	}
-	wg.Wait()
-	var all []sample
-	for _, w := range ws {
-		all = append(all, w.samples...)
-	}
-	return all
-}
-
-// streamTally is one stream worker's private outcome counters.
-type streamTally struct {
-	completed int // 200 and read through the done marker
-	shed      int // explicit 429/503 before the first stream byte
-	severed   int // 200 but the stream ended without a done marker
-	hard      int // transport error or any other status
-	missingRA int // sheds without a Retry-After header
-}
-
-// streamDrill repeatedly opens NDJSON sweep streams until ctx expires.
-// The admission contract under test: a stream is either rejected before
-// its first byte with an explicit 429/503, or — once the 200 is out —
-// runs to its done marker; it is never severed mid-flight by overload.
-func streamDrill(ctx context.Context, client *http.Client, base string, t *streamTally) {
-	for ctx.Err() == nil {
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-			base+"/v2/sweeps/stream", strings.NewReader(overloadStreamBody))
-		if err != nil {
-			t.hard++
-			return
-		}
-		req.Header.Set("Content-Type", "application/json")
-		resp, err := client.Do(req)
-		if err != nil {
-			if ctx.Err() == nil {
-				t.hard++
-			}
-			continue
-		}
-		switch {
-		case resp.StatusCode == http.StatusOK:
-			sc := bufio.NewScanner(resp.Body)
-			done := false
-			for sc.Scan() {
-				if bytes.Contains(sc.Bytes(), []byte(`"done":true`)) {
-					done = true
-				}
-			}
-			if (sc.Err() != nil || !done) && ctx.Err() == nil {
-				t.severed++
-			} else if done {
-				t.completed++
-			}
-		case resp.StatusCode == http.StatusTooManyRequests ||
-			resp.StatusCode == http.StatusServiceUnavailable:
-			t.shed++
-			if resp.Header.Get("Retry-After") == "" {
-				t.missingRA++
-			}
-			io.Copy(io.Discard, resp.Body)
-		default:
-			t.hard++
-			io.Copy(io.Discard, resp.Body)
-		}
-		resp.Body.Close()
-	}
-}
-
-// settledGoroutines polls the goroutine count until it stops shrinking
-// (or the window elapses) and returns the minimum seen — the settled
-// floor after in-flight request teardown.
-func settledGoroutines(window time.Duration) int {
-	min := runtime.NumGoroutine()
-	deadline := time.Now().Add(window)
-	for time.Now().Before(deadline) {
-		time.Sleep(25 * time.Millisecond)
-		if n := runtime.NumGoroutine(); n < min {
-			min = n
-		}
-	}
-	return min
-}
-
-// runOverload is the overload drill: an in-process server behind a
-// deliberately tiny admission gate, measured uncontended at exactly its
-// capacity and then at 3x capacity plus concurrent NDJSON streams. It
-// verifies the overload contract end to end and exits nonzero when any
-// clause fails, so CI can run it as a gate.
-func runOverload(workers int, duration time.Duration, out string) {
-	const capacity = 4
-	adm := admit.New(admit.Config{Gate: admit.GateConfig{
-		MaxConcurrent: capacity,
-		MaxQueue:      capacity,
-		MaxWait:       25 * time.Millisecond,
-	}})
-	base, stop := startServer(workers, nil, 0, "", store.FsyncInterval, adm)
-	defer stop()
-	fmt.Fprintf(os.Stderr, "optload: overload drill at %s (gate capacity %d, queue %d, wait 25ms)\n",
-		base, capacity, capacity)
-
-	// A short single-worker warmup primes the engine cache and the
-	// connection pool before anything is measured.
-	deck := []string{"optimize"}
-	drive(base, deck, 1, 200*time.Millisecond)
-
-	phase := duration / 2
-	if phase < time.Second {
-		phase = time.Second
-	}
-	rep := OverloadReport{
-		Capacity:            capacity,
-		BaselineConcurrency: capacity,
-		OverloadConcurrency: 3 * capacity,
-	}
-
-	// Phase A: exactly capacity workers — the gate never queues, so this
-	// is the uncontended latency floor.
-	baseline := aggregate("total", drive(base, deck, capacity, phase), phase)
-	rep.BaselineP99Ms = baseline.P99Ms
-
-	g0 := settledGoroutines(2 * time.Second)
-
-	// Phase B: 3x capacity, plus two stream workers hammering the NDJSON
-	// route through the same gate.
-	streamClient := &http.Client{Timeout: time.Minute}
-	sctx, scancel := context.WithTimeout(context.Background(), phase)
-	tallies := make([]streamTally, 2)
-	var swg sync.WaitGroup
-	for i := range tallies {
-		swg.Add(1)
-		go func(t *streamTally) {
-			defer swg.Done()
-			streamDrill(sctx, streamClient, base, t)
-		}(&tallies[i])
-	}
-	overSamples := drive(base, deck, 3*capacity, phase)
-	over := aggregate("total", overSamples, phase)
-	scancel()
-	swg.Wait()
-
-	g1 := settledGoroutines(3 * time.Second)
-
-	rep.OverloadP99Ms = over.P99Ms
-	if rep.BaselineP99Ms > 0 {
-		rep.P99Ratio = rep.OverloadP99Ms / rep.BaselineP99Ms
-	}
-	rep.Admitted = over.Requests - over.Errors - over.Sheds
-	rep.Sheds = over.Sheds
-	rep.HardErrors = over.Errors
-	var missingRA int
-	for _, s := range overSamples {
-		if s.shed && s.noRetryAfter {
-			missingRA++
-		}
-	}
-	for _, t := range tallies {
-		rep.StreamsCompleted += t.completed
-		rep.StreamsShed += t.shed
-		rep.StreamsSevered += t.severed
-		rep.HardErrors += t.hard
-		missingRA += t.missingRA
-	}
-	rep.Sheds += rep.StreamsShed
-	if denom := rep.Admitted + rep.Sheds; denom > 0 {
-		rep.ShedRate = float64(rep.Sheds) / float64(denom)
-	}
-	rep.ShedsMissingRetryAfter = missingRA
-	rep.GoroutineGrowth = g1 - g0
-
-	// The graceful-degradation contract, clause by clause. The p99 gate
-	// allows 2x plus a 25ms absolute floor: the gate's own wait bound,
-	// so sub-millisecond baselines don't fail on scheduler noise.
-	p99OK := rep.OverloadP99Ms <= 2*rep.BaselineP99Ms+25
-	rep.OK = rep.HardErrors == 0 &&
-		rep.StreamsSevered == 0 &&
-		rep.ShedsMissingRetryAfter == 0 &&
-		rep.Sheds > 0 &&
-		rep.GoroutineGrowth <= 10 &&
-		p99OK
-	fmt.Fprintf(os.Stderr,
-		"optload: overload drill: admitted %d, sheds %d (rate %.2f), hard errors %d, "+
-			"streams %d done / %d shed / %d severed, p99 %.3fms vs baseline %.3fms (%.2fx), goroutines %+d\n",
-		rep.Admitted, rep.Sheds, rep.ShedRate, rep.HardErrors,
-		rep.StreamsCompleted, rep.StreamsShed, rep.StreamsSevered,
-		rep.OverloadP99Ms, rep.BaselineP99Ms, rep.P99Ratio, rep.GoroutineGrowth)
-	writeReport(out, rep)
-	if !rep.OK {
-		fatal(fmt.Errorf("overload drill failed (see report)"))
-	}
-}
-
-// fixedSweepBody is coldSweepBody with an explicit n base instead of
-// the rotating sequence: the same body every run, so a reference
-// topology and a chaos topology evaluate the same specs and their
-// responses are byte-comparable. Distinct bases keep the drill's
-// bodies disjoint (no cache-hit flags to diverge on).
-func fixedSweepBody(base int64) string {
-	var sb strings.Builder
-	sb.WriteString(`{"space":{"ns":[`)
-	for i := int64(0); i < 48; i++ {
-		if i > 0 {
-			sb.WriteByte(',')
-		}
-		sb.WriteString(strconv.FormatInt(base+i, 10))
-	}
-	sb.WriteString(`],"stencils":["5-point","9-point"],"shapes":["strip","square"],` +
-		`"machines":[{"type":"sync-bus"},{"type":"hypercube"},{"type":"mesh"},{"type":"banyan"}]}}`)
-	return sb.String()
-}
-
-// HedgeProbeReport compares sweep latency through a coordinator with
-// hedging on vs off while one worker carries injected latency on every
-// shard request — the tail-cutting claim, measured.
-type HedgeProbeReport struct {
-	Workers        int     `json:"workers"`
-	SlowPeerMs     float64 `json:"slow_peer_ms"`
-	Requests       int     `json:"requests"`
-	HedgeOffP50Ms  float64 `json:"hedge_off_p50_ms"`
-	HedgeOffP99Ms  float64 `json:"hedge_off_p99_ms"`
-	HedgeOnP50Ms   float64 `json:"hedge_on_p50_ms"`
-	HedgeOnP99Ms   float64 `json:"hedge_on_p99_ms"`
-	P99CutFactor   float64 `json:"p99_cut_factor"`
-	HedgesLaunched int     `json:"hedges_launched"`
-	HedgesWon      int     `json:"hedges_won"`
-	OK             bool    `json:"ok"`
-}
-
-// hedgeProbe builds clusterN workers (one wrapped in an always-latency
-// chaos plane) and measures the same sharded sweep through a hedging
-// and a non-hedging coordinator. Shards land on the slow worker either
-// way; only the hedged coordinator can cut the wait short.
-func hedgeProbe(workers, clusterN int, slow time.Duration, shardSz, requests int) *HedgeProbeReport {
-	if clusterN < 2 {
-		clusterN = 2
-	}
-	slowPlane := chaos.New(chaos.Config{Seed: 1, Latency: 1, LatencyAmount: slow})
-	var peers []string
-	var stops []func()
-	for i := 0; i < clusterN; i++ {
-		o := serverOpts{workers: workers}
-		if i == 0 {
-			o.plane = slowPlane
-			o.sitePrefix = "slowpeer"
-		}
-		base, stop := startServerWith(o)
-		peers = append(peers, base)
-		stops = append(stops, stop)
-	}
-	defer func() {
-		for _, stop := range stops {
-			stop()
-		}
-	}()
-	body := fixedSweepBody(20000)
-	hc := &http.Client{Timeout: 2 * time.Minute}
-	measure := func(hedgeOff bool) ([]time.Duration, int, int) {
-		coordBase, stopCoord := startServerWith(serverOpts{
-			workers: workers, peers: peers, shardSize: shardSz, hedgeOff: hedgeOff,
-		})
-		defer stopCoord()
-		// Warmup: settle connections and (hedging on) seed the EWMA
-		// latency budget past its cold start.
-		for i := 0; i < 6; i++ {
-			if _, err := httpDo(hc, http.MethodPost, coordBase+"/v1/sweep", body); err != nil {
-				fatal(fmt.Errorf("hedge probe warmup: %w", err))
-			}
-		}
-		lat := make([]time.Duration, 0, requests)
-		for i := 0; i < requests; i++ {
-			t0 := time.Now()
-			if _, err := httpDo(hc, http.MethodPost, coordBase+"/v1/sweep", body); err != nil {
-				fatal(fmt.Errorf("hedge probe: %w", err))
-			}
-			lat = append(lat, time.Since(t0))
-		}
-		raw, err := httpDo(hc, http.MethodGet, coordBase+"/v2/cluster", "")
-		if err != nil {
-			fatal(fmt.Errorf("hedge probe: cluster status: %w", err))
-		}
-		var cs struct {
-			Shards struct {
-				HedgesLaunched int `json:"hedges_launched"`
-				HedgesWon      int `json:"hedges_won"`
-			} `json:"shards"`
-		}
-		if err := json.Unmarshal(raw, &cs); err != nil {
-			fatal(fmt.Errorf("hedge probe: cluster status: %w", err))
-		}
-		sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-		return lat, cs.Shards.HedgesLaunched, cs.Shards.HedgesWon
-	}
-	offLat, _, _ := measure(true)
-	onLat, launched, won := measure(false)
-	rep := &HedgeProbeReport{
-		Workers:        clusterN,
-		SlowPeerMs:     float64(slow) / float64(time.Millisecond),
-		Requests:       requests,
-		HedgeOffP50Ms:  percentile(offLat, 0.50),
-		HedgeOffP99Ms:  percentile(offLat, 0.99),
-		HedgeOnP50Ms:   percentile(onLat, 0.50),
-		HedgeOnP99Ms:   percentile(onLat, 0.99),
-		HedgesLaunched: launched,
-		HedgesWon:      won,
-	}
-	if rep.HedgeOnP99Ms > 0 {
-		rep.P99CutFactor = rep.HedgeOffP99Ms / rep.HedgeOnP99Ms
-	}
-	rep.OK = rep.HedgesLaunched > 0 && rep.HedgeOnP99Ms < rep.HedgeOffP99Ms
-	fmt.Fprintf(os.Stderr,
-		"optload: hedge probe: slow peer +%.0fms, p99 %.1fms hedged vs %.1fms unhedged (%.1fx cut), %d hedges (%d won), ok=%v\n",
-		rep.SlowPeerMs, rep.HedgeOnP99Ms, rep.HedgeOffP99Ms, rep.P99CutFactor, launched, won, rep.OK)
-	return rep
-}
-
-// ChaosReport is the -chaos drill artifact. OK folds together every
-// asserted property: byte-identical sweep responses under faults, all
-// jobs surviving store write errors, a deterministic (replayable)
-// schedule, a valid exposition with the chaos counters on it, and the
-// hedging p99 win.
-type ChaosReport struct {
-	Spec               string            `json:"spec"`
-	Config             chaos.Config      `json:"config"`
-	ClusterWorkers     int               `json:"cluster_workers"`
-	ShardSize          int               `json:"shard_size"`
-	ByteChecks         int               `json:"byte_checks"`
-	ByteMismatches     int               `json:"byte_mismatches"`
-	JobsSubmitted      int               `json:"jobs_submitted"`
-	JobsSucceeded      int               `json:"jobs_succeeded"`
-	Injected           chaos.Counts      `json:"injected"`
-	Sites              int               `json:"sites"`
-	ScheduleDivergence int               `json:"schedule_divergence"`
-	ShardsRetried      int               `json:"shards_retried"`
-	ShardsFallback     int               `json:"shards_fallback"`
-	HedgesLaunched     int               `json:"hedges_launched"`
-	AttemptsReclaimed  int               `json:"attempts_reclaimed"`
-	Membership         map[string]int    `json:"membership_events,omitempty"`
-	ScrapeOK           bool              `json:"scrape_ok"`
-	Hedge              *HedgeProbeReport `json:"hedge"`
-	OK                 bool              `json:"ok"`
-}
-
-// chaosSiteKind infers a site's fault menu from the naming convention
-// the plane's middleware and transport use.
-func chaosSiteKind(site string) chaos.SiteKind {
-	switch {
-	case strings.HasPrefix(site, "transport "):
-		return chaos.SiteTransport
-	case strings.Contains(site, " http "):
-		return chaos.SiteHTTP
-	default:
-		return chaos.SiteStore
-	}
-}
-
-// runChaos is the -chaos drill. It answers four questions, self-gating
-// on each:
-//
-//  1. Equivalence: does a coordinator under injected faults (worker
-//     5xx, dropped connections, mid-stream truncation, garbage lines,
-//     latency, store write errors) return byte-identical sweep
-//     responses to a clean single node? This is the PR 5 fault-
-//     equivalence contract exercised end to end.
-//  2. Durability of jobs: do v2 jobs run to "succeeded" while the
-//     store's appends are failing underneath them?
-//  3. Determinism: does the schedule the plane actually fired match
-//     the pure (seed, site, seq) function — i.e. would the same seed
-//     replay identically?
-//  4. Tail latency: does hedged dispatch cut sweep p99 against an
-//     injected slow peer (hedgeProbe)?
-func runChaos(cfg chaos.Config, spec string, workers, clusterN, shardSz int, policy store.FsyncPolicy, out string) {
-	rep := &ChaosReport{Spec: spec, Config: cfg, ClusterWorkers: clusterN, ShardSize: shardSz}
-	bodies := []string{
-		sweepBodies[0],
-		sweepBodies[1],
-		fixedSweepBody(5000),
-		fixedSweepBody(6000),
-		fixedSweepBody(7000),
-	}
-	hc := &http.Client{Timeout: 2 * time.Minute}
-
-	// Reference: one clean node, no cluster, no faults. Its responses
-	// are the bytes the chaos topology must reproduce.
-	refBase, stopRef := startServer(workers, nil, 0, "", policy, nil)
-	want := make([][]byte, len(bodies))
-	for i, body := range bodies {
-		raw, err := httpDo(hc, http.MethodPost, refBase+"/v1/sweep", body)
-		if err != nil {
-			fatal(fmt.Errorf("chaos reference: %w", err))
-		}
-		want[i] = raw
-	}
-	stopRef()
-
-	// Chaos topology: every worker's HTTP surface, the coordinator's
-	// dispatch transport, and the coordinator's durable store all draw
-	// faults from one plane.
-	plane := chaos.New(cfg)
-	dir, err := os.MkdirTemp("", "optload-chaos-*")
-	if err != nil {
-		fatal(err)
-	}
-	defer os.RemoveAll(dir)
-	var peers []string
-	var stops []func()
-	for i := 0; i < clusterN; i++ {
-		base, stop := startServerWith(serverOpts{
-			workers: workers, plane: plane, sitePrefix: fmt.Sprintf("w%d", i),
-		})
-		peers = append(peers, base)
-		stops = append(stops, stop)
-	}
-	coordBase, stopCoord := startServerWith(serverOpts{
-		workers: workers, peers: peers, shardSize: shardSz,
-		dataDir: dir, fsync: policy, plane: plane,
-	})
-	defer func() {
-		stopCoord()
-		for _, stop := range stops {
-			stop()
-		}
-	}()
-
-	// 1. Byte-identity under faults (before the jobs below touch any
-	// overlapping specs and skew cache-hit flags).
-	for i, body := range bodies {
-		raw, err := httpDo(hc, http.MethodPost, coordBase+"/v1/sweep", body)
-		if err != nil {
-			fatal(fmt.Errorf("chaos sweep %d: %w", i, err))
-		}
-		rep.ByteChecks++
-		if !bytesEqual(raw, want[i]) {
-			rep.ByteMismatches++
-			fmt.Fprintf(os.Stderr, "optload: chaos: sweep %d bytes diverged (%d vs %d bytes)\n",
-				i, len(raw), len(want[i]))
-		}
-	}
-
-	// 2. Jobs through the faulty store: the WAL absorbs write errors;
-	// the jobs must still finish.
-	jobBodies := []string{jobsBody, jobsBody, `{"sweep":` + fixedSweepBody(9000) + `}`}
-	for _, jb := range jobBodies {
-		rep.JobsSubmitted++
-		id, err := submitJob(hc, coordBase, jb)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "optload: chaos: job submit: %v\n", err)
-			continue
-		}
-		if state, err := waitTerminal(hc, coordBase, id); err == nil && state == "succeeded" {
-			rep.JobsSucceeded++
-		} else {
-			fmt.Fprintf(os.Stderr, "optload: chaos: job %s ended %q (err %v)\n", id, state, err)
-		}
-	}
-
-	// Dispatcher recovery counters, for the report.
-	if raw, err := httpDo(hc, http.MethodGet, coordBase+"/v2/cluster", ""); err == nil {
-		var cs struct {
-			Shards struct {
-				ShardsRetried     int `json:"shards_retried"`
-				ShardsFallback    int `json:"shards_fallback"`
-				HedgesLaunched    int `json:"hedges_launched"`
-				AttemptsReclaimed int `json:"attempts_reclaimed"`
-			} `json:"shards"`
-			Membership map[string]int `json:"membership_events"`
-		}
-		if json.Unmarshal(raw, &cs) == nil {
-			rep.ShardsRetried = cs.Shards.ShardsRetried
-			rep.ShardsFallback = cs.Shards.ShardsFallback
-			rep.HedgesLaunched = cs.Shards.HedgesLaunched
-			rep.AttemptsReclaimed = cs.Shards.AttemptsReclaimed
-			rep.Membership = cs.Membership
-		}
-	}
-
-	// 3. Determinism: every decision each site actually fired must
-	// match the pure schedule function at the same (site, seq). The
-	// recorded log is a bounded sample; skip the strict comparison only
-	// if traffic overflowed it (this drill's does not).
-	planeRep := plane.Report()
-	rep.Injected = planeRep.Counts
-	rep.Sites = len(planeRep.SiteSeqs)
-	if planeRep.Counts.Injected() < 4096 {
-		for site, seq := range planeRep.SiteSeqs {
-			var pure []chaos.Decision
-			for _, d := range plane.Preview(chaosSiteKind(site), site, int(seq)) {
-				if d.Fault != chaos.FaultNone {
-					pure = append(pure, d)
-				}
-			}
-			live := plane.ScheduleFor(site)
-			sort.Slice(live, func(i, j int) bool { return live[i].Seq < live[j].Seq })
-			if len(live) != len(pure) {
-				rep.ScheduleDivergence++
-				continue
-			}
-			for i := range live {
-				if live[i] != pure[i] {
-					rep.ScheduleDivergence++
-					break
-				}
-			}
-		}
-	}
-
-	// 4. Exposition: a fault-wrapped worker's /metrics must still parse
-	// strictly and carry the chaos counters.
-	if raw, err := httpDo(hc, http.MethodGet, peers[0]+"/metrics", ""); err == nil {
-		rep.ScrapeOK = telemetry.CheckExposition(raw) == nil &&
-			strings.Contains(string(raw), "optspeed_chaos_injected_total")
-	}
-
-	// 5. The hedging win, on its own clean-plus-one-slow-peer topology.
-	rep.Hedge = hedgeProbe(workers, clusterN, 120*time.Millisecond, shardSz, 30)
-
-	rep.OK = rep.ByteMismatches == 0 &&
-		rep.JobsSucceeded == rep.JobsSubmitted &&
-		rep.Injected.Injected() > 0 &&
-		rep.ScheduleDivergence == 0 &&
-		rep.ScrapeOK &&
-		rep.Hedge != nil && rep.Hedge.OK
-	fmt.Fprintf(os.Stderr,
-		"optload: chaos drill (seed %d): %d/%d sweeps byte-identical, %d/%d jobs succeeded, "+
-			"%d faults injected over %d sites (%d schedule divergences), retried %d fallback %d reclaimed %d, ok=%v\n",
-		cfg.Seed, rep.ByteChecks-rep.ByteMismatches, rep.ByteChecks, rep.JobsSucceeded, rep.JobsSubmitted,
-		rep.Injected.Injected(), rep.Sites, rep.ScheduleDivergence,
-		rep.ShardsRetried, rep.ShardsFallback, rep.AttemptsReclaimed, rep.OK)
-	writeReport(out, rep)
-	if !rep.OK {
-		fatal(fmt.Errorf("chaos drill failed (see report)"))
-	}
-}
-
-func bytesEqual(a, b []byte) bool { return string(a) == string(b) }
-
-// jobState is the slice of the job resource the drill reads.
+// jobState is the slice of the job resource the trace probe reads.
 type jobState struct {
-	ID        string `json:"id"`
-	State     string `json:"state"`
-	Recovered bool   `json:"recovered"`
+	ID    string `json:"id"`
+	State string `json:"state"`
 }
 
 func httpDo(c *http.Client, method, url, body string) ([]byte, error) {
@@ -1615,34 +814,8 @@ func waitTerminal(c *http.Client, base, id string) (string, error) {
 	}
 }
 
-// readAllPages walks a terminal job's cursor pages and returns the raw
-// concatenated page bodies — the byte-identity unit the drill compares.
-func readAllPages(c *http.Client, base, id string) ([]byte, error) {
-	var buf []byte
-	cursor := "0"
-	for pageN := 0; pageN < 4096; pageN++ {
-		raw, err := httpDo(c, http.MethodGet, base+"/v2/jobs/"+id+"/results?cursor="+cursor, "")
-		if err != nil {
-			return nil, err
-		}
-		buf = append(buf, raw...)
-		var page struct {
-			NextCursor string `json:"next_cursor"`
-			Done       bool   `json:"done"`
-		}
-		if err := json.Unmarshal(raw, &page); err != nil {
-			return nil, err
-		}
-		if page.Done {
-			return buf, nil
-		}
-		cursor = page.NextCursor
-	}
-	return nil, fmt.Errorf("job %s: paging did not terminate", id)
-}
-
 // writeReport emits the report as indented JSON to the path or stdout.
-func writeReport(out string, report any) {
+func writeReport(out string, report Report) {
 	data, err := json.MarshalIndent(report, "", "  ")
 	if err != nil {
 		fatal(err)

@@ -192,9 +192,11 @@ func TestMiddlewareFaults(t *testing.T) {
 		}
 	})
 	t.Run("healthz is exempt", func(t *testing.T) {
-		status, body, severed := middlewareProbe(t, Config{Seed: 1, Drop: 1}, "/healthz")
-		if severed || status != http.StatusOK || len(body) != full {
-			t.Fatalf("exempt path disturbed: status=%d severed=%v bytes=%d", status, severed, len(body))
+		for _, path := range []string{"/healthz", "/metrics"} {
+			status, body, severed := middlewareProbe(t, Config{Seed: 1, Drop: 1}, path)
+			if severed || status != http.StatusOK || len(body) != full {
+				t.Fatalf("exempt path %s disturbed: status=%d severed=%v bytes=%d", path, status, severed, len(body))
+			}
 		}
 	})
 }

@@ -158,7 +158,13 @@ func TestShardRequestsCarryDeadline(t *testing.T) {
 func TestExpiredDeadlineStopsRetriesAndSettles(t *testing.T) {
 	peers := []string{newFaultPeer(t, "stall", -1), newFaultPeer(t, "stall", -1)}
 	eng := sweep.New(sweep.Options{})
-	d := dispatch.New(dispatch.Options{Engine: eng, Peers: peers, ShardSize: 4})
+	tr := &http.Transport{}
+	d := dispatch.New(dispatch.Options{
+		Engine:     eng,
+		Peers:      peers,
+		ShardSize:  4,
+		HTTPClient: &http.Client{Transport: tr},
+	})
 
 	base := runtime.NumGoroutine()
 	req := dispatch.Request{Space: testSpace(16, 24, 32, 48)}
@@ -178,6 +184,9 @@ func TestExpiredDeadlineStopsRetriesAndSettles(t *testing.T) {
 			t.Fatalf("deadline expiry opened peer %s breaker (%s)", ps.URL, ps.Breaker)
 		}
 	}
+	// Idle keep-alive connections to the stall peers are not scatter
+	// residue; close them so only dispatch goroutines are counted.
+	tr.CloseIdleConnections()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		if n := runtime.NumGoroutine(); n <= base+3 {

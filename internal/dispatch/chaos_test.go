@@ -1,10 +1,12 @@
 package dispatch_test
 
 import (
+	"cmp"
 	"context"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -92,6 +94,32 @@ func TestChaosFaultEquivalence(t *testing.T) {
 	if plane.Counts().Injected() == 0 {
 		t.Fatal("plane injected nothing; the equivalence was not exercised")
 	}
+
+	// The faults that fired must replay from the seed alone: at every
+	// site, the recorded injections are exactly the non-none decisions
+	// of the pure schedule over the same number of draws. The workers'
+	// sites are HTTP sites; the coordinator's are "transport " sites.
+	rep := plane.Report()
+	if rep.Counts.Injected() >= 4096 {
+		t.Fatalf("%d injections overflow the recorded schedule", rep.Counts.Injected())
+	}
+	for site, seq := range rep.SiteSeqs {
+		kind := chaos.SiteHTTP
+		if strings.HasPrefix(site, "transport ") {
+			kind = chaos.SiteTransport
+		}
+		var want []chaos.Decision
+		for _, d := range plane.Preview(kind, site, int(seq)) {
+			if d.Fault != chaos.FaultNone {
+				want = append(want, d)
+			}
+		}
+		got := plane.ScheduleFor(site)
+		slices.SortFunc(got, func(a, b chaos.Decision) int { return cmp.Compare(a.Seq, b.Seq) })
+		if !slices.Equal(got, want) {
+			t.Errorf("site %q: fired schedule diverges from its replay:\n  fired  %v\n  replay %v", site, got, want)
+		}
+	}
 }
 
 // TestHedgedDispatchIndexIntegrity is the property test for the
@@ -153,6 +181,53 @@ func TestHedgedDispatchIndexIntegrity(t *testing.T) {
 					round, r.Index, r.Spec, specs[r.Index])
 			}
 		}
+	}
+}
+
+// TestHedgingCutsSlowPeerTail measures the hedging claim: with one of
+// three workers answering every request 120ms late, a hedging
+// coordinator must launch hedges and finish sweeps with a lower p99
+// than one with hedging off. Shards land on the slow worker either
+// way; only hedging can cut the wait short.
+func TestHedgingCutsSlowPeerTail(t *testing.T) {
+	if testing.Short() {
+		t.Skip("timing test; skipped under -short")
+	}
+	slow := chaos.New(chaos.Config{Seed: 1, Latency: 1, LatencyAmount: 120 * time.Millisecond})
+	peers := []string{newChaosWorker(t, slow, "slow"), newWorker(t), newWorker(t)}
+	specs := chaosSpace.Expand()
+	measure := func(hedge dispatch.HedgeConfig) (p99 time.Duration, hedges int) {
+		d := dispatch.New(dispatch.Options{
+			Engine:    sweep.New(sweep.Options{}),
+			Peers:     peers,
+			ShardSize: 16,
+			Hedge:     hedge,
+		})
+		// The first runs settle connections and seed the hedge budget's
+		// latency EWMA; only the rest are timed.
+		const warmup, timed = 6, 20
+		lat := make([]time.Duration, 0, timed)
+		for i := 0; i < warmup+timed; i++ {
+			start := time.Now()
+			if _, err := d.Run(context.Background(), dispatch.Request{Specs: specs}); err != nil {
+				t.Fatal(err)
+			}
+			if i >= warmup {
+				lat = append(lat, time.Since(start))
+			}
+		}
+		slices.Sort(lat)
+		// Nearest-rank p99.
+		return lat[(len(lat)*99+99)/100-1], d.Stats().HedgesLaunched
+	}
+	offP99, _ := measure(dispatch.HedgeConfig{Disable: true})
+	onP99, hedges := measure(dispatch.HedgeConfig{})
+	t.Logf("sweep p99 with a +120ms peer: %v hedged (%d hedges) vs %v unhedged", onP99, hedges, offP99)
+	if hedges == 0 {
+		t.Fatal("hedging coordinator launched no hedges against the slow peer")
+	}
+	if onP99 >= offP99 {
+		t.Fatalf("hedged p99 %v not below unhedged p99 %v", onP99, offP99)
 	}
 }
 

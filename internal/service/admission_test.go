@@ -1,11 +1,14 @@
 package service
 
 import (
+	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"io"
 	"net/http"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -365,6 +368,166 @@ func TestShedRequestsDoNotLeakGoroutines(t *testing.T) {
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("goroutines %d never settled near baseline %d after shed burst",
+				runtime.NumGoroutine(), before)
+		}
+		time.Sleep(25 * time.Millisecond)
+	}
+}
+
+// overloadTally is one overload client's private outcome counts.
+type overloadTally struct {
+	admitted     []time.Duration // latencies of non-stream 200s
+	streamed     int             // 200 streams read through the done line
+	sheds        int             // explicit 429/503 rejections
+	noRetryAfter int             // sheds without a Retry-After header
+	severed      int             // 200 streams that ended without the done line
+	hard         int             // transport errors and any other status
+}
+
+// overloadClient posts body to url back to back until end. A stream
+// client reads each 200 through to the NDJSON done line; a severed
+// stream is one that ends before it.
+func overloadClient(client *http.Client, url, body string, stream bool, end time.Time, o *overloadTally) {
+	for time.Now().Before(end) {
+		start := time.Now()
+		resp, err := client.Post(url, "application/json", strings.NewReader(body))
+		if err != nil {
+			o.hard++
+			continue
+		}
+		switch {
+		case resp.StatusCode == http.StatusOK && stream:
+			done := false
+			sc := bufio.NewScanner(resp.Body)
+			for sc.Scan() {
+				done = bytes.Contains(sc.Bytes(), []byte(`"done":true`))
+			}
+			if sc.Err() != nil || !done {
+				o.severed++
+			} else {
+				o.streamed++
+			}
+		case resp.StatusCode == http.StatusOK:
+			if _, err := io.Copy(io.Discard, resp.Body); err != nil {
+				o.hard++
+			} else {
+				o.admitted = append(o.admitted, time.Since(start))
+			}
+		case resp.StatusCode == http.StatusTooManyRequests || resp.StatusCode == http.StatusServiceUnavailable:
+			o.sheds++
+			if resp.Header.Get("Retry-After") == "" {
+				o.noRetryAfter++
+			}
+			io.Copy(io.Discard, resp.Body)
+		default:
+			o.hard++
+			io.Copy(io.Discard, resp.Body)
+		}
+		resp.Body.Close()
+	}
+}
+
+// driveOverload runs optimize clients (and stream clients) for d and
+// merges their tallies.
+func driveOverload(client *http.Client, base string, clients, streams int, d time.Duration) overloadTally {
+	// A deliberately tiny stream space (2 specs), so streams contend for
+	// gate slots without each one hogging the server.
+	const streamBody = `{"space":{"ns":[96,160],"stencils":["5-point"],"shapes":["strip"],` +
+		`"machines":[{"type":"sync-bus"}]}}`
+	end := time.Now().Add(d)
+	tallies := make([]overloadTally, clients+streams)
+	var wg sync.WaitGroup
+	for i := range tallies {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if i < clients {
+				overloadClient(client, base+"/v1/optimize", optimizeBody, false, end, &tallies[i])
+			} else {
+				overloadClient(client, base+"/v2/sweeps/stream", streamBody, true, end, &tallies[i])
+			}
+		}(i)
+	}
+	wg.Wait()
+	var all overloadTally
+	for _, o := range tallies {
+		all.admitted = append(all.admitted, o.admitted...)
+		all.streamed += o.streamed
+		all.sheds += o.sheds
+		all.noRetryAfter += o.noRetryAfter
+		all.severed += o.severed
+		all.hard += o.hard
+	}
+	slices.Sort(all.admitted)
+	return all
+}
+
+// p99 is the nearest-rank 99th percentile of sorted latencies.
+func p99(sorted []time.Duration) time.Duration {
+	if len(sorted) == 0 {
+		return 0
+	}
+	return sorted[(len(sorted)*99+99)/100-1]
+}
+
+// TestOverloadDegradesGracefully drives a capacity-4 admission gate at
+// 3x its capacity, with NDJSON stream clients on the same gate, and
+// checks that overload degrades gracefully: every rejection is an
+// explicit 429/503 carrying Retry-After, no admitted stream is severed,
+// goroutines settle, and admitted p99 stays within 2x the uncontended
+// p99 plus the gate's 25ms wait bound (the floor keeps sub-millisecond
+// baselines from gating on scheduler noise).
+func TestOverloadDegradesGracefully(t *testing.T) {
+	if testing.Short() {
+		t.Skip("timing test; skipped under -short")
+	}
+	const capacity = 4
+	const maxWait = 25 * time.Millisecond
+	adm := admit.New(admit.Config{Gate: admit.GateConfig{
+		MaxConcurrent: capacity, MaxQueue: capacity, MaxWait: maxWait,
+	}})
+	_, ts := newTestServerWith(t, Config{Admission: adm})
+	client := &http.Client{
+		Transport: &http.Transport{MaxIdleConnsPerHost: 4 * capacity},
+		Timeout:   30 * time.Second,
+	}
+	before := runtime.NumGoroutine()
+
+	// Prime the engine cache, then measure exactly capacity clients: the
+	// gate never queues them, so this is the uncontended latency floor.
+	driveOverload(client, ts.URL, 1, 0, 100*time.Millisecond)
+	base := driveOverload(client, ts.URL, capacity, 0, time.Second)
+	over := driveOverload(client, ts.URL, 3*capacity, 2, 2*time.Second)
+	t.Logf("baseline p99 %v over %d requests; overload p99 %v over %d admitted, %d streams, %d sheds",
+		p99(base.admitted), len(base.admitted), p99(over.admitted), len(over.admitted), over.streamed, over.sheds)
+
+	if base.hard != 0 || len(base.admitted) == 0 {
+		t.Fatalf("uncontended baseline: %d admitted, %d hard errors", len(base.admitted), base.hard)
+	}
+	if over.sheds == 0 || over.streamed == 0 {
+		t.Fatalf("overload not exercised: %d sheds, %d completed streams", over.sheds, over.streamed)
+	}
+	if over.hard != 0 {
+		t.Errorf("%d responses were neither admitted nor an explicit 429/503 shed", over.hard)
+	}
+	if over.noRetryAfter != 0 {
+		t.Errorf("%d of %d sheds carried no Retry-After header", over.noRetryAfter, over.sheds)
+	}
+	if over.severed != 0 {
+		t.Errorf("%d admitted streams were severed before their done line", over.severed)
+	}
+	if limit := 2*p99(base.admitted) + maxWait; p99(over.admitted) > limit {
+		t.Errorf("admitted p99 %v exceeds 2x baseline p99 + %v = %v", p99(over.admitted), maxWait, limit)
+	}
+
+	client.CloseIdleConnections()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		if n := runtime.NumGoroutine(); n <= before+8 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines %d never settled near baseline %d after overload",
 				runtime.NumGoroutine(), before)
 		}
 		time.Sleep(25 * time.Millisecond)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -95,6 +96,55 @@ func TestJobsRecoveryEndToEnd(t *testing.T) {
 	}
 	if ps2.Stats().Snapshots == 0 {
 		t.Fatal("recovery did not compact the replayed log")
+	}
+}
+
+// TestJobsSucceedThroughWriteFaults runs sweep jobs on a jobs store
+// whose WAL fails every other append. A failed append is the store's
+// degraded mode (counted, logged, serving on), never the job's
+// problem: every job must still succeed.
+func TestJobsSucceedThroughWriteFaults(t *testing.T) {
+	var appends atomic.Int64
+	ps, _, err := Open(Options{Dir: t.TempDir(), Fsync: FsyncOff, WriteFault: func() error {
+		if appends.Add(1)%2 == 0 {
+			return errors.New("injected write fault")
+		}
+		return nil
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ps.Close()
+	js := jobs.NewStore(jobs.Options{Persister: ps, SnapshotInterval: -1})
+	defer js.Close()
+
+	spaces := []*sweep.Space{
+		{Ns: []int{64, 128}, Stencils: []string{"5-point"}, Shapes: []string{"strip", "square"},
+			Machines: []core.MachineSpec{{Type: "sync-bus"}}},
+		{Ns: []int{96, 160, 224, 288}, Stencils: []string{"5-point", "9-point"}, Shapes: []string{"square"},
+			Machines: []core.MachineSpec{{Type: "mesh"}, {Type: "hypercube"}}},
+	}
+	var ids []string
+	for round := 0; round < 2; round++ {
+		for _, space := range spaces {
+			snap, err := js.Submit(jobs.Request{Kind: jobs.KindSweep, Space: space})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids = append(ids, snap.ID)
+		}
+	}
+	for _, id := range ids {
+		fin, err := js.Wait(context.Background(), id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fin.State != jobs.StateSucceeded {
+			t.Errorf("job %s finished %q under write faults: %s", id, fin.State, fin.Reason)
+		}
+	}
+	if ps.Stats().WriteErrors == 0 {
+		t.Fatal("no append failed; the write faults were not exercised")
 	}
 }
 
