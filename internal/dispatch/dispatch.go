@@ -80,6 +80,14 @@ func (r Request) size() int {
 	return len(r.Specs)
 }
 
+// expand returns the request's specs, expanding a space.
+func (r Request) expand() []sweep.Spec {
+	if r.Space != nil {
+		return r.Space.Expand()
+	}
+	return r.Specs
+}
+
 // ShardDone reports one shard's completion to the progress callback.
 type ShardDone struct {
 	// Shard is the shard's index in submission order.
@@ -407,8 +415,10 @@ func (d *Dispatcher) plan(req Request) []shard {
 	return shards
 }
 
-// openLocal is the no-peer path: the engine's own chunk streams,
-// untouched — byte-for-byte the single-node pipeline.
+// openLocal is the no-peer path and the shard fallback: the engine's
+// own chunk streams, untouched — byte-for-byte the single-node
+// pipeline. It is the dispatcher's one choice between the space and
+// spec-list paths.
 func (d *Dispatcher) openLocal(ctx context.Context, req Request) (Opened, error) {
 	if req.Space != nil {
 		ch, total, err := d.engine.StreamSpaceChunks(ctx, *req.Space)
@@ -783,13 +793,12 @@ func (d *Dispatcher) runShard(ctx context.Context, sh shard, onShard func(ShardD
 // evalLocal evaluates one shard on the coordinator's engine, in
 // submission order, with global indices restored.
 func (d *Dispatcher) evalLocal(ctx context.Context, sh shard) ([]sweep.Result, error) {
-	var results []sweep.Result
-	var err error
-	if sh.space != nil {
-		results, err = d.engine.RunSpace(ctx, *sh.space)
-	} else {
-		results, err = d.engine.Run(ctx, sh.specs)
+	req := Request{Specs: sh.specs, Space: sh.space}
+	opened, err := d.openLocal(ctx, req)
+	if err != nil {
+		return nil, err
 	}
+	results, err := d.engine.Collect(ctx, opened.Chunks, opened.Total, req.expand)
 	if err != nil {
 		return nil, err
 	}
@@ -878,45 +887,14 @@ func (d *Dispatcher) Stats() Stats {
 	}
 }
 
-// Run evaluates the request to completion and returns results in
-// submission (Index) order — the distributed counterpart of
-// Engine.Run/RunSpace, with the same cancellation contract: on a dead
+// Run evaluates the request to completion — on the local engine or
+// across peers, as Open decides — and returns results in submission
+// (Index) order, with Engine.Run's cancellation contract: on a dead
 // context the unfinished entries carry ctx.Err().
 func (d *Dispatcher) Run(ctx context.Context, req Request) ([]sweep.Result, error) {
-	// The local paths delegate to the engine's own collectors so the
-	// single-node pipeline (pooled buffers included) stays untouched.
-	if !d.Distributed() || req.size() <= d.shardSize {
-		if req.Space != nil {
-			return d.engine.RunSpace(ctx, *req.Space)
-		}
-		return d.engine.Run(ctx, req.Specs)
-	}
 	opened, err := d.Open(ctx, req, nil)
 	if err != nil {
 		return nil, err
 	}
-	results := make([]sweep.Result, opened.Total)
-	done := make([]bool, opened.Total)
-	for c := range opened.Chunks {
-		for _, r := range c.Results {
-			results[r.Index] = r
-			done[r.Index] = true
-		}
-		d.engine.Recycle(c)
-	}
-	if err := ctx.Err(); err != nil {
-		var specs []sweep.Spec
-		if req.Space != nil {
-			specs = req.Space.Expand()
-		} else {
-			specs = req.Specs
-		}
-		for i := range results {
-			if !done[i] {
-				results[i] = sweep.Result{Index: i, Spec: specs[i], Err: err}
-			}
-		}
-		return results, err
-	}
-	return results, nil
+	return d.engine.Collect(ctx, opened.Chunks, opened.Total, req.expand)
 }

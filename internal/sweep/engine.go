@@ -8,10 +8,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-
-	"optspeed/internal/core"
-	"optspeed/internal/partition"
-	"optspeed/internal/stencil"
 )
 
 // Options configures an Engine. Zero values take defaults.
@@ -32,9 +28,9 @@ const DefaultCacheSize = 65536
 // Engine evaluates spec lists and spaces on a worker pool with
 // canonical-key memoization. It is safe for concurrent use; the cache is
 // shared across calls, so repeated or overlapping sweeps coalesce, and
-// the worker cap is engine-wide: concurrent Run/Stream/Evaluate callers
-// share one evaluation semaphore, so a service exposing a shared engine
-// never runs more than Workers model evaluations at once.
+// the worker cap is engine-wide: concurrent callers share one
+// evaluation semaphore, so a service exposing a shared engine never
+// runs more than Workers model evaluations at once.
 type Engine struct {
 	workers int
 	sem     chan struct{} // bounds concurrent model evaluations engine-wide
@@ -198,7 +194,7 @@ func putSpecs(s []Spec) {
 }
 
 // groupScratch holds the per-group working slices of the batched
-// speedup path, pooled so a steady stream of groups allocates nothing
+// procs path, pooled so a steady stream of groups allocates nothing
 // beyond the cache slab per group.
 type groupScratch struct {
 	missIdx []int
@@ -240,9 +236,9 @@ func (e *Engine) evalResolved(cancel <-chan struct{}, s Spec, r resolved, rerr e
 		out, hit := e.cache.getOrCompute(cancel, r.key, func() outcome {
 			// The engine-wide semaphore is taken around the computation
 			// only — coalesced waiters cost nothing — so the Workers cap
-			// holds across every concurrent Run/Stream/Evaluate caller.
-			// Waiters for a slot stay cancellable; the in-flight entry
-			// this closure holds is removed by the cache's error path.
+			// holds across every concurrent caller. Waiters for a slot
+			// stay cancellable; the in-flight entry this closure holds is
+			// removed by the cache's error path.
 			select {
 			case e.sem <- struct{}{}:
 			case <-cancel:
@@ -299,144 +295,49 @@ func result(i int, s Spec, out outcome, hit bool) Result {
 	}
 }
 
-// Stream evaluates the specs on the worker pool and streams results as
-// they complete (arrival order is nondeterministic; Result.Index ties
-// each result to its spec). The channel is closed when all specs are
-// done or the context is cancelled; on cancellation remaining specs are
-// skipped, not errored.
-func (e *Engine) Stream(ctx context.Context, specs []Spec) <-chan Result {
-	return e.stream(ctx, specs, nil)
-}
-
-// StreamChunks is Stream with results delivered in reusable batches: a
+// StreamChunks evaluates the specs on the worker pool and streams the
+// results in reusable batches as they complete. Arrival order is
+// nondeterministic; Result.Index ties each result to its spec. A
 // consumer receives a *Chunk, reads or copies its Results, and hands
 // the buffer back via Recycle. When the consumer keeps up, chunks stay
 // small (the workers flush opportunistically per result); under
 // backpressure they grow toward chunkCap, amortizing channel sends and
-// downstream locking exactly when throughput matters.
+// downstream locking exactly when throughput matters. The channel is
+// closed when all specs are done or the context is cancelled; on
+// cancellation the remaining specs are skipped, not errored.
 func (e *Engine) StreamChunks(ctx context.Context, specs []Spec) <-chan *Chunk {
 	return e.streamChunks(ctx, specs, nil, nil)
 }
 
-// stream is Stream with optional pre-resolved specs (pre parallel to
-// specs, or nil to resolve per spec on the worker).
-func (e *Engine) stream(ctx context.Context, specs []Spec, pre []preResolved) <-chan Result {
-	out := make(chan Result, e.workers)
-	var wg sync.WaitGroup
-	// Work distribution: a shared atomic cursor hands each worker the
-	// next unclaimed index. Experiment spec lists are periodic (curve A,
-	// curve B, ... repeating), so a static stride-W partition would pin
-	// each curve to a fixed worker subset whenever the period divides W;
-	// the dynamic cursor load-balances regardless. Result ordering is
-	// unaffected — it comes from Result.Index, not claim order.
-	var cursor atomic.Int64
-	workers := e.workers
-	if len(specs) < workers {
-		workers = len(specs)
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(cursor.Add(1)) - 1
-				if i >= len(specs) || ctx.Err() != nil {
-					return
-				}
-				var o outcome
-				var hit bool
-				if pre != nil {
-					o, hit = e.evalResolved(ctx.Done(), specs[i], pre[i].r, pre[i].err)
-				} else {
-					o, hit = e.eval(ctx.Done(), specs[i])
-				}
-				if errors.Is(o.err, ErrWaitCancelled) {
-					// The context died while this worker was parked on
-					// another goroutine's in-flight computation; the
-					// sweep is over.
-					return
-				}
-				select {
-				case out <- result(i, specs[i], o, hit):
-				case <-ctx.Done():
-					return
-				}
-			}
-		}()
-	}
-	go func() {
-		wg.Wait()
-		close(out)
-	}()
-	return out
-}
-
-// streamChunks runs the same worker pool as stream but accumulates
-// results into pooled chunks. onDone, if non-nil, runs after every
-// worker has exited (the hook that returns pooled pre-resolution and
-// spec buffers once nothing can touch them).
-func (e *Engine) streamChunks(ctx context.Context, specs []Spec, pre []preResolved, onDone func()) <-chan *Chunk {
+// fanOut runs worker on up to e.workers goroutines over units work
+// items. The workers share one claim cursor: next hands each the next
+// unclaimed unit, or -1 once the units run out or ctx dies. Experiment
+// spec lists are periodic (curve A, curve B, ... repeating), so a
+// static stride-W partition would pin each curve to a fixed worker
+// subset whenever the period divides W; the dynamic cursor
+// load-balances regardless. Result ordering is unaffected — it comes
+// from Result.Index, not claim order. The returned channel closes once
+// every worker has exited and onDone, if non-nil, has run (the hook
+// that returns pooled buffers once nothing can touch them).
+func (e *Engine) fanOut(ctx context.Context, units int, onDone func(), worker func(out chan<- *Chunk, next func() int)) <-chan *Chunk {
+	// One slot per worker: each can hand off a chunk without waiting
+	// for the consumer.
 	out := make(chan *Chunk, e.workers)
-	var wg sync.WaitGroup
 	var cursor atomic.Int64
-	workers := e.workers
-	if len(specs) < workers {
-		workers = len(specs)
+	next := func() int {
+		i := int(cursor.Add(1)) - 1
+		if i >= units || ctx.Err() != nil {
+			return -1
+		}
+		return i
 	}
+	workers := min(e.workers, units)
+	var wg sync.WaitGroup
+	wg.Add(workers)
 	for w := 0; w < workers; w++ {
-		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			chunk := getChunk(chunkCap)
-			// flush hands the current chunk to the consumer; it reports
-			// false when the context died (the chunk is recycled and the
-			// worker must stop).
-			flush := func() bool {
-				select {
-				case out <- chunk:
-					chunk = getChunk(chunkCap)
-					return true
-				case <-ctx.Done():
-					e.Recycle(chunk)
-					return false
-				}
-			}
-			for {
-				i := int(cursor.Add(1)) - 1
-				if i >= len(specs) || ctx.Err() != nil {
-					break
-				}
-				var o outcome
-				var hit bool
-				if pre != nil {
-					o, hit = e.evalResolved(ctx.Done(), specs[i], pre[i].r, pre[i].err)
-				} else {
-					o, hit = e.eval(ctx.Done(), specs[i])
-				}
-				if errors.Is(o.err, ErrWaitCancelled) {
-					break
-				}
-				chunk.Results = append(chunk.Results, result(i, specs[i], o, hit))
-				if len(chunk.Results) >= chunkCap {
-					if !flush() {
-						return
-					}
-					continue
-				}
-				// Opportunistic flush: hand over the partial chunk only
-				// if the consumer is ready right now, so a live consumer
-				// sees per-result progress while a busy one gets batches.
-				select {
-				case out <- chunk:
-					chunk = getChunk(chunkCap)
-				default:
-				}
-			}
-			if len(chunk.Results) > 0 {
-				flush()
-			} else {
-				e.Recycle(chunk)
-			}
+			worker(out, next)
 		}()
 	}
 	go func() {
@@ -447,6 +348,63 @@ func (e *Engine) streamChunks(ctx context.Context, specs []Spec, pre []preResolv
 		close(out)
 	}()
 	return out
+}
+
+// streamChunks evaluates specs on the worker pool, accumulating results
+// into pooled chunks. pre is parallel to specs, or nil to resolve each
+// spec on its worker.
+func (e *Engine) streamChunks(ctx context.Context, specs []Spec, pre []preResolved, onDone func()) <-chan *Chunk {
+	return e.fanOut(ctx, len(specs), onDone, func(out chan<- *Chunk, next func() int) {
+		chunk := getChunk(chunkCap)
+		// flush hands the current chunk to the consumer; it reports
+		// false when the context died (the chunk is recycled and the
+		// worker must stop).
+		flush := func() bool {
+			select {
+			case out <- chunk:
+				chunk = getChunk(chunkCap)
+				return true
+			case <-ctx.Done():
+				e.Recycle(chunk)
+				return false
+			}
+		}
+		for i := next(); i >= 0; i = next() {
+			var o outcome
+			var hit bool
+			if pre != nil {
+				o, hit = e.evalResolved(ctx.Done(), specs[i], pre[i].r, pre[i].err)
+			} else {
+				o, hit = e.eval(ctx.Done(), specs[i])
+			}
+			if errors.Is(o.err, ErrWaitCancelled) {
+				// The context died while this worker was parked on
+				// another goroutine's in-flight computation; the sweep
+				// is over.
+				break
+			}
+			chunk.Results = append(chunk.Results, result(i, specs[i], o, hit))
+			if len(chunk.Results) >= chunkCap {
+				if !flush() {
+					return
+				}
+				continue
+			}
+			// Opportunistic flush: hand over the partial chunk only if
+			// the consumer is ready right now, so a live consumer sees
+			// per-result progress while a busy one gets batches.
+			select {
+			case out <- chunk:
+				chunk = getChunk(chunkCap)
+			default:
+			}
+		}
+		if len(chunk.Results) > 0 {
+			flush()
+		} else {
+			e.Recycle(chunk)
+		}
+	})
 }
 
 // Run evaluates the specs and returns results ordered by Index (the
@@ -456,16 +414,20 @@ func (e *Engine) streamChunks(ctx context.Context, specs []Spec, pre []preResolv
 // hold only the completed entries (unevaluated ones keep their
 // submitted Spec and an Err of ctx.Err()).
 func (e *Engine) Run(ctx context.Context, specs []Spec) ([]Result, error) {
-	return e.collect(ctx, specs, e.streamChunks(ctx, specs, nil, nil))
+	return e.Collect(ctx, e.streamChunks(ctx, specs, nil, nil), len(specs),
+		func() []Spec { return specs })
 }
 
-// collect drains a chunked result stream into submission order,
-// recycling each chunk as it lands. On cancellation the unfinished
-// entries keep their submitted Spec and an Err of ctx.Err(), and the
-// context error is returned.
-func (e *Engine) collect(ctx context.Context, specs []Spec, ch <-chan *Chunk) ([]Result, error) {
-	results := make([]Result, len(specs))
-	done := make([]bool, len(specs))
+// Collect drains a chunked stream of total results (one from
+// StreamChunks, StreamSpaceChunks, or a stream honouring their
+// contract) into submission (Index) order, recycling each chunk as it
+// lands. On a dead context the unfinished entries keep their submitted
+// Spec and an Err of ctx.Err(), and the context error is returned;
+// specs supplies the submitted list and is called only then, so a
+// caller holding a space need not expand it on the common path.
+func (e *Engine) Collect(ctx context.Context, ch <-chan *Chunk, total int, specs func() []Spec) ([]Result, error) {
+	results := make([]Result, total)
+	done := make([]bool, total)
 	for c := range ch {
 		for _, r := range c.Results {
 			results[r.Index] = r
@@ -474,9 +436,10 @@ func (e *Engine) collect(ctx context.Context, specs []Spec, ch <-chan *Chunk) ([
 		e.Recycle(c)
 	}
 	if err := ctx.Err(); err != nil {
+		submitted := specs()
 		for i := range results {
 			if !done[i] {
-				results[i] = Result{Index: i, Spec: specs[i], Err: err}
+				results[i] = Result{Index: i, Spec: submitted[i], Err: err}
 			}
 		}
 		return results, err
@@ -485,253 +448,110 @@ func (e *Engine) collect(ctx context.Context, specs []Spec, ch <-chan *Chunk) ([
 }
 
 // RunSpace expands a Cartesian space and runs it with space-aware
-// evaluation: each distinct axis value (stencil, shape, machine) is
-// resolved once per space instead of once per spec, and an OpSpeedup
-// space with a processor axis takes a batched fast path that computes
-// one cycle curve per (problem, machine) group and fans the per-procs
-// results out. A space whose axis product overflows (Size() saturated)
-// cannot be materialized and is rejected up front.
+// evaluation: each machine is resolved once per space and each problem
+// once per (n, stencil, shape) instead of once per spec, and a space of
+// an op with a batch evaluator and a processor axis takes a batched
+// fast path that computes the shared (problem, machine) work once per
+// group and fans the per-procs results out. A space whose axis product
+// overflows (Size() saturated) cannot be materialized and is rejected
+// up front.
 func (e *Engine) RunSpace(ctx context.Context, sp Space) ([]Result, error) {
-	ch, specs, err := e.streamSpaceChunks(ctx, sp, false)
+	ch, total, err := e.StreamSpaceChunks(ctx, sp)
 	if err != nil {
 		return nil, err
 	}
-	results, runErr := e.collect(ctx, specs, ch)
-	// The expanded spec buffer is pooled; collect has finished reading
-	// it (including the cancellation backfill), and the results hold
-	// value copies, so it can be reused now.
-	putSpecs(specs)
-	return results, runErr
+	return e.Collect(ctx, ch, total, sp.Expand)
 }
 
-// StreamSpace expands a Cartesian space and streams results as they
-// complete, with the same space-aware evaluation as RunSpace: axis
-// values are pre-resolved once per space, and an OpSpeedup space with a
-// processor axis keeps the batched fast path (whole groups stream as
-// each completes). It returns the expanded spec count alongside the
-// channel — the progress denominator for callers tracking completion,
-// such as the jobs subsystem. A space whose axis product overflows is
-// rejected up front.
-func (e *Engine) StreamSpace(ctx context.Context, sp Space) (<-chan Result, int, error) {
-	ch, total, err := e.StreamSpaceChunks(ctx, sp)
-	if err != nil {
-		return nil, 0, err
-	}
-	out := make(chan Result, e.workers)
-	go func() {
-		defer close(out)
-		for c := range ch {
-			for i := range c.Results {
-				select {
-				case out <- c.Results[i]:
-				case <-ctx.Done():
-					e.Recycle(c)
-					return
-				}
-			}
-			e.Recycle(c)
-		}
-	}()
-	return out, total, nil
-}
-
-// StreamSpaceChunks is StreamSpace with results delivered in reusable
-// batches (see StreamChunks); the batched speedup fast path emits one
-// chunk per procs group. Consumers return chunks via Recycle.
+// StreamSpaceChunks expands a Cartesian space and streams its results
+// in reusable batches as they complete, with the same space-aware
+// evaluation as RunSpace; the batched fast path emits one chunk per
+// procs group. Consumers read or copy each chunk's Results and return
+// the buffer via Recycle. It returns the expanded spec count alongside
+// the channel — the progress denominator for callers tracking
+// completion, such as the jobs subsystem. A space whose axis product
+// overflows is rejected up front.
 func (e *Engine) StreamSpaceChunks(ctx context.Context, sp Space) (<-chan *Chunk, int, error) {
-	ch, specs, err := e.streamSpaceChunks(ctx, sp, true)
-	if err != nil {
-		return nil, 0, err
-	}
-	return ch, len(specs), nil
-}
-
-// streamSpaceChunks expands and pre-resolves a space and starts its
-// chunked stream. The pooled pre-resolution buffer is always recycled
-// once the workers are done; recycleSpecs additionally recycles the
-// expanded spec buffer there (callers that keep reading specs after the
-// stream closes — RunSpace's collector — recycle it themselves).
-func (e *Engine) streamSpaceChunks(ctx context.Context, sp Space, recycleSpecs bool) (<-chan *Chunk, []Spec, error) {
 	if sp.Size() == math.MaxInt {
-		return nil, nil, fmt.Errorf("sweep: space axis product overflows; refusing to expand")
+		return nil, 0, fmt.Errorf("sweep: space axis product overflows; refusing to expand")
 	}
 	specs := sp.appendSpecs(getSpecs(sp.Size()))
 	pre := preResolveSpace(sp, specs, getPre(len(specs)))
+	// The expanded specs and their pre-resolutions are pooled; once the
+	// workers are done nothing reads them (results hold value copies).
 	onDone := func() {
 		putPre(pre)
-		if recycleSpecs {
-			putSpecs(specs)
-		}
+		putSpecs(specs)
 	}
-	if procsBatched(sp.Op) && len(sp.Procs) > 1 {
-		return e.streamSpeedupBatched(ctx, len(sp.Procs), specs, pre, onDone), specs, nil
+	if d, _ := lookupOp(sp.Op); d != nil && d.batch != nil && len(sp.Procs) > 1 {
+		return e.streamBatched(ctx, d.batch, len(sp.Procs), specs, pre, onDone), len(specs), nil
 	}
-	return e.streamChunks(ctx, specs, pre, onDone), specs, nil
+	return e.streamChunks(ctx, specs, pre, onDone), len(specs), nil
 }
 
-// procsBatched reports whether the op takes the batched over-Procs fast
-// path: the P-varying ops whose batch evaluator computes the shared
-// (problem, machine) work once per group — one cycle curve for
-// OpSpeedup, one optimal allocation for the scaling laws.
-func procsBatched(op Op) bool {
-	switch op {
-	case OpSpeedup, OpAmdahl, OpGustafson, OpCriticalPath:
-		return true
-	default:
-		return false
-	}
-}
-
-// batchEval dispatches one procs group to the op's core batch
-// evaluator. All four share the SpeedupBatch contract: vals[i]/errs[i]
-// per point with errors identical to the individual evaluators', and a
-// final error failing the whole batch.
-func batchEval(op Op, p core.Problem, arch core.Architecture, procs []int) ([]float64, []error, error) {
-	switch op {
-	case OpAmdahl:
-		return core.AmdahlBatch(p, arch, procs)
-	case OpGustafson:
-		return core.GustafsonBatch(p, arch, procs)
-	case OpCriticalPath:
-		return core.CriticalPathBatch(p, arch, procs)
-	default:
-		return core.SpeedupBatch(p, arch, procs)
-	}
-}
-
-// preResolveSpace materializes each distinct axis value of the space
-// once — machines are validated and default-filled a single time, and
-// the problem is built once per (n, stencil, shape) triple — and
-// composes the per-spec resolutions in Expand order through the same
-// resolvedFromParts helper as Spec.resolve, so RunSpace reports the
-// same errors, with the same precedence, as Run. pre is the destination
+// preResolveSpace materializes each machine axis value of the space
+// once — validated and default-filled a single time — and the problem
+// once per (n, stencil, shape) triple, then composes the per-spec
+// resolutions in Expand order through the same helpers as Spec.resolve
+// (Spec.problem and resolvedFromParts), so RunSpace reports the same
+// errors, with the same precedence, as Run. pre is the destination
 // buffer (len(specs), possibly pooled with stale entries); every slot
 // is overwritten.
 func preResolveSpace(sp Space, specs []Spec, pre []preResolved) []preResolved {
-	type stRes struct {
-		st   stencil.Stencil
-		code uint8
-		err  error
-	}
-	stencils := make([]stRes, len(sp.Stencils))
-	for i, name := range sp.Stencils {
-		st, ok := stencil.ByName(name)
-		if !ok {
-			stencils[i].err = fmt.Errorf("sweep: unknown stencil %q", name)
-			continue
-		}
-		stencils[i].st = st
-		stencils[i].code, _ = stencilCode(name)
-	}
-	shapeErr := make([]error, len(sp.Shapes))
-	shapeVal := make([]partition.Shape, len(sp.Shapes))
-	for i, name := range sp.Shapes {
-		shapeVal[i], shapeErr[i] = ParseShape(name)
-	}
 	machines := make([]machResolved, len(sp.Machines))
 	for i, m := range sp.Machines {
 		machines[i] = resolveMachine(m)
 	}
-
-	procsLen := len(sp.Procs)
-	if procsLen == 0 {
-		procsLen = 1
-	}
-	idx := 0
-	for range sp.Ns {
-		for si := range sp.Stencils {
-			for hi := range sp.Shapes {
-				// The problem depends only on (n, stencil, shape) — and
-				// on the op's N default, constant across the space — so
-				// one construction covers the machines × procs block.
-				var prob core.Problem
-				var probErr error
-				axisErr := stencils[si].err
-				if axisErr == nil {
-					axisErr = shapeErr[hi]
-				}
-				if axisErr == nil {
-					prob, probErr = specs[idx].problemFor(stencils[si].st, shapeVal[hi])
-				}
-				for mi := range sp.Machines {
-					for q := 0; q < procsLen; q++ {
-						p := &pre[idx]
-						if axisErr != nil {
-							*p = preResolved{err: axisErr}
-						} else {
-							p.r, p.err = resolvedFromParts(specs[idx], prob, probErr,
-								stencils[si].code, shapeVal[hi], machines[mi])
-						}
-						idx++
-					}
-				}
-			}
+	// Expand keeps machines × procs innermost, so each (n, stencil,
+	// shape) triple — the problem's only inputs besides the op, which
+	// is constant across the space — covers one contiguous block.
+	procsLen := max(len(sp.Procs), 1)
+	block := len(sp.Machines) * procsLen
+	for base := 0; base < len(specs); base += block {
+		prob, stCode, probErr := specs[base].problem()
+		for j := range block {
+			p := &pre[base+j]
+			p.r, p.err = resolvedFromParts(specs[base+j], prob, stCode, probErr, machines[j/procsLen])
 		}
 	}
 	return pre
 }
 
-// streamSpeedupBatched streams a P-batched space (OpSpeedup or a
-// scaling-law op; see procsBatched) whose processor axis has length
-// groupLen, one chunk per group. Expand keeps the procs axis innermost,
-// so specs come in contiguous groups sharing one (problem, machine)
-// pair; each group probes the cache for all members, then computes the
-// absentees with a single validated batch (batchEval — one serial-time
-// and one cycle-curve or optimal-allocation evaluation per group)
-// instead of |Procs| independent evaluations, and hands the whole group
-// to the consumer as one reusable chunk.
-func (e *Engine) streamSpeedupBatched(ctx context.Context, groupLen int, specs []Spec, pre []preResolved, onDone func()) <-chan *Chunk {
-	out := make(chan *Chunk, e.workers)
-	groups := len(specs) / groupLen
-	var wg sync.WaitGroup
-	var cursor atomic.Int64
-	workers := e.workers
-	if groups < workers {
-		workers = groups
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				g := int(cursor.Add(1)) - 1
-				if g >= groups || ctx.Err() != nil {
-					return
-				}
-				base := g * groupLen
-				c := e.evalSpeedupGroup(ctx.Done(), specs[base:base+groupLen], pre[base:base+groupLen], base)
-				if c == nil {
-					return // cancelled mid-group
-				}
-				select {
-				case out <- c:
-				case <-ctx.Done():
-					e.Recycle(c)
-					return
-				}
+// streamBatched streams a space of an op with a batch evaluator whose
+// processor axis has length groupLen, one chunk per group. Expand keeps
+// the procs axis innermost, so specs come in contiguous groups sharing
+// one (problem, machine) pair; each group probes the cache for all
+// members, then computes the absentees with a single validated batch
+// call instead of |Procs| independent evaluations, and hands the whole
+// group to the consumer as one reusable chunk.
+func (e *Engine) streamBatched(ctx context.Context, batch batchFunc, groupLen int, specs []Spec, pre []preResolved, onDone func()) <-chan *Chunk {
+	return e.fanOut(ctx, len(specs)/groupLen, onDone, func(out chan<- *Chunk, next func() int) {
+		for g := next(); g >= 0; g = next() {
+			base := g * groupLen
+			c := e.evalBatchGroup(ctx.Done(), batch, specs[base:base+groupLen], pre[base:base+groupLen], base)
+			if c == nil {
+				return // cancelled mid-group
 			}
-		}()
-	}
-	go func() {
-		wg.Wait()
-		if onDone != nil {
-			onDone()
+			select {
+			case out <- c:
+			case <-ctx.Done():
+				e.Recycle(c)
+				return
+			}
 		}
-		close(out)
-	}()
-	return out
+	})
 }
 
-// evalSpeedupGroup answers one contiguous procs group as a pooled
+// evalBatchGroup answers one contiguous procs group as a pooled
 // chunk. It returns nil if the caller's cancel fired while probing or
 // computing; otherwise a chunk with one Result per member. Cache hits
 // are served individually; the misses share one batched computation
 // under a single semaphore slot and are inserted into the cache as one
 // slab (putBatch) so later sweeps hit. All per-group working slices
 // come from the scratch pool, so a steady stream of groups costs one
-// allocation per group — the cache slab — plus whatever
-// core.SpeedupBatch builds internally.
-func (e *Engine) evalSpeedupGroup(cancel <-chan struct{}, specs []Spec, pre []preResolved, base int) *Chunk {
+// allocation per group — the cache slab — plus whatever the batch
+// evaluator builds internally.
+func (e *Engine) evalBatchGroup(cancel <-chan struct{}, batch batchFunc, specs []Spec, pre []preResolved, base int) *Chunk {
 	c := getChunk(len(specs))
 	rs := c.Results[:len(specs)]
 	sc := getScratch()
@@ -786,7 +606,7 @@ func (e *Engine) evalSpeedupGroup(cancel <-chan struct{}, specs []Spec, pre []pr
 		procs = append(procs, specs[i].Procs)
 	}
 	sc.procs = procs
-	vals, errs, batchErr := batchEval(specs[0].op(), r.problem, r.arch, procs)
+	vals, errs, batchErr := batch(r.problem, r.arch, procs)
 	<-e.sem
 	keys, outs := sc.keys[:0], sc.outs[:0]
 	for j, i := range missIdx {

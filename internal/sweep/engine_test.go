@@ -339,22 +339,23 @@ func TestInvalidSpecs(t *testing.T) {
 func TestCancellation(t *testing.T) {
 	e := New(Options{Workers: 2})
 	// A big space: cancellation must stop the run early.
-	sp := testSpace()
-	sp.Ns = []int{64, 96, 128, 192, 256, 384, 512, 768, 1024}
+	sp := runAheadSpace(testSpace(), 2)
 	specs := sp.Expand()
 	ctx, cancel := context.WithCancel(context.Background())
 
-	ch := e.Stream(ctx, specs)
+	ch := e.StreamChunks(ctx, specs)
 	first, ok := <-ch
 	if !ok {
 		t.Fatal("stream closed before any result")
 	}
-	if first.Err != nil {
-		t.Fatal(first.Err)
+	if len(first.Results) == 0 || first.Results[0].Err != nil {
+		t.Fatalf("first chunk carries no clean result: %+v", first.Results)
 	}
+	e.Recycle(first)
 	cancel()
-	for range ch {
+	for c := range ch {
 		// Drain; the channel must close promptly after cancellation.
+		e.Recycle(c)
 	}
 	if got := e.Stats().Evaluations; got >= uint64(len(specs)) {
 		t.Fatalf("cancellation did not stop the sweep: %d evaluations of %d specs",
@@ -371,6 +372,20 @@ func TestCancellation(t *testing.T) {
 			t.Fatal("unevaluated result carries no error")
 		}
 	}
+}
+
+// runAheadSpace grows sp's Ns axis with distinct cold grid sizes until
+// the space is twice what a chunked stream on an engine of the given
+// worker count can evaluate ahead of its consumer: each worker fills
+// one chunk of up to chunkCap results while up to workers more wait in
+// the channel, and the consumer holds one. Only a space larger than
+// that shows whether cancellation stops the sweep early.
+func runAheadSpace(sp Space, workers int) Space {
+	sp.Ns = nil
+	for n := 64; sp.Size() <= 2*(2*workers+1)*chunkCap; n += 8 {
+		sp.Ns = append(sp.Ns, n)
+	}
+	return sp
 }
 
 func TestEvaluateCancelled(t *testing.T) {
@@ -593,18 +608,22 @@ func TestStreamSpaceMatchesRunSpace(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ch, total, err := New(Options{}).StreamSpace(context.Background(), sp)
+		e := New(Options{})
+		ch, total, err := e.StreamSpaceChunks(context.Background(), sp)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if total != sp.Size() {
-			t.Fatalf("StreamSpace total %d, want %d", total, sp.Size())
+			t.Fatalf("StreamSpaceChunks total %d, want %d", total, sp.Size())
 		}
 		got := make([]Result, total)
 		seen := 0
-		for r := range ch {
-			got[r.Index] = r
-			seen++
+		for c := range ch {
+			for _, r := range c.Results {
+				got[r.Index] = r
+				seen++
+			}
+			e.Recycle(c)
 		}
 		if seen != total {
 			t.Fatalf("streamed %d results, want %d", seen, total)
@@ -623,30 +642,29 @@ func TestStreamSpaceOverflowRejected(t *testing.T) {
 	names := make([]string, 1<<13)
 	machines := make([]core.MachineSpec, 1<<13)
 	sp := Space{Ns: axis, Stencils: names, Shapes: names, Machines: machines, Procs: axis}
-	if _, _, err := New(Options{}).StreamSpace(context.Background(), sp); err == nil {
-		t.Fatal("StreamSpace expanded an overflowing space")
+	if _, _, err := New(Options{}).StreamSpaceChunks(context.Background(), sp); err == nil {
+		t.Fatal("StreamSpaceChunks expanded an overflowing space")
 	}
 }
 
 func TestStreamSpaceCancellation(t *testing.T) {
-	sp := Space{
-		Ns:       []int{64, 128, 256, 512, 1024},
+	sp := runAheadSpace(Space{
 		Stencils: []string{"5-point", "9-point", "9-star", "13-point"},
 		Shapes:   []string{"strip", "square"},
 		Machines: []core.MachineSpec{{Type: "sync-bus"}, {Type: "banyan"}},
-	}
+	}, 2)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	ch, total, err := New(Options{Workers: 2}).StreamSpace(ctx, sp)
+	e := New(Options{Workers: 2})
+	ch, total, err := e.StreamSpaceChunks(ctx, sp)
 	if err != nil {
 		t.Fatal(err)
 	}
 	got := 0
-	for range ch {
-		got++
-		if got == 3 {
-			cancel()
-		}
+	for c := range ch {
+		got += len(c.Results)
+		e.Recycle(c)
+		cancel()
 	}
 	// The channel must close promptly after cancellation without
 	// delivering the full space.

@@ -14,9 +14,8 @@ import (
 // point exactly when their specKeys are equal — the same equality
 // classes as the string form Spec.Key(), without the fmt.Sprintf
 // allocations (the eval hot path builds one of these per spec and does
-// a map lookup; neither step allocates). Spec.Key() remains the
-// human-readable formatter over these classes for the service and
-// debug surfaces.
+// a map lookup; neither step allocates). Spec.Key() is the reference
+// the key tests compare these classes against.
 type specKey struct {
 	op      uint8
 	stencil uint8
@@ -43,33 +42,6 @@ type machKey struct {
 	beta        float64
 	packet      float64
 	switchTime  float64
-}
-
-// opCode maps an op to its key code. Unknown ops are a resolution
-// error, matching the string key path.
-func opCode(op Op) (uint8, bool) {
-	switch op {
-	case OpOptimize:
-		return 0, true
-	case OpOptimizeSnapped:
-		return 1, true
-	case OpSpeedup:
-		return 2, true
-	case OpMinGrid:
-		return 3, true
-	case OpIsoeffGrid:
-		return 4, true
-	case OpScaled:
-		return 5, true
-	case OpAmdahl:
-		return 6, true
-	case OpGustafson:
-		return 7, true
-	case OpCriticalPath:
-		return 8, true
-	default:
-		return 0, false
-	}
 }
 
 // machTypeCode maps a canonical machine type string to its key code.
@@ -142,35 +114,32 @@ func machKeyFor(canon core.MachineSpec) (machKey, error) {
 }
 
 // buildKey composes the struct key from the spec and its pre-resolved
-// parts, applying the same op-dependent field masking as the string
-// opKey: fields an op does not consume are zeroed so they cannot split
-// the cache (e.g. a leftover Target on an optimize spec), and the grid
-// searches drop N because their answer is seed-independent.
+// parts, keeping only the fields the op's table row names: fields an
+// op does not consume are zeroed so they cannot split the cache, and
+// the grid searches drop N because their answer is seed-independent.
 func buildKey(s Spec, stCode uint8, sh partition.Shape, mk machKey) (specKey, error) {
-	op := s.op()
-	oc, ok := opCode(op)
-	if !ok {
-		return specKey{}, fmt.Errorf("sweep: unknown op %q", op)
+	d, code := lookupOp(s.Op)
+	if d == nil {
+		return specKey{}, errUnknownOp(s.Op)
 	}
-	k := specKey{op: oc, stencil: stCode, shape: uint8(sh), n: int64(s.N), mach: mk}
-	switch op {
-	case OpOptimize, OpOptimizeSnapped:
-	case OpSpeedup:
+	k := specKey{op: code, stencil: stCode, shape: uint8(sh), mach: mk}
+	if d.key&keyN != 0 {
+		k.n = int64(s.N)
+	}
+	if d.key&keyProcs != 0 {
 		k.procs = int64(s.Procs)
-	case OpMinGrid:
-		k.n, k.procs = 0, int64(s.Procs)
-	case OpIsoeffGrid:
-		k.n, k.procs, k.target = 0, int64(s.Procs), s.Target
-	case OpScaled:
+	}
+	if d.key&keyTarget != 0 {
+		k.target = s.Target
+	}
+	if d.key&keyF != 0 {
 		k.f = s.PointsPerProc
-	case OpAmdahl, OpGustafson, OpCriticalPath:
-		k.procs = int64(s.Procs)
 	}
 	// A NaN field would break the comparable key's map semantics (see
 	// machKeyFor); such specs are invalid for their ops anyway, so they
 	// fail resolution instead of ever reaching the cache.
 	if math.IsNaN(k.target) || math.IsNaN(k.f) {
-		return specKey{}, fmt.Errorf("sweep: NaN target or points_per_proc in %q spec", op)
+		return specKey{}, fmt.Errorf("sweep: NaN target or points_per_proc in %q spec", d.op)
 	}
 	return k, nil
 }

@@ -28,11 +28,11 @@ func validSpecFor(op Op) Spec {
 }
 
 // TestOpConsistency enumerates every declared op and holds the layers
-// that switch on ops to the same set: the struct key's opCode, the
+// that know the op set to the same set: the op table's lookup, the
 // string opKey, resolution (buildKey), evaluation, and request
-// validation (Op.Valid). An op added to one switch but not the others
-// fails here instead of surfacing as a per-result "unknown op" error in
-// production.
+// validation (Op.Valid). An op added to the table but not to opKey (or
+// the reverse) fails here instead of surfacing as a per-result
+// "unknown op" error in production.
 func TestOpConsistency(t *testing.T) {
 	ops := Ops()
 	if len(ops) < 9 {
@@ -47,8 +47,8 @@ func TestOpConsistency(t *testing.T) {
 		if !op.Valid() {
 			t.Errorf("op %q: Valid() = false", op)
 		}
-		if _, ok := opCode(op); !ok {
-			t.Errorf("op %q: no opCode mapping", op)
+		if d, _ := lookupOp(op); d == nil || d.op != op {
+			t.Errorf("op %q: no op table row", op)
 		}
 		s := validSpecFor(op)
 		if _, err := s.opKey("m"); err != nil {
@@ -89,12 +89,21 @@ func TestOpConsistency(t *testing.T) {
 }
 
 // TestRunSpaceBatchedLawsMatchesIndividual checks the batched fast path
-// of each scaling-law op against per-spec evaluation — the same
-// contract TestRunSpaceBatchedSpeedupMatchesIndividual pins for
-// OpSpeedup — including out-of-range processor counts mixed into the
-// axis and cache hits on a repeat.
+// of every op the table marks batched against per-spec evaluation,
+// including out-of-range processor counts mixed into the axis and
+// cache hits on a repeat. An op marked batched whose batch evaluator
+// disagrees with its per-spec evaluator fails here.
 func TestRunSpaceBatchedLawsMatchesIndividual(t *testing.T) {
-	for _, op := range []Op{OpAmdahl, OpGustafson, OpCriticalPath} {
+	var batchOps []Op
+	for _, d := range opTable {
+		if d.batch != nil {
+			batchOps = append(batchOps, d.op)
+		}
+	}
+	if len(batchOps) < 4 {
+		t.Fatalf("op table marks %v batched; want speedup and the three laws", batchOps)
+	}
+	for _, op := range batchOps {
 		t.Run(string(op), func(t *testing.T) {
 			sp := Space{
 				Op:       op,

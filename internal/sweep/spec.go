@@ -49,14 +49,111 @@ const (
 	OpCriticalPath Op = "critical-path"
 )
 
-// Ops enumerates every declared op. The op-consistency tests iterate
-// it to hold opKey, the struct key, evaluate, request validation, and
-// the encoders to the same op set.
-func Ops() []Op {
-	return []Op{
-		OpOptimize, OpOptimizeSnapped, OpSpeedup, OpMinGrid,
-		OpIsoeffGrid, OpScaled, OpAmdahl, OpGustafson, OpCriticalPath,
+// keyField is one optional spec field an op's cache key can keep.
+type keyField uint8
+
+const (
+	keyN keyField = 1 << iota
+	keyProcs
+	keyTarget
+	keyF
+)
+
+// opDef declares one op. Every per-op decision the engine makes lives
+// in the op's row, and the row's position in opTable is the op's
+// struct-key code.
+type opDef struct {
+	op Op
+	// key is the set of spec fields the op's cache key keeps. The rest
+	// are zeroed so they cannot split the cache (e.g. a leftover Target
+	// on an optimize spec).
+	key keyField
+	// seedN marks the grid searches: they overwrite the problem's N
+	// during their bracket-and-bisect, so an omitted N takes
+	// DefaultSeedN and N stays out of the key.
+	seedN bool
+	// eval computes the op's quantity for a resolved spec.
+	eval func(s Spec, r resolved) outcome
+	// batch, if set, evaluates one (problem, machine) pair at many
+	// processor counts, doing the work the counts share once. A space
+	// of this op with a procs axis takes the batched fast path. It
+	// follows the core.SpeedupBatch contract: vals[i]/errs[i] per point
+	// with values and errors identical to eval's, and a final error
+	// failing the whole batch.
+	batch batchFunc
+}
+
+// batchFunc evaluates one (problem, machine) pair at many processor
+// counts.
+type batchFunc func(p core.Problem, arch core.Architecture, procs []int) ([]float64, []error, error)
+
+// opTable is the op set, in the order Ops lists it.
+var opTable = [...]opDef{
+	{op: OpOptimize, key: keyN, eval: allocOp(core.Optimize)},
+	{op: OpOptimizeSnapped, key: keyN, eval: allocOp(core.OptimizeSnapped)},
+	{op: OpSpeedup, key: keyN | keyProcs, eval: procsOp(core.Speedup), batch: core.SpeedupBatch},
+	{op: OpMinGrid, key: keyProcs, seedN: true, eval: func(s Spec, r resolved) outcome {
+		g, err := core.MinGridAllProcs(r.problem, r.arch, s.Procs)
+		return outcome{grid: g, err: err}
+	}},
+	{op: OpIsoeffGrid, key: keyProcs | keyTarget, seedN: true, eval: func(s Spec, r resolved) outcome {
+		g, err := core.IsoefficiencyGrid(r.problem, r.arch, s.Procs, s.Target)
+		return outcome{grid: g, err: err}
+	}},
+	{op: OpScaled, key: keyN | keyF, eval: func(s Spec, r resolved) outcome {
+		series, err := core.ScaledSpeedupSeries(r.problem, r.arch, s.PointsPerProc, []int{s.N})
+		if err != nil {
+			return outcome{err: err}
+		}
+		return outcome{scaled: series[0], value: series[0].Speedup}
+	}},
+	{op: OpAmdahl, key: keyN | keyProcs, eval: procsOp(core.AmdahlSpeedup), batch: core.AmdahlBatch},
+	{op: OpGustafson, key: keyN | keyProcs, eval: procsOp(core.GustafsonSpeedup), batch: core.GustafsonBatch},
+	{op: OpCriticalPath, key: keyN | keyProcs, eval: procsOp(core.CriticalPathBound), batch: core.CriticalPathBatch},
+}
+
+// allocOp adapts an optimizer to an op evaluator.
+func allocOp(f func(core.Problem, core.Architecture) (core.Allocation, error)) func(Spec, resolved) outcome {
+	return func(_ Spec, r resolved) outcome {
+		alloc, err := f(r.problem, r.arch)
+		return outcome{alloc: alloc, value: alloc.Speedup, err: err}
 	}
+}
+
+// procsOp adapts a speedup at the spec's Procs to an op evaluator.
+func procsOp(f func(core.Problem, core.Architecture, int) (float64, error)) func(Spec, resolved) outcome {
+	return func(s Spec, r resolved) outcome {
+		v, err := f(r.problem, r.arch, s.Procs)
+		return outcome{value: v, err: err}
+	}
+}
+
+// lookupOp returns the op's row and struct-key code, or a nil row for
+// an op the table does not declare. The zero op is OpOptimize.
+func lookupOp(op Op) (*opDef, uint8) {
+	if op == "" {
+		op = OpOptimize
+	}
+	for i := range opTable {
+		if opTable[i].op == op {
+			return &opTable[i], uint8(i)
+		}
+	}
+	return nil, 0
+}
+
+// errUnknownOp is the error for an op the table does not declare.
+func errUnknownOp(op Op) error {
+	return fmt.Errorf("sweep: unknown op %q", op)
+}
+
+// Ops enumerates every declared op, in table order.
+func Ops() []Op {
+	ops := make([]Op, len(opTable))
+	for i := range opTable {
+		ops[i] = opTable[i].op
+	}
+	return ops
 }
 
 // Valid reports whether the op is one the engine can evaluate. The
@@ -64,11 +161,8 @@ func Ops() []Op {
 // checks this before admission, so a typo'd op is a 400 instead of a
 // page of per-result errors.
 func (op Op) Valid() bool {
-	if op == "" {
-		return true
-	}
-	_, ok := opCode(op)
-	return ok
+	d, _ := lookupOp(op)
+	return d != nil
 }
 
 // Spec is one evaluation point: a problem, a machine, and an operation.
@@ -119,22 +213,30 @@ const DefaultSeedN = 16
 
 // Problem resolves the spec's problem triple, validating it.
 func (s Spec) Problem() (core.Problem, error) {
+	p, _, err := s.problem()
+	return p, err
+}
+
+// problem parses the spec's stencil and shape names and builds its
+// problem, seeding an omitted N for the grid searches. It also returns
+// the stencil's key code. Problem, resolve, Key and the space
+// pre-resolution pass all resolve problems here.
+func (s Spec) problem() (core.Problem, uint8, error) {
 	st, ok := stencil.ByName(s.Stencil)
 	if !ok {
-		return core.Problem{}, fmt.Errorf("sweep: unknown stencil %q", s.Stencil)
+		return core.Problem{}, 0, fmt.Errorf("sweep: unknown stencil %q", s.Stencil)
 	}
+	stCode, _ := stencilCode(s.Stencil)
 	sh, err := ParseShape(s.Shape)
 	if err != nil {
-		return core.Problem{}, err
+		return core.Problem{}, 0, err
 	}
 	n := s.N
-	if n == 0 {
-		switch s.op() {
-		case OpMinGrid, OpIsoeffGrid:
-			n = DefaultSeedN
-		}
+	if d, _ := lookupOp(s.Op); n == 0 && d != nil && d.seedN {
+		n = DefaultSeedN
 	}
-	return core.NewProblem(n, st, sh)
+	p, err := core.NewProblem(n, st, sh)
+	return p, stCode, err
 }
 
 // Validate checks the spec without evaluating it.
@@ -183,32 +285,19 @@ func resolveMachine(m core.MachineSpec) machResolved {
 	return machResolved{arch: arch, canon: canon, mk: mk}
 }
 
-// problemFor materializes the spec's problem from pre-resolved stencil
-// and shape values, applying the grid-search seed default.
-func (s Spec) problemFor(st stencil.Stencil, sh partition.Shape) (core.Problem, error) {
-	n := s.N
-	if n == 0 {
-		switch s.op() {
-		case OpMinGrid, OpIsoeffGrid:
-			n = DefaultSeedN
-		}
-	}
-	return core.NewProblem(n, st, sh)
-}
-
 // resolvedFromParts composes a spec's resolution from its materialized
-// parts. It is the single definition of per-spec error precedence —
-// problem before machine before key — used by both resolve and the
-// space pre-resolution pass, so RunSpace and Run report identical
-// errors by construction.
-func resolvedFromParts(s Spec, prob core.Problem, probErr error, stCode uint8, sh partition.Shape, mach machResolved) (resolved, error) {
+// problem (Spec.problem) and machine. It is the single definition of
+// per-spec error precedence — problem before machine before key — used
+// by both resolve and the space pre-resolution pass, so RunSpace and
+// Run report identical errors by construction.
+func resolvedFromParts(s Spec, prob core.Problem, stCode uint8, probErr error, mach machResolved) (resolved, error) {
 	if probErr != nil {
 		return resolved{}, probErr
 	}
 	if mach.err != nil {
 		return resolved{}, mach.err
 	}
-	key, err := buildKey(s, stCode, sh, mach.mk)
+	key, err := buildKey(s, stCode, prob.Shape, mach.mk)
 	if err != nil {
 		return resolved{}, err
 	}
@@ -220,40 +309,26 @@ func resolvedFromParts(s Spec, prob core.Problem, probErr error, stCode uint8, s
 // one interface box inside MachineSpec.Machine; everything else stays
 // on the stack (asserted by TestResolveAndLookupAllocBudget).
 func (s Spec) resolve() (resolved, error) {
-	st, ok := stencil.ByName(s.Stencil)
-	if !ok {
-		return resolved{}, fmt.Errorf("sweep: unknown stencil %q", s.Stencil)
-	}
-	stCode, _ := stencilCode(s.Stencil)
-	sh, err := ParseShape(s.Shape)
-	if err != nil {
-		return resolved{}, err
-	}
-	prob, probErr := s.problemFor(st, sh)
-	return resolvedFromParts(s, prob, probErr, stCode, sh, resolveMachine(s.Machine))
+	return s.resolveOn(resolveMachine(s.Machine))
+}
+
+// resolveOn is resolve with the spec's machine already resolved.
+func (s Spec) resolveOn(mach machResolved) (resolved, error) {
+	prob, stCode, err := s.problem()
+	return resolvedFromParts(s, prob, stCode, err, mach)
 }
 
 // Key returns the canonical memoization key of the spec as a string:
 // two specs that evaluate the same model point (after machine default
 // filling) share a key. Fields irrelevant to the spec's op are
 // excluded, so e.g. a leftover Target does not split the cache for an
-// optimize spec. The engine itself caches on an equivalent fixed-size
-// struct key; this formatter serves the service and debug surfaces,
-// and the key-equivalence tests hold the two forms to the same
-// equality classes.
+// optimize spec. The engine caches on an equivalent fixed-size struct
+// key built from the op table; this string form is written out
+// independently of that table and is the reference the key tests hold
+// the struct key's equality classes to.
 func (s Spec) Key() (string, error) {
-	st, ok := stencil.ByName(s.Stencil)
-	if !ok {
-		return "", fmt.Errorf("sweep: unknown stencil %q", s.Stencil)
-	}
-	stCode, _ := stencilCode(s.Stencil)
-	sh, err := ParseShape(s.Shape)
-	if err != nil {
-		return "", err
-	}
 	mach := resolveMachine(s.Machine)
-	prob, probErr := s.problemFor(st, sh)
-	if _, err := resolvedFromParts(s, prob, probErr, stCode, sh, mach); err != nil {
+	if _, err := s.resolveOn(mach); err != nil {
 		return "", err
 	}
 	return s.opKey(mach.canon.KeyString())
@@ -381,43 +456,11 @@ type outcome struct {
 // equal specs produce equal outcomes, which is what makes the cache
 // sound.
 func evaluate(s Spec, r resolved) outcome {
-	p, arch := r.problem, r.arch
-	switch s.op() {
-	case OpOptimize:
-		alloc, err := core.Optimize(p, arch)
-		return outcome{alloc: alloc, value: alloc.Speedup, err: err}
-	case OpOptimizeSnapped:
-		alloc, err := core.OptimizeSnapped(p, arch)
-		return outcome{alloc: alloc, value: alloc.Speedup, err: err}
-	case OpSpeedup:
-		v, err := core.Speedup(p, arch, s.Procs)
-		return outcome{value: v, err: err}
-	case OpMinGrid:
-		g, err := core.MinGridAllProcs(p, arch, s.Procs)
-		return outcome{grid: g, err: err}
-	case OpIsoeffGrid:
-		g, err := core.IsoefficiencyGrid(p, arch, s.Procs, s.Target)
-		return outcome{grid: g, err: err}
-	case OpScaled:
-		series, err := core.ScaledSpeedupSeries(p, arch, s.PointsPerProc, []int{s.N})
-		if err != nil {
-			return outcome{err: err}
-		}
-		return outcome{scaled: series[0], value: series[0].Speedup}
-	case OpAmdahl:
-		v, err := core.AmdahlSpeedup(p, arch, s.Procs)
-		return outcome{value: v, err: err}
-	case OpGustafson:
-		v, err := core.GustafsonSpeedup(p, arch, s.Procs)
-		return outcome{value: v, err: err}
-	case OpCriticalPath:
-		v, err := core.CriticalPathBound(p, arch, s.Procs)
-		return outcome{value: v, err: err}
-	default:
-		// Normalized like every other path, so the unknown-op message
-		// matches opKey's for the same spec.
-		return outcome{err: fmt.Errorf("sweep: unknown op %q", s.op())}
+	d, _ := lookupOp(s.Op)
+	if d == nil {
+		return outcome{err: errUnknownOp(s.Op)}
 	}
+	return d.eval(s, r)
 }
 
 // Result is one evaluated spec. Index is the spec's position in the
