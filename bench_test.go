@@ -1,6 +1,6 @@
 package optspeed
 
-// One benchmark per paper artifact (DESIGN.md §4 experiment index), plus
+// One benchmark per paper artifact (the experiments RunAll regenerates), plus
 // solver and simulator micro-benchmarks. The figure/table benchmarks
 // time one full regeneration of the artifact; run with
 //

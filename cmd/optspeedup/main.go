@@ -9,7 +9,8 @@
 //
 // With -procs 0 the machine is unbounded (the paper's "architecture
 // grows with the problem" regime). Machine parameters default to the
-// calibrated values in DESIGN.md §5 and can be overridden with flags.
+// calibrated values documented at the top of internal/core/machine.go
+// and can be overridden with flags.
 package main
 
 import (

@@ -32,6 +32,6 @@
 // processors (or exactly one) and scale speedup linearly in the grid
 // size n²; banyan switching networks scale as n²/log n; shared buses
 // admit interior optima and scale only as (n²)^{1/3} for square
-// partitions and (n²)^{1/4} for strips. See DESIGN.md and EXPERIMENTS.md
-// for the full reproduction.
+// partitions and (n²)^{1/4} for strips. cmd/paperfigs regenerates the
+// full reproduction (internal/experiments).
 package optspeed

@@ -19,8 +19,8 @@ import (
 //	t_a = 2·V·(c + b·P)
 //
 // CountWrites=false selects the reads-only convention (V words per
-// iteration) that DESIGN.md §5 identifies in the paper's §6.1 worked
-// examples.
+// iteration) that the paper's §6.1 worked examples use (see
+// PaperExampleBus and TestInTextSpeedups).
 type SyncBus struct {
 	TflpTime   float64 // seconds per flop
 	B          float64 // bus cycle time per word (seconds)

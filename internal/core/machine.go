@@ -5,8 +5,8 @@ package core
 // paper's printed anchors — "a 256×256 grid with square partitions and a
 // 5-point stencil should be solved on 1 to 14 processors; the same grid
 // with a 9-point stencil should use 1 to 22 processors" — which pin
-// b/T_flp = 6.25 with E(5-pt) = 5, E(9-pt) = 10 (DESIGN.md §5). T_flp is
-// set to a plausible 1987 microprocessor+FPU rate (625 kflop/s).
+// b/T_flp = 6.25 with E(5-pt) = 5, E(9-pt) = 10. T_flp is set to a
+// plausible 1987 microprocessor+FPU rate (625 kflop/s).
 const (
 	// DefaultTflp is the calibrated time per floating point operation.
 	DefaultTflp = 1.6e-6

@@ -8,13 +8,13 @@ import (
 	"optspeed/internal/stencil"
 )
 
-// This file pins the paper's published numbers and ratios (see DESIGN.md
-// §4 for the experiment index). Each test names the claim it reproduces.
+// This file pins the paper's published numbers and ratios. Each test
+// names the claim it reproduces.
 
 // TestFig7Anchors: "a 256×256 grid with square partitions and a 5-point
 // stencil should be solved on 1 to 14 processors; the same grid with a
 // 9-point stencil should use 1 to 22 processors" (§6.1). The calibrated
-// machine (DESIGN.md §5) must reproduce both anchors exactly.
+// machine (internal/core/machine.go) must reproduce both anchors exactly.
 func TestFig7Anchors(t *testing.T) {
 	bus := DefaultSyncBus(0)
 	p5 := MustProblem(256, stencil.FivePoint, partition.Square)
@@ -232,7 +232,7 @@ func TestSquaresBeatStrips(t *testing.T) {
 // own parameters (E·T_flp = b, N = 16, k = 1, c = 0, n ∈ {256, 1024}).
 // Our read+write convention gives strips 3.2 → 8.0 and squares
 // 5.33 → 11.64; the paper prints 4 → 10.6 and 10.6 → 14.2, matching the
-// reads-only convention on squares (see DESIGN.md §5). We pin our numbers
+// reads-only convention on squares (see SyncBus.ReadsOnly). We pin our numbers
 // and verify the reads-only variant reproduces the paper's square values.
 func TestInTextSpeedups(t *testing.T) {
 	bus := PaperExampleBus(DefaultTflp, 5, 16)
@@ -257,7 +257,7 @@ func TestInTextSpeedups(t *testing.T) {
 	// 16/(1 + 512/n) corresponds exactly to this volume: 5.33 at n=256,
 	// 10.67 at n=1024. (Its printed square pair 10.6/14.2 implies a
 	// further halving, V = 2sk — half the paper's own 8sk(c+bP) display
-	// equation; see DESIGN.md §5. We pin the reads-only values.)
+	// equation. We pin the reads-only values.)
 	ro := bus
 	ro.ReadsOnly = true
 	roStrip256, _ := Speedup(MustProblem(256, stencil.FivePoint, partition.Strip), ro, 16)

@@ -8,8 +8,8 @@ import (
 )
 
 // RunAll regenerates every paper artifact and supporting study to w, in
-// the order of DESIGN.md's experiment index. The only argument is the
-// flag set of experiment ids to include (nil or empty = all).
+// a fixed order. The only argument is the flag set of experiment ids to
+// include (nil or empty = all).
 //
 // Heavier studies (V2 empirical timing) are included only when
 // includeEmpirical is set, since wall-clock measurement belongs in

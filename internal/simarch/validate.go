@@ -97,7 +97,7 @@ func ValidateBanyan(p core.Problem, by core.Banyan, procCounts []int) ([]Validat
 
 // ValidateAll runs every architecture validation on its natural sweep and
 // returns the combined results. maxRelErr is the largest relative error
-// observed, the headline number for EXPERIMENTS.md (V1).
+// observed, the headline number of experiment V1.
 //
 // Sweeps stay in the regime the paper's uniform model describes: square
 // decompositions use perfect-square processor counts (so partition sides,

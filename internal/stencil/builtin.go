@@ -4,9 +4,9 @@ package stencil
 // follow the standard operation counts for a point-Jacobi update:
 // (#neighbors) adds + 1 multiply for the 5-point Laplacian, and
 // proportionally for the larger stencils. The paper leaves E(S) as a free
-// constant; these defaults are calibrated in DESIGN.md §5 so that the
-// paper's Fig. 7 anchors reproduce (E(5-point)=5, E(9-point)=10). Use
-// WithFlops to recalibrate.
+// constant; these defaults are calibrated with the default machines
+// (internal/core/machine.go) so that the paper's Fig. 7 anchors reproduce
+// (E(5-point)=5, E(9-point)=10). Use WithFlops to recalibrate.
 var (
 	// FivePoint is the classic 5-point Laplacian stencil (paper Fig. 1,
 	// left): the four axis neighbors at distance one.

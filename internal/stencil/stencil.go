@@ -30,11 +30,20 @@ type Offset struct {
 	DI, DJ int
 }
 
-// Stencil describes a discretization stencil.
+// Stencil describes a discretization stencil. It is a one-pointer handle onto
+// an immutable definition built once by New and shared by every copy, so
+// passing a Stencil (or a struct embedding one) by value copies a pointer,
+// not the offsets and cached geometry.
 //
 // The zero value is not a valid stencil; use New or one of the package
-// built-ins (FivePoint, NinePoint, NineStar, ThirteenPoint).
+// built-ins (FivePoint, NinePoint, NineStar, ThirteenPoint). Every method
+// is safe to call on the zero value.
 type Stencil struct {
+	d *def
+}
+
+// def is a stencil's definition. It is never mutated after New returns.
+type def struct {
 	name    string
 	offsets []Offset // canonical order, center excluded
 	flops   float64  // E(S)
@@ -44,6 +53,18 @@ type Stencil struct {
 	colRadius  int // max |DJ|
 	chebRadius int // max(max|DI|, max|DJ|)
 	diagonal   bool
+}
+
+// noDef stands in for the definition of the zero Stencil.
+var noDef def
+
+// def returns the stencil's definition, or the empty one for the zero
+// value.
+func (s Stencil) def() *def {
+	if s.d == nil {
+		return &noDef
+	}
+	return s.d
 }
 
 // New builds a stencil from a name, the neighbor offsets (center excluded),
@@ -74,16 +95,16 @@ func New(name string, offsets []Offset, flops float64) (Stencil, error) {
 		}
 		return canon[a].DJ < canon[b].DJ
 	})
-	s := Stencil{name: name, offsets: canon, flops: flops}
+	d := &def{name: name, offsets: canon, flops: flops}
 	for _, o := range canon {
-		s.rowRadius = max(s.rowRadius, abs(o.DI))
-		s.colRadius = max(s.colRadius, abs(o.DJ))
+		d.rowRadius = max(d.rowRadius, abs(o.DI))
+		d.colRadius = max(d.colRadius, abs(o.DJ))
 		if o.DI != 0 && o.DJ != 0 {
-			s.diagonal = true
+			d.diagonal = true
 		}
 	}
-	s.chebRadius = max(s.rowRadius, s.colRadius)
-	return s, nil
+	d.chebRadius = max(d.rowRadius, d.colRadius)
+	return Stencil{d}, nil
 }
 
 // MustNew is New but panics on error; intended for package-level built-ins
@@ -97,67 +118,70 @@ func MustNew(name string, offsets []Offset, flops float64) Stencil {
 }
 
 // Name returns the stencil's display name.
-func (s Stencil) Name() string { return s.name }
+func (s Stencil) Name() string { return s.def().name }
 
 // Offsets returns a copy of the neighbor offsets in canonical order. The
 // center point is excluded.
 func (s Stencil) Offsets() []Offset {
-	out := make([]Offset, len(s.offsets))
-	copy(out, s.offsets)
+	offs := s.def().offsets
+	out := make([]Offset, len(offs))
+	copy(out, offs)
 	return out
 }
 
 // Points returns the total number of points in the stencil, including the
 // center.
-func (s Stencil) Points() int { return len(s.offsets) + 1 }
+func (s Stencil) Points() int { return len(s.def().offsets) + 1 }
 
 // Flops returns E(S): the floating point operations per grid-point update
 // (paper §3). The paper treats E(S) as a constant of the solution algorithm.
-func (s Stencil) Flops() float64 { return s.flops }
+func (s Stencil) Flops() float64 { return s.def().flops }
 
 // WithFlops returns a copy of the stencil with E(S) replaced. The paper's
 // model leaves E(S) a free parameter (footnote 1, §3); this supports
-// calibrating it without redefining geometry.
+// calibrating it without redefining geometry. The copy gets its own
+// definition; s's is left untouched.
 func (s Stencil) WithFlops(flops float64) Stencil {
+	d := *s.def()
 	if flops <= 0 {
-		panic(fmt.Sprintf("stencil %q: WithFlops requires positive flops, got %g", s.name, flops))
+		panic(fmt.Sprintf("stencil %q: WithFlops requires positive flops, got %g", d.name, flops))
 	}
-	s.flops = flops
-	return s
+	d.flops = flops
+	return Stencil{&d}
 }
 
 // RowRadius returns the maximum |row offset| of the stencil: the number of
 // neighboring rows a point update reaches.
-func (s Stencil) RowRadius() int { return s.rowRadius }
+func (s Stencil) RowRadius() int { return s.def().rowRadius }
 
 // ColRadius returns the maximum |column offset| of the stencil.
-func (s Stencil) ColRadius() int { return s.colRadius }
+func (s Stencil) ColRadius() int { return s.def().colRadius }
 
 // ChebyshevRadius returns max over offsets of max(|DI|, |DJ|): the number of
 // square-partition perimeters the stencil reaches.
-func (s Stencil) ChebyshevRadius() int { return s.chebRadius }
+func (s Stencil) ChebyshevRadius() int { return s.def().chebRadius }
 
 // HasDiagonal reports whether any offset has both DI != 0 and DJ != 0.
 // Diagonal stencils force square partitions to exchange corner points with
 // diagonal neighbors (paper §6.1 footnote: the model ignores the 4 corner
 // words, a vanishing correction for large partitions).
-func (s Stencil) HasDiagonal() bool { return s.diagonal }
+func (s Stencil) HasDiagonal() bool { return s.def().diagonal }
 
 // Valid reports whether the stencil was constructed by New (non-empty).
-func (s Stencil) Valid() bool { return len(s.offsets) > 0 }
+func (s Stencil) Valid() bool { return len(s.def().offsets) > 0 }
 
 // String renders the stencil name and size, e.g. "5-point (k_strip=1)".
 func (s Stencil) String() string {
 	if !s.Valid() {
 		return "invalid stencil"
 	}
-	return fmt.Sprintf("%s (%d-point, E=%g)", s.name, s.Points(), s.flops)
+	return fmt.Sprintf("%s (%d-point, E=%g)", s.Name(), s.Points(), s.Flops())
 }
 
 // Render draws the stencil as ASCII art, one character cell per grid point,
 // '*' for stencil members and '.' for untouched points (paper Fig. 1/3).
 func (s Stencil) Render() string {
-	r := s.chebRadius
+	r := s.ChebyshevRadius()
 	var b strings.Builder
 	for di := -r; di <= r; di++ {
 		for dj := -r; dj <= r; dj++ {
@@ -179,7 +203,7 @@ func (s Stencil) Render() string {
 }
 
 func (s Stencil) contains(o Offset) bool {
-	for _, have := range s.offsets {
+	for _, have := range s.def().offsets {
 		if have == o {
 			return true
 		}
@@ -189,11 +213,12 @@ func (s Stencil) contains(o Offset) bool {
 
 // Equal reports whether two stencils have identical geometry and flop count.
 func (s Stencil) Equal(t Stencil) bool {
-	if s.name != t.name || s.flops != t.flops || len(s.offsets) != len(t.offsets) {
+	a, b := s.def(), t.def()
+	if a.name != b.name || a.flops != b.flops || len(a.offsets) != len(b.offsets) {
 		return false
 	}
-	for i := range s.offsets {
-		if s.offsets[i] != t.offsets[i] {
+	for i := range a.offsets {
+		if a.offsets[i] != b.offsets[i] {
 			return false
 		}
 	}

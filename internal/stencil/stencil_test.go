@@ -75,7 +75,7 @@ func TestBuiltinsGeometry(t *testing.T) {
 	}
 }
 
-// TestBuiltinFlops pins the calibrated E(S) values (DESIGN.md §5):
+// TestBuiltinFlops pins the calibrated E(S) values (internal/core/machine.go):
 // the Fig. 7 anchors need E(5-point) = 5 and E(9-point) = 10.
 func TestBuiltinFlops(t *testing.T) {
 	if FivePoint.Flops() != 5 {
@@ -102,6 +102,58 @@ func TestWithFlops(t *testing.T) {
 	}
 	if s.Points() != FivePoint.Points() {
 		t.Fatal("WithFlops changed geometry")
+	}
+
+	// Copies share a definition, so a WithFlops result must get its own:
+	// two results from one base stay independent of each other and of
+	// the built-in, and ByName still hands out the unchanged built-in.
+	u := FivePoint.WithFlops(9)
+	if s.Flops() != 7 || u.Flops() != 9 || FivePoint.Flops() != 5 {
+		t.Fatalf("WithFlops results alias: s=%g u=%g FivePoint=%g", s.Flops(), u.Flops(), FivePoint.Flops())
+	}
+	if s.Equal(u) || s.Equal(FivePoint) || u.Equal(FivePoint) {
+		t.Fatal("WithFlops result Equal to a stencil with different flops")
+	}
+	if !FivePoint.WithFlops(5).Equal(FivePoint) {
+		t.Fatal("WithFlops with the same flops is not Equal to its base")
+	}
+	if got, ok := ByName("5-point"); !ok || !got.Equal(FivePoint) || got.Flops() != 5 {
+		t.Fatalf("ByName(5-point) = %v after WithFlops, want the unchanged built-in", got)
+	}
+	if s.Name() != FivePoint.Name() || s.RowRadius() != FivePoint.RowRadius() || s.Render() != FivePoint.Render() {
+		t.Fatal("WithFlops changed name or geometry")
+	}
+}
+
+// TestZeroStencilIsInvalidAndSafe calls every exported method on the
+// zero Stencil, which has no definition behind it: none may panic, and
+// it must read as an empty, invalid stencil.
+func TestZeroStencilIsInvalidAndSafe(t *testing.T) {
+	var z Stencil
+	if z.Name() != "" || len(z.Offsets()) != 0 || z.Points() != 1 || z.Flops() != 0 {
+		t.Errorf("zero stencil: Name=%q Offsets=%v Points=%d Flops=%g", z.Name(), z.Offsets(), z.Points(), z.Flops())
+	}
+	if z.RowRadius() != 0 || z.ColRadius() != 0 || z.ChebyshevRadius() != 0 || z.HasDiagonal() {
+		t.Errorf("zero stencil has geometry: row=%d col=%d cheb=%d diag=%t",
+			z.RowRadius(), z.ColRadius(), z.ChebyshevRadius(), z.HasDiagonal())
+	}
+	if z.Valid() {
+		t.Error("zero stencil is Valid")
+	}
+	if got := z.String(); got != "invalid stencil" {
+		t.Errorf("zero String() = %q, want %q", got, "invalid stencil")
+	}
+	if got := z.Render(); got != "o\n" {
+		t.Errorf("zero Render() = %q, want %q", got, "o\n")
+	}
+	if !z.Equal(Stencil{}) {
+		t.Error("zero stencil not Equal to itself")
+	}
+	if z.Equal(FivePoint) || FivePoint.Equal(z) {
+		t.Error("zero stencil Equal to FivePoint")
+	}
+	if w := z.WithFlops(3); w.Flops() != 3 || w.Valid() || z.Flops() != 0 {
+		t.Errorf("zero WithFlops(3): got flops %g valid %t, zero now has flops %g", w.Flops(), w.Valid(), z.Flops())
 	}
 }
 

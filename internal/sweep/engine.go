@@ -21,8 +21,9 @@ type Options struct {
 // DefaultCacheSize is the LRU capacity used when Options.CacheSize is 0.
 // It matches the service's default per-request sweep limit, so a single
 // maximum-size sweep fits in cache and an identical repeat is answered
-// entirely from it (entries are a few hundred bytes each; the full cache
-// is tens of MB).
+// entirely from it. An entry is under 300 bytes plus its map slot: its
+// outcome's problem is 24 bytes, because the stencil inside is a handle
+// onto a shared definition. The full cache is a few tens of MB.
 const DefaultCacheSize = 65536
 
 // Engine evaluates spec lists and spaces on a worker pool with
@@ -152,7 +153,8 @@ func getChunk(capHint int) *Chunk {
 // StreamSpaceChunks to the buffer pool. The chunk's Results slice must
 // not be used afterwards; results that need to outlive the chunk must
 // be copied out first (they are plain values — a copy shares only
-// immutable strings).
+// immutable strings and the immutable stencil definition its problem
+// points at).
 func (e *Engine) Recycle(c *Chunk) {
 	if c == nil {
 		return
@@ -429,8 +431,9 @@ func (e *Engine) Collect(ctx context.Context, ch <-chan *Chunk, total int, specs
 	results := make([]Result, total)
 	done := make([]bool, total)
 	for c := range ch {
-		for _, r := range c.Results {
-			results[r.Index] = r
+		for i := range c.Results {
+			r := &c.Results[i]
+			results[r.Index] = *r
 			done[r.Index] = true
 		}
 		e.Recycle(c)

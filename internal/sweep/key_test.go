@@ -6,8 +6,10 @@ import (
 	"math"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"optspeed/internal/core"
+	"optspeed/internal/stencil"
 )
 
 // keyTestSpecs enumerates specs across every op × machine-type
@@ -191,6 +193,24 @@ func TestResolveOnlyAllocBudget(t *testing.T) {
 	})
 	if allocs > 2 {
 		t.Fatalf("resolve allocates %.1f/op, budget is 2", allocs)
+	}
+}
+
+// TestStencilAndProblemCopyBudget pins the sizes the cold optimize
+// search copies. Optimize's search calls value-receiver methods on
+// core.Problem once per candidate processor count, and every outcome,
+// cache entry and Result embeds a Problem. When a stencil was an 80-byte
+// value, runtime.duffcopy took 27.8% of BenchmarkSweepEngine's CPU
+// (profile and numbers: docs/performance.md, "Cold path: stencil
+// handles"). A field added to Stencil or Problem must not bring that
+// copy back.
+func TestStencilAndProblemCopyBudget(t *testing.T) {
+	ptr := unsafe.Sizeof(uintptr(0))
+	if got := unsafe.Sizeof(stencil.Stencil{}); got != ptr {
+		t.Errorf("stencil.Stencil is %d bytes, budget is one pointer (%d): keep it a handle onto a shared definition (docs/performance.md, \"Cold path: stencil handles\")", got, ptr)
+	}
+	if got := unsafe.Sizeof(core.Problem{}); got > 24 {
+		t.Errorf("core.Problem is %d bytes, budget is 24: Optimize copies it per candidate count (docs/performance.md, \"Cold path: stencil handles\")", got)
 	}
 }
 

@@ -97,7 +97,8 @@ const (
 	OverlapReadsAndWrites = core.OverlapReadsAndWrites
 )
 
-// Calibrated default machines (see DESIGN.md §5 for the calibration).
+// Calibrated default machines (the calibration is documented at the top
+// of internal/core/machine.go).
 var (
 	DefaultHypercube = core.DefaultHypercube
 	DefaultMesh      = core.DefaultMesh
