@@ -328,6 +328,55 @@ func BenchmarkSweepEngine(b *testing.B) {
 	}
 }
 
+// BenchmarkSweepEngineEvicting measures the cold path of a long-lived
+// engine whose cache is full: each iteration runs a new 48-n window of
+// a 768-spec optimize space (the shape of perfbench's sweep-cold op),
+// so every spec misses and every miss evicts. BenchmarkSweepEngine
+// builds a fresh engine per iteration and never evicts. The windows
+// cycle through more specs than the cache holds, so a window is always
+// evicted before it comes round again.
+func BenchmarkSweepEngineEvicting(b *testing.B) {
+	const (
+		nsPerWindow = 48
+		n0          = 300
+	)
+	space := sweep.Space{
+		Stencils: []string{"5-point", "9-point"},
+		Shapes:   []string{"strip", "square"},
+		Machines: []core.MachineSpec{{Type: "sync-bus"}, {Type: "async-bus"}, {Type: "hypercube"}, {Type: "mesh"}},
+	}
+	specsPerWindow := nsPerWindow * len(space.Stencils) * len(space.Shapes) * len(space.Machines)
+	// One and a third times the capacity, slack included, between
+	// repeats of a window.
+	windows := (sweep.DefaultCacheSize + sweep.DefaultCacheSize/8) * 4 / 3 / specsPerWindow
+	eng := sweep.New(sweep.Options{})
+	run := func(w int) {
+		space.Ns = space.Ns[:0]
+		for k := 0; k < nsPerWindow; k++ {
+			space.Ns = append(space.Ns, n0+(w%windows)*nsPerWindow+k)
+		}
+		results, err := eng.RunSpace(context.Background(), space)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(results) != specsPerWindow {
+			b.Fatalf("got %d results, want %d", len(results), specsPerWindow)
+		}
+	}
+	for w := 0; w < windows; w++ {
+		run(w)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run(i)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(specsPerWindow), "specs/op")
+	if st := eng.Stats(); st.CacheHits != 0 {
+		b.Fatalf("%d cache hits: a window was still resident when it came round again", st.CacheHits)
+	}
+}
+
 // BenchmarkSweepEngineWarm measures the memoized path: the same space
 // answered entirely from the LRU cache.
 func BenchmarkSweepEngineWarm(b *testing.B) {

@@ -15,20 +15,11 @@ var ErrWaitCancelled = errors.New("sweep: cancelled while waiting for an in-flig
 // so the configured capacity stays exact.
 const maxCacheShards = 16
 
-// closedCh is the shared pre-closed done channel of every entry
-// inserted already complete (put/putBatch): completed entries never
-// need a private channel, which keeps a bulk insert at one slab
-// allocation for the whole batch.
-var closedCh = func() chan struct{} {
-	ch := make(chan struct{})
-	close(ch)
-	return ch
-}()
-
 // cache is a sharded, bounded LRU memoization table with in-flight
-// coalescing: struct keys hash to one of up to maxCacheShards
-// independent shards, so concurrent lookups from the worker pool
-// contend only per-shard. Within a shard, the first goroutine to
+// coalescing. A lookup hashes its key once (specKey.hash); the hash
+// picks one of up to maxCacheShards independent shards, so concurrent
+// lookups from the worker pool contend only per-shard, and it is also
+// the shard's index key. Within a shard, the first goroutine to
 // request a key via getOrCompute computes it while later requesters
 // for the same key block on the entry instead of recomputing (the
 // request-coalescing behavior the HTTP service relies on when
@@ -46,30 +37,42 @@ type cache struct {
 // cacheShard is one independently locked LRU over intrusively linked
 // entries: the list pointers live inside centry, so inserting an entry
 // costs no container node beyond the entry itself, and a batch insert
-// of n entries costs one []centry slab.
+// of n entries costs one []centry slab. idx maps a key hash to the
+// entries with that hash, chained through centry.same; a lookup
+// compares the full key along the chain, so a hash collision costs a
+// longer walk, never a wrong answer. Keying the map by the 8-byte hash
+// instead of the 112-byte specKey keeps its slots small and spares it
+// re-hashing nine float fields on every lookup, insert and eviction.
 type cacheShard struct {
 	mu   sync.Mutex
 	cap  int
 	n    int     // resident entries
 	head *centry // most recently used
 	tail *centry // least recently used
-	idx  map[specKey]*centry
+	idx  map[uint64]*centry
 }
 
-// centry is one cache slot. done is closed once out is populated
-// (entries inserted complete share the closedCh sentinel); waiters
-// hold the pointer, so eviction never races a fill. prev/next are the
-// shard's intrusive LRU links, owned by the shard lock; an evicted
-// entry's links are cleared but the entry stays valid for any waiter
-// still holding it. Entries inserted by putBatch live in a shared slab
-// ([]centry), so an evicted slab member keeps its slab reachable until
-// every member is gone — acceptable, because a batch's members enter
-// together and age out of the LRU together.
+// centry is one cache slot. ready is set, together with out, under the
+// shard lock once the computation finishes; entries inserted complete
+// (putBatch) are ready from the start. done is made only when a second
+// goroutine has to wait on an in-flight entry, and closed when it
+// becomes ready, so an uncontended miss costs no channel. Waiters hold
+// the pointer, so eviction never races a fill. prev/next are the
+// shard's intrusive LRU links and same is its hash chain, all owned by
+// the shard lock; an evicted entry's links are cleared but the entry
+// stays valid for any waiter still holding it. Entries inserted by
+// putBatch live in a shared slab ([]centry), so an evicted slab member
+// keeps its slab reachable until every member is gone — acceptable,
+// because a batch's members enter together and age out of the LRU
+// together.
 type centry struct {
 	key        specKey
+	h          uint64 // key.hash(), the entry's idx key
 	done       chan struct{}
+	ready      bool
 	out        outcome
 	prev, next *centry
+	same       *centry // next entry with the same hash
 }
 
 func newCache(capacity int) *cache {
@@ -94,17 +97,19 @@ func newCache(capacity int) *cache {
 	if per < 1 {
 		per = 1
 	}
-	// The index maps start empty and grow with residency: specKey is a
-	// wide struct, so presizing buckets for the configured capacity
-	// would charge every engine construction hundreds of KB up front —
-	// the wrong trade for the common small sweep.
+	// The index maps start empty and grow with residency, so a small
+	// sweep does not pay for buckets sized to the configured capacity.
 	for i := range c.shards {
-		c.shards[i] = &cacheShard{cap: per, idx: make(map[specKey]*centry)}
+		c.shards[i] = newCacheShard(per)
 	}
 	return c
 }
 
-// --- intrusive LRU plumbing (all under the shard lock) ---
+func newCacheShard(capacity int) *cacheShard {
+	return &cacheShard{cap: capacity, idx: make(map[uint64]*centry)}
+}
+
+// --- intrusive LRU and hash-chain plumbing (all under the shard lock) ---
 
 // pushFront links a fresh entry as most recently used.
 func (s *cacheShard) pushFront(e *centry) {
@@ -145,14 +150,82 @@ func (s *cacheShard) moveToFront(e *centry) {
 	s.pushFront(e)
 }
 
+// find returns the resident entry for key, or nil.
+func (s *cacheShard) find(h uint64, key specKey) *centry {
+	for e := s.idx[h]; e != nil; e = e.same {
+		if e.key == key {
+			return e
+		}
+	}
+	return nil
+}
+
+// insert makes a fresh entry resident and most recently used, then
+// evicts down to capacity. The caller has checked that key is absent.
+func (s *cacheShard) insert(e *centry) {
+	e.same = s.idx[e.h]
+	s.idx[e.h] = e
+	s.pushFront(e)
+	s.evictOver()
+}
+
+// remove drops a resident entry from the LRU list and its hash chain.
+func (s *cacheShard) remove(e *centry) {
+	s.unlink(e)
+	if p := s.idx[e.h]; p == e {
+		if e.same == nil {
+			delete(s.idx, e.h)
+		} else {
+			s.idx[e.h] = e.same
+		}
+	} else {
+		for p.same != e {
+			p = p.same
+		}
+		p.same = e.same
+	}
+	e.same = nil
+}
+
 // evictOver drops least-recently-used entries until the shard is within
 // capacity.
 func (s *cacheShard) evictOver() {
 	for s.n > s.cap {
-		oldest := s.tail
-		s.unlink(oldest)
-		delete(s.idx, oldest.key)
+		s.remove(s.tail)
 	}
+}
+
+// lookup returns key's resident entry, marked most recently used,
+// together with the channel to wait on before reading its outcome: nil
+// when the entry is ready, otherwise its done channel, made on this
+// first demand. A nil entry means a miss.
+func (s *cacheShard) lookup(h uint64, key specKey) (*centry, chan struct{}) {
+	e := s.find(h, key)
+	if e == nil {
+		return nil, nil
+	}
+	s.moveToFront(e)
+	if e.ready {
+		return e, nil
+	}
+	if e.done == nil {
+		e.done = make(chan struct{})
+	}
+	return e, e.done
+}
+
+// await returns e's outcome once done (nil for a ready entry) closes,
+// or ErrWaitCancelled if cancel closes first. Called without the lock:
+// out is immutable once the entry is ready.
+func await(cancel <-chan struct{}, e *centry, done chan struct{}) outcome {
+	if done != nil {
+		select {
+		case <-done:
+		case <-cancel:
+			return outcome{err: ErrWaitCancelled}
+		}
+	}
+	return e.out
 }
 
 // getOrCompute returns the outcome for key, computing it with fn on a
@@ -163,49 +236,42 @@ func (s *cacheShard) evictOver() {
 // gets ErrWaitCancelled instead of blocking past its context; fn itself
 // must not block on cancel (it is pure model evaluation).
 func (c *cache) getOrCompute(cancel <-chan struct{}, key specKey, fn func() outcome) (outcome, bool) {
-	return c.shardFor(key).getOrCompute(cancel, key, fn)
+	h := key.hash()
+	return c.shardFor(h).getOrCompute(cancel, h, key, fn)
 }
 
-// shardFor picks the key's shard from the struct key's inline hash (no
-// allocation on the per-spec hot path).
-func (c *cache) shardFor(key specKey) *cacheShard {
-	return c.shards[key.hash()%uint64(len(c.shards))]
+// shardFor picks the shard for a key hash.
+func (c *cache) shardFor(h uint64) *cacheShard {
+	return c.shards[h%uint64(len(c.shards))]
 }
 
-func (s *cacheShard) getOrCompute(cancel <-chan struct{}, key specKey, fn func() outcome) (outcome, bool) {
+func (s *cacheShard) getOrCompute(cancel <-chan struct{}, h uint64, key specKey, fn func() outcome) (outcome, bool) {
 	s.mu.Lock()
-	if e, ok := s.idx[key]; ok {
-		s.moveToFront(e)
+	if e, done := s.lookup(h, key); e != nil {
 		s.mu.Unlock()
-		select {
-		case <-e.done:
-			// A failed computation is never "served from the cache":
-			// waiters that coalesced onto it get the error without the
-			// hit flag (the entry itself is removed below).
-			return e.out, e.out.err == nil
-		case <-cancel:
-			return outcome{err: ErrWaitCancelled}, false
-		}
+		// A failed computation is never "served from the cache":
+		// waiters that coalesced onto it get the error without the
+		// hit flag (the entry itself is removed below).
+		out := await(cancel, e, done)
+		return out, out.err == nil
 	}
-	e := &centry{key: key, done: make(chan struct{})}
-	s.pushFront(e)
-	s.idx[key] = e
-	s.evictOver()
+	e := &centry{key: key, h: h}
+	s.insert(e)
 	s.mu.Unlock()
 
-	e.out = fn()
-	close(e.done)
-	if e.out.err != nil {
-		s.mu.Lock()
-		// The entry may already have been evicted; only remove it if
-		// the index still maps the key to this entry.
-		if cur, ok := s.idx[key]; ok && cur == e {
-			s.unlink(cur)
-			delete(s.idx, key)
-		}
-		s.mu.Unlock()
+	out := fn()
+	s.mu.Lock()
+	e.out, e.ready = out, true
+	if e.done != nil {
+		close(e.done)
 	}
-	return e.out, false
+	// The entry may already have been evicted; only remove it if it is
+	// still the resident entry for its key.
+	if out.err != nil && s.find(h, key) == e {
+		s.remove(e)
+	}
+	s.mu.Unlock()
+	return out, false
 }
 
 // peek returns the outcome for key without inserting anything on a
@@ -214,50 +280,26 @@ func (s *cacheShard) getOrCompute(cancel <-chan struct{}, key specKey, fn func()
 // is waited on exactly like a getOrCompute hit (the waiter coalesces),
 // so peek honors cancel the same way. The bool reports residency.
 func (c *cache) peek(cancel <-chan struct{}, key specKey) (outcome, bool) {
-	s := c.shardFor(key)
-	s.mu.Lock()
-	e, ok := s.idx[key]
-	if !ok {
-		s.mu.Unlock()
-		return outcome{}, false
-	}
-	s.moveToFront(e)
-	s.mu.Unlock()
-	select {
-	case <-e.done:
-		return e.out, true
-	case <-cancel:
-		return outcome{err: ErrWaitCancelled}, true
-	}
+	h := key.hash()
+	return c.shardFor(h).peek(cancel, h, key)
 }
 
-// put inserts a completed successful outcome for key, evicting LRU
-// entries as needed. An existing resident entry wins (it may have
-// waiters parked on its done channel), and errored outcomes are
-// dropped to preserve the never-cache-failures invariant.
-func (c *cache) put(key specKey, out outcome) {
-	if out.err != nil {
-		return
-	}
-	s := c.shardFor(key)
-	e := &centry{key: key, done: closedCh, out: out}
+func (s *cacheShard) peek(cancel <-chan struct{}, h uint64, key specKey) (outcome, bool) {
 	s.mu.Lock()
-	if _, ok := s.idx[key]; ok {
-		s.mu.Unlock()
-		return
-	}
-	s.pushFront(e)
-	s.idx[key] = e
-	s.evictOver()
+	e, done := s.lookup(h, key)
 	s.mu.Unlock()
+	if e == nil {
+		return outcome{}, false
+	}
+	return await(cancel, e, done), true
 }
 
 // putBatch inserts the successful members of one batched group in a
 // single slab: one []centry allocation covers every inserted entry, and
-// the shared closedCh stands in for the per-entry done channel, so a
-// 64-member procs group costs one allocation instead of three per
-// member. keys and outs are parallel; errored outcomes are skipped
-// (never cached), and an existing resident entry wins, exactly as put.
+// entries inserted complete need no done channel, so a 64-member procs
+// group costs one allocation instead of one per member. keys and outs
+// are parallel. Errored outcomes are skipped, so failures are never
+// cached, and an existing resident entry wins: it may have waiters.
 func (c *cache) putBatch(keys []specKey, outs []outcome) {
 	n := 0
 	for _, o := range outs {
@@ -273,17 +315,13 @@ func (c *cache) putBatch(keys []specKey, outs []outcome) {
 		if o.err != nil {
 			continue
 		}
-		slab = append(slab, centry{key: keys[i], done: closedCh, out: o})
-		e := &slab[len(slab)-1]
-		s := c.shardFor(e.key)
+		h := keys[i].hash()
+		slab = append(slab, centry{key: keys[i], h: h, ready: true, out: o})
+		s := c.shardFor(h)
 		s.mu.Lock()
-		if _, ok := s.idx[e.key]; ok {
-			s.mu.Unlock()
-			continue
+		if s.find(h, keys[i]) == nil {
+			s.insert(&slab[len(slab)-1])
 		}
-		s.pushFront(e)
-		s.idx[e.key] = e
-		s.evictOver()
 		s.mu.Unlock()
 	}
 }

@@ -21,9 +21,9 @@ type Options struct {
 // DefaultCacheSize is the LRU capacity used when Options.CacheSize is 0.
 // It matches the service's default per-request sweep limit, so a single
 // maximum-size sweep fits in cache and an identical repeat is answered
-// entirely from it. An entry is under 300 bytes plus its map slot: its
-// outcome's problem is 24 bytes, because the stencil inside is a handle
-// onto a shared definition. The full cache is a few tens of MB.
+// entirely from it. A resident entry costs about 350 bytes of heap,
+// its index slot included (TestCacheEntryFootprint holds it to 400), so
+// the full cache, 73,728 entries with its shard slack, is about 26 MB.
 const DefaultCacheSize = 65536
 
 // Engine evaluates spec lists and spaces on a worker pool with

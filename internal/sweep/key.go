@@ -13,9 +13,9 @@ import (
 // canonical machine description. Two specs evaluate to the same model
 // point exactly when their specKeys are equal — the same equality
 // classes as the string form Spec.Key(), without the fmt.Sprintf
-// allocations (the eval hot path builds one of these per spec and does
-// a map lookup; neither step allocates). Spec.Key() is the reference
-// the key tests compare these classes against.
+// allocations (the eval hot path builds one of these per spec, hashes
+// it and looks it up in the cache; no step allocates). Spec.Key() is
+// the reference the key tests compare these classes against.
 type specKey struct {
 	op      uint8
 	stencil uint8
@@ -83,10 +83,10 @@ func stencilCode(name string) (uint8, bool) {
 
 // machKeyFor packs a canonical machine spec (one produced by
 // core.SpecFor of a materialized machine) into its key form. NaN
-// fields are rejected: NaN != NaN would make the comparable key
-// unfindable and undeletable in the cache maps (a permanent miss that
-// leaks an index entry per evaluation), so no NaN may ever enter a
-// specKey.
+// fields are rejected: NaN != NaN would make the key unequal to
+// itself, so the cache could never find its entry again (a permanent
+// miss that fills the cache with dead entries). No NaN may ever enter
+// a specKey.
 func machKeyFor(canon core.MachineSpec) (machKey, error) {
 	code, ok := machTypeCode(canon.Type)
 	if !ok {
@@ -135,7 +135,7 @@ func buildKey(s Spec, stCode uint8, sh partition.Shape, mk machKey) (specKey, er
 	if d.key&keyF != 0 {
 		k.f = s.PointsPerProc
 	}
-	// A NaN field would break the comparable key's map semantics (see
+	// A NaN field would break the comparable key's equality (see
 	// machKeyFor); such specs are invalid for their ops anyway, so they
 	// fail resolution instead of ever reaching the cache.
 	if math.IsNaN(k.target) || math.IsNaN(k.f) {
@@ -145,7 +145,9 @@ func buildKey(s Spec, stCode uint8, sh partition.Shape, mk machKey) (specKey, er
 }
 
 // hash mixes the key's fields with FNV-1a over 64-bit words — no
-// byte-slice materialization, no allocation — for shard selection.
+// byte-slice materialization, no allocation. The cache computes it
+// once per lookup and uses it both to pick a shard and as the shard's
+// index key.
 func (k specKey) hash() uint64 {
 	const offset64, prime64 = 14695981039346656037, 1099511628211
 	h := uint64(offset64)

@@ -216,7 +216,7 @@ func TestStencilAndProblemCopyBudget(t *testing.T) {
 
 // TestCacheConcurrentEvictionStress hammers a tiny sharded cache from
 // many goroutines with overlapping keys — far more keys than capacity,
-// so eviction, coalescing, put, and peek race continuously — and
+// so eviction, coalescing, putBatch, and peek race continuously — and
 // checks every returned outcome is the right one for its key.
 func TestCacheConcurrentEvictionStress(t *testing.T) {
 	c := newCache(8)
@@ -246,7 +246,7 @@ func TestCacheConcurrentEvictionStress(t *testing.T) {
 						return
 					}
 				case 1:
-					c.put(k, outcome{grid: wantGrid(i)})
+					c.putBatch([]specKey{k}, []outcome{{grid: wantGrid(i)}})
 				case 2:
 					if out, ok := c.peek(nil, k); ok && (out.err != nil || out.grid != wantGrid(i)) {
 						errs <- fmt.Errorf("peek key %d: got %+v", i, out)
@@ -266,19 +266,20 @@ func TestCacheConcurrentEvictionStress(t *testing.T) {
 	}
 }
 
-// TestCachePutRespectsResidents ensures put never replaces a resident
-// entry (which may have waiters parked on its done channel) and drops
-// errored outcomes.
+// TestCachePutRespectsResidents ensures putBatch never replaces a
+// resident entry (the first insert wins: an in-flight entry may have
+// waiters) and drops errored outcomes.
 func TestCachePutRespectsResidents(t *testing.T) {
 	c := newCache(8)
+	put := func(k specKey, o outcome) { c.putBatch([]specKey{k}, []outcome{o}) }
 	k := specKey{n: 7}
-	c.put(k, outcome{grid: 1})
-	c.put(k, outcome{grid: 2})
+	put(k, outcome{grid: 1})
+	put(k, outcome{grid: 2})
 	if out, ok := c.peek(nil, k); !ok || out.grid != 1 {
-		t.Fatalf("put replaced a resident entry: %+v ok=%t", out, ok)
+		t.Fatalf("putBatch replaced a resident entry: %+v ok=%t", out, ok)
 	}
 	bad := specKey{n: 8}
-	c.put(bad, outcome{err: fmt.Errorf("boom")})
+	put(bad, outcome{err: fmt.Errorf("boom")})
 	if _, ok := c.peek(nil, bad); ok {
 		t.Fatal("errored outcome was cached")
 	}
