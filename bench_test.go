@@ -248,6 +248,27 @@ func BenchmarkSolveRedBlack512(b *testing.B) {
 	}
 }
 
+// BenchmarkSolverChecked512 measures Jacobi at n=512 with the
+// convergence check on: an unreachable tolerance makes the fused
+// sweep+residual reduction run every iteration without ever stopping
+// early.
+func BenchmarkSolverChecked512(b *testing.B) {
+	const n, iters = 512, 8
+	k := grid.Laplace5(n)
+	u := grid.MustNew(n)
+	u.SetConstantBoundary(1)
+	b.SetBytes(int64(n) * int64(n) * 8 * iters)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := solver.Solve(u, k, nil, solver.Config{
+			MaxIterations: iters,
+			Tolerance:     1e-300,
+		}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkDistributedSolver measures the channel-based solver (8
 // workers, n=512).
 func BenchmarkDistributedSolver(b *testing.B) {

@@ -1,8 +1,8 @@
 // Command optload drives an optspeedd server over real HTTP and
-// reports serving throughput and latency percentiles — the companion
-// of cmd/optbench: optbench tracks the evaluation engine, optload
-// tracks the full request→engine→jobs→wire pipeline that sits in front
-// of it.
+// reports serving throughput and latency percentiles. It is a load
+// generator, not a benchmark record: the gated benchmark is perfbench
+// (perfbench/README.md), and the engine and kernel micro-benchmarks
+// are go test -bench targets in bench_test.go.
 //
 // It runs a fixed-duration closed-loop load: -c workers each issue a
 // deterministic weighted mix of workloads against the target —
@@ -14,44 +14,25 @@
 //	                                   page /v2/jobs/{id}/results
 //	sweepcold  POST /v1/sweep          a large always-fresh space (the n
 //	                                   axis rotates per request), so every
-//	                                   request is evaluation-bound — the
-//	                                   workload distributed sharding exists
-//	                                   for
+//	                                   request is evaluation-bound
 //	laws       POST /v2/laws           the scaling-laws overlay (model vs
 //	                                   Amdahl/Gustafson/critical-path)
 //
-// — and reports per-workload requests, errors, RPS, and p50/p95/p99
-// latency, plus the aggregate, as BENCH_http.json (committed per PR by
-// the benchmark workflow, so serving-path regressions show up as a
-// trajectory next to BENCH_sweep.json).
+// — and reports per-workload requests, errors, sheds, RPS, and
+// p50/p95/p99 latency, plus the aggregate, as JSON. It exits 1 when any
+// request failed; a 429/503 admission shed is not a failure.
 //
 // Usage:
 //
 //	optload                            # in-process server, 8 workers, 10s
 //	optload -addr http://host:8080     # drive a running daemon
-//	optload -c 16 -duration 30s -mix optimize=4,sweep=2,jobs=1
-//	optload -o - -quick                # small CI smoke run to stdout
-//	optload -cluster 3 -workers 2      # coordinator over 3 in-process
-//	                                   # worker daemons, vs. a single-node
-//	                                   # baseline with the same per-node
-//	                                   # worker budget
-//	optload -data-dir /tmp/d           # persistence-enabled load: the
-//	                                   # in-process server journals every
-//	                                   # job to a WAL, so BENCH_http.json
-//	                                   # shows the durability overhead
+//	optload -c 16 -duration 30s -mix optimize=4,sweep=2,jobs=1,sweepcold=1
+//	optload -c 4 -duration 3s -scrape metrics.txt -o report.json
 //
 // With no -addr, optload starts an in-process server on a loopback
 // listener and drives it through the full HTTP stack — same handlers,
-// same wire bytes, no network variance — which is what CI runs.
-//
-// With -cluster N, optload builds the whole topology in process — N
-// worker daemons plus a coordinator whose dispatcher shards sweeps
-// across them — and measures two phases with identical load: a
-// single-node baseline (one daemon, the same -workers engine budget),
-// then the coordinator. The report's top level is the coordinator
-// phase, Baseline nests the single-node phase, and ClusterSpeedup is
-// the sweepcold RPS ratio between them — the throughput-scaling
-// headline for a fixed per-node worker budget.
+// same wire bytes, no network variance. To load a durable daemon or a
+// coordinator, start it with the flags it needs and pass -addr.
 package main
 
 import (
@@ -71,10 +52,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"optspeed/internal/dispatch"
-	"optspeed/internal/jobs"
 	"optspeed/internal/service"
-	"optspeed/internal/store"
 	"optspeed/internal/sweep"
 	"optspeed/internal/telemetry"
 )
@@ -89,7 +67,7 @@ type sample struct {
 	shed     bool
 }
 
-// WorkloadReport is one workload's aggregate in BENCH_http.json.
+// WorkloadReport is one workload's aggregate in the report.
 // Latency percentiles cover admitted (2xx) requests only; Sheds counts
 // explicit 429/503 admission rejections, which are not errors.
 type WorkloadReport struct {
@@ -104,45 +82,22 @@ type WorkloadReport struct {
 	MaxMs    float64 `json:"max_ms"`
 }
 
-// Report is the BENCH_http.json schema. The cluster fields appear only
-// for -cluster runs: the top level is then the coordinator phase and
-// Baseline the single-node phase under identical load.
+// Report is the JSON optload writes.
 type Report struct {
-	GoVersion      string            `json:"go_version"`
-	GoOS           string            `json:"goos"`
-	GoArch         string            `json:"goarch"`
-	GOMAXPROCS     int               `json:"gomaxprocs"`
-	InProcess      bool              `json:"in_process"`
-	Concurrency    int               `json:"concurrency"`
-	Mix            string            `json:"mix"`
-	DurationSec    float64           `json:"duration_sec"`
-	TotalRequests  int               `json:"total_requests"`
-	TotalErrors    int               `json:"total_errors"`
-	TotalSheds     int               `json:"total_sheds,omitempty"`
-	RPS            float64           `json:"rps"`
-	Durable        bool              `json:"durable,omitempty"`
-	Fsync          string            `json:"fsync,omitempty"`
-	ClusterWorkers int               `json:"cluster_workers,omitempty"`
-	ShardSize      int               `json:"shard_size,omitempty"`
-	ClusterSpeedup float64           `json:"cluster_speedup,omitempty"`
-	ScrapeFile     string            `json:"scrape_file,omitempty"`
-	Workloads      []WorkloadReport  `json:"workloads"`
-	Baseline       *Report           `json:"baseline,omitempty"`
-	TraceProbe     *TraceProbeReport `json:"trace_probe,omitempty"`
-}
-
-// TraceProbeReport is the -cluster trace check: one oversized sweep job
-// submitted through the coordinator must yield a retrievable trace whose
-// shard spans cover the scatter and whose critical path fits inside the
-// measured wall time.
-type TraceProbeReport struct {
-	TraceID        string  `json:"trace_id"`
-	Spans          int     `json:"spans"`
-	ShardSpans     int     `json:"shard_spans"`
-	WallMs         float64 `json:"wall_ms"`
-	CriticalPathMs float64 `json:"critical_path_ms"`
-	SerialMs       float64 `json:"serial_ms"`
-	OK             bool    `json:"ok"`
+	GoVersion     string           `json:"go_version"`
+	GoOS          string           `json:"goos"`
+	GoArch        string           `json:"goarch"`
+	GOMAXPROCS    int              `json:"gomaxprocs"`
+	InProcess     bool             `json:"in_process"`
+	Concurrency   int              `json:"concurrency"`
+	Mix           string           `json:"mix"`
+	DurationSec   float64          `json:"duration_sec"`
+	TotalRequests int              `json:"total_requests"`
+	TotalErrors   int              `json:"total_errors"`
+	TotalSheds    int              `json:"total_sheds,omitempty"`
+	RPS           float64          `json:"rps"`
+	ScrapeFile    string           `json:"scrape_file,omitempty"`
+	Workloads     []WorkloadReport `json:"workloads"`
 }
 
 // optimizeBodies rotate the single-query workload across machines and
@@ -193,9 +148,8 @@ var coldSeq atomic.Int64
 
 // coldSweepBody builds one always-fresh optimize space — a 48-value n
 // run (advancing per request) × 2 stencils × 2 shapes × 4 machines =
-// 768 specs — so a coordinator shards each request into many
-// sub-spaces while a single node grinds it on one engine: the
-// distributed-vs-local comparison the -cluster mode reports.
+// 768 specs — so every request misses the cache and, behind a
+// coordinator, shards into many sub-spaces.
 func coldSweepBody() string {
 	base := 64 + 48*coldSeq.Add(1)
 	var sb strings.Builder
@@ -291,26 +245,28 @@ func (w *worker) do(ctx context.Context, workload, method, path, body string, ke
 	}
 	start := time.Now()
 	resp, err := w.client.Do(req)
-	if err != nil {
-		if ctx.Err() != nil {
-			return nil // shutdown race, not a server failure
+	var out []byte
+	if err == nil {
+		if keepBody {
+			out, err = io.ReadAll(resp.Body)
+		} else {
+			_, err = io.Copy(io.Discard, resp.Body)
 		}
-		w.samples = append(w.samples, sample{workload: workload, latency: time.Since(start), err: true})
+		resp.Body.Close()
+	}
+	if err != nil && ctx.Err() != nil {
+		// Cut off by the end of the run, not a server failure: it
+		// must not count toward the exit status.
 		return nil
 	}
-	var out []byte
-	if keepBody {
-		out, err = io.ReadAll(resp.Body)
-	} else {
-		_, err = io.Copy(io.Discard, resp.Body)
-	}
-	resp.Body.Close()
 	s := sample{workload: workload, latency: time.Since(start)}
 	switch {
-	case err == nil && (resp.StatusCode == http.StatusTooManyRequests ||
-		resp.StatusCode == http.StatusServiceUnavailable):
+	case err != nil:
+		s.err = true
+	case resp.StatusCode == http.StatusTooManyRequests ||
+		resp.StatusCode == http.StatusServiceUnavailable:
 		s.shed = true
-	case err != nil || resp.StatusCode >= 300:
+	case resp.StatusCode >= 300:
 		s.err = true
 	}
 	w.samples = append(w.samples, s)
@@ -411,33 +367,10 @@ func aggregate(name string, samples []sample, elapsed time.Duration) WorkloadRep
 	return rep
 }
 
-// startServer runs one in-process daemon (a worker, or a coordinator
-// when peers are given), returning its base URL; the caller runs the
-// cleanup when done. A non-empty dataDir opens (or reopens) a durable
-// job store there, so the server journals v2 jobs and replays whatever
-// the directory already holds.
-func startServer(workers int, peers []string, shardSize int, dataDir string, fsync store.FsyncPolicy) (string, func()) {
-	eng := sweep.New(sweep.Options{Workers: workers})
-	cfg := service.Config{Engine: eng}
-	if len(peers) > 0 {
-		cfg.Dispatcher = dispatch.New(dispatch.Options{
-			Engine:    eng,
-			Peers:     peers,
-			ShardSize: shardSize,
-		})
-	}
-	var persistence *store.Store
-	if dataDir != "" {
-		var recovered []jobs.PersistedJob
-		var err error
-		persistence, recovered, err = store.Open(store.Options{Dir: dataDir, Fsync: fsync})
-		if err != nil {
-			fatal(err)
-		}
-		cfg.Persistence = persistence
-		cfg.Recovered = recovered
-	}
-	srv := service.New(cfg)
+// startServer runs one in-memory in-process daemon with a default
+// engine, returning its base URL and its cleanup.
+func startServer() (string, func()) {
+	srv := service.New(service.Config{Engine: sweep.New(sweep.Options{})})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		fatal(err)
@@ -447,15 +380,12 @@ func startServer(workers int, peers []string, shardSize int, dataDir string, fsy
 	return "http://" + ln.Addr().String(), func() {
 		hs.Close()
 		srv.Close()
-		if persistence != nil {
-			persistence.Close()
-		}
 	}
 }
 
-// runPhase warms the target, drives the deck at the given concurrency
-// for the duration, and aggregates one report.
-func runPhase(label, base, mix string, deck []string, conc int, duration time.Duration, inProcess bool) Report {
+// drive warms the target, drives the deck at the given concurrency for
+// the duration, and aggregates one report.
+func drive(base, mix string, deck []string, conc int, duration time.Duration, inProcess bool) Report {
 	client := &http.Client{
 		Transport: &http.Transport{
 			MaxIdleConns:        conc * 2,
@@ -515,7 +445,6 @@ func runPhase(label, base, mix string, deck []string, conc int, duration time.Du
 		TotalSheds:    total.Sheds,
 		RPS:           total.RPS,
 	}
-	fmt.Fprintf(os.Stderr, "--- %s\n", label)
 	for _, name := range []string{"optimize", "sweep", "sweepcold", "laws", "jobs"} {
 		rep := aggregate(name, all, elapsed)
 		if rep.Requests == 0 {
@@ -530,130 +459,39 @@ func runPhase(label, base, mix string, deck []string, conc int, duration time.Du
 	return report
 }
 
-// workloadRPS picks one workload's RPS out of a report (0 if absent).
-func workloadRPS(r Report, name string) float64 {
-	for _, w := range r.Workloads {
-		if w.Name == name {
-			return w.RPS
-		}
-	}
-	return 0
-}
-
 func main() {
 	var (
 		addr     = flag.String("addr", "", "base URL of a running daemon (e.g. http://localhost:8080); empty runs an in-process server")
 		conc     = flag.Int("c", 8, "concurrent load workers")
 		duration = flag.Duration("duration", 10*time.Second, "how long to drive load")
-		mix      = flag.String("mix", "", "weighted workload mix (default optimize=4,sweep=2,jobs=1,laws=1; cluster mode adds sweepcold=4)")
-		out      = flag.String("o", "BENCH_http.json", "output path (\"-\" for stdout)")
-		workers  = flag.Int("workers", 0, "in-process engine workers per node (0 = GOMAXPROCS)")
-		quick    = flag.Bool("quick", false, "CI smoke: 3s at -c 4 unless overridden")
-		cluster  = flag.Int("cluster", 0, "in-process cluster: N worker daemons behind a coordinator, measured against a single-node baseline")
-		shardSz  = flag.Int("shard-size", 96, "coordinator shard size in specs (cluster mode)")
-		dataDir  = flag.String("data-dir", "", "durable job store directory for the in-process server (empty = in-memory)")
-		fsyncPol = flag.String("fsync", string(store.FsyncInterval), "WAL fsync policy with -data-dir: always, interval, or off")
+		mix      = flag.String("mix", "optimize=4,sweep=2,jobs=1,laws=1", "weighted workload mix over optimize, sweep, jobs, sweepcold, laws")
+		out      = flag.String("o", "-", "report path (\"-\" for stdout)")
 		scrape   = flag.String("scrape", "", "after the run, scrape GET /metrics from the target, validate the exposition format, and archive it to this file")
 	)
 	flag.Parse()
-	if *quick {
-		if *duration == 10*time.Second {
-			*duration = 3 * time.Second
-		}
-		if *conc == 8 {
-			*conc = 4
-		}
-	}
-	if *mix == "" {
-		if *cluster > 0 {
-			*mix = "optimize=4,sweep=2,jobs=1,laws=1,sweepcold=4"
-		} else {
-			*mix = "optimize=4,sweep=2,jobs=1,laws=1"
-		}
-	}
 	deck, err := parseMix(*mix)
 	if err != nil {
 		fatal(err)
 	}
-	policy, err := store.ParseFsyncPolicy(*fsyncPol)
-	if err != nil {
-		fatal(err)
-	}
-
-	if *cluster > 0 {
-		if *addr != "" {
-			fatal(fmt.Errorf("-cluster builds its own in-process topology; drop -addr"))
-		}
-		if *dataDir != "" {
-			fatal(fmt.Errorf("-data-dir does not combine with -cluster"))
-		}
-		// Phase 1: single node with the same per-node engine budget.
-		singleBase, stopSingle := startServer(*workers, nil, 0, "", policy)
-		baseline := runPhase(fmt.Sprintf("single node (workers=%d)", *workers),
-			singleBase, *mix, deck, *conc, *duration, true)
-		stopSingle()
-		// Phase 2: N workers behind a coordinator.
-		var peers []string
-		var stops []func()
-		for i := 0; i < *cluster; i++ {
-			base, stop := startServer(*workers, nil, 0, "", policy)
-			peers = append(peers, base)
-			stops = append(stops, stop)
-		}
-		coordBase, stopCoord := startServer(*workers, peers, *shardSz, "", policy)
-		report := runPhase(fmt.Sprintf("coordinator (%d workers × workers=%d, shard=%d)",
-			*cluster, *workers, *shardSz), coordBase, *mix, deck, *conc, *duration, true)
-		report.ClusterWorkers = *cluster
-		report.ShardSize = *shardSz
-		report.Baseline = &baseline
-		if base := workloadRPS(baseline, "sweepcold"); base > 0 {
-			report.ClusterSpeedup = workloadRPS(report, "sweepcold") / base
-		} else if baseline.RPS > 0 {
-			report.ClusterSpeedup = report.RPS / baseline.RPS
-		}
-		fmt.Fprintf(os.Stderr, "cluster speedup (sweepcold rps vs single node): %.2fx\n", report.ClusterSpeedup)
-		// Trace probe: one oversized job through the coordinator must
-		// come back with a retrievable trace covering the scatter.
-		report.TraceProbe = traceProbe(coordBase)
-		if *scrape != "" {
-			scrapeMetrics(coordBase, *scrape)
-			report.ScrapeFile = *scrape
-		}
-		stopCoord()
-		for _, stop := range stops {
-			stop()
-		}
-		writeReport(*out, report)
-		if report.TraceProbe != nil && !report.TraceProbe.OK {
-			fatal(fmt.Errorf("cluster trace probe failed (see report)"))
-		}
-		return
-	}
 
 	base := *addr
 	inProcess := base == ""
-	var stop func()
 	if inProcess {
-		base, stop = startServer(*workers, nil, 0, *dataDir, policy)
+		var stop func()
+		base, stop = startServer()
 		defer stop()
-		if *dataDir != "" {
-			fmt.Fprintf(os.Stderr, "optload: in-process server at %s (data-dir %s, fsync %s)\n",
-				base, *dataDir, policy)
-		} else {
-			fmt.Fprintf(os.Stderr, "optload: in-process server at %s\n", base)
-		}
+		fmt.Fprintf(os.Stderr, "optload: in-process server at %s\n", base)
 	}
 	base = strings.TrimRight(base, "/")
-	report := runPhase("load", base, *mix, deck, *conc, *duration, inProcess)
-	if inProcess && *dataDir != "" {
-		report.Durable = true
-		report.Fsync = string(policy)
-	}
+	report := drive(base, *mix, deck, *conc, *duration, inProcess)
 	if *scrape != "" {
 		scrapeMetrics(base, *scrape)
 		report.ScrapeFile = *scrape
 	}
 	writeReport(*out, report)
+	if report.TotalErrors > 0 {
+		fatal(fmt.Errorf("%d of %d requests failed", report.TotalErrors, report.TotalRequests))
+	}
 }
 
 // scrapeMetrics archives a post-run GET /metrics snapshot: the page is
@@ -662,7 +500,15 @@ func main() {
 // written verbatim to out.
 func scrapeMetrics(base, out string) {
 	hc := &http.Client{Timeout: 30 * time.Second}
-	raw, err := httpDo(hc, http.MethodGet, base+"/metrics", "")
+	resp, err := hc.Get(base + "/metrics")
+	if err != nil {
+		fatal(fmt.Errorf("scrape: %w", err))
+	}
+	raw, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err == nil && resp.StatusCode != http.StatusOK {
+		err = fmt.Errorf("http %d: %s", resp.StatusCode, raw)
+	}
 	if err != nil {
 		fatal(fmt.Errorf("scrape: %w", err))
 	}
@@ -673,145 +519,6 @@ func scrapeMetrics(base, out string) {
 		fatal(fmt.Errorf("scrape: %w", err))
 	}
 	fmt.Fprintf(os.Stderr, "optload: scraped %d bytes of valid exposition to %s\n", len(raw), out)
-}
-
-// traceProbe submits one oversized sweep job through the coordinator,
-// waits for it to finish, and reads its trace back: the job must carry
-// a trace id, the trace must contain shard spans (the scatter really
-// was traced), and the critical path must fit inside the wall time.
-func traceProbe(base string) *TraceProbeReport {
-	hc := &http.Client{Timeout: time.Minute}
-	id, err := submitJob(hc, base, `{"sweep":`+coldSweepBody()+`}`)
-	if err != nil {
-		fatal(fmt.Errorf("trace probe: %w", err))
-	}
-	if state, err := waitTerminal(hc, base, id); err != nil || state != "succeeded" {
-		fatal(fmt.Errorf("trace probe: job %s ended %q (err %v)", id, state, err))
-	}
-	raw, err := httpDo(hc, http.MethodGet, base+"/v2/jobs/"+id, "")
-	if err != nil {
-		fatal(fmt.Errorf("trace probe: %w", err))
-	}
-	var job struct {
-		Trace *struct {
-			ID string `json:"id"`
-		} `json:"trace"`
-	}
-	if err := json.Unmarshal(raw, &job); err != nil || job.Trace == nil || job.Trace.ID == "" {
-		fatal(fmt.Errorf("trace probe: job %s carries no trace block: %s", id, raw))
-	}
-	raw, err = httpDo(hc, http.MethodGet, base+"/v1/traces/"+job.Trace.ID, "")
-	if err != nil {
-		fatal(fmt.Errorf("trace probe: %w", err))
-	}
-	var tr struct {
-		TraceID        string  `json:"trace_id"`
-		SpanCount      int     `json:"span_count"`
-		WallMs         float64 `json:"wall_ms"`
-		CriticalPathMs float64 `json:"critical_path_ms"`
-		SerialMs       float64 `json:"serial_ms"`
-		Spans          []struct {
-			Name string `json:"name"`
-		} `json:"spans"`
-	}
-	if err := json.Unmarshal(raw, &tr); err != nil {
-		fatal(fmt.Errorf("trace probe: %w", err))
-	}
-	rep := &TraceProbeReport{
-		TraceID:        tr.TraceID,
-		Spans:          tr.SpanCount,
-		WallMs:         tr.WallMs,
-		CriticalPathMs: tr.CriticalPathMs,
-		SerialMs:       tr.SerialMs,
-	}
-	for _, sp := range tr.Spans {
-		if sp.Name == "shard" {
-			rep.ShardSpans++
-		}
-	}
-	// A hair of slack on cp <= wall: the two are computed from the same
-	// span records, so only float rounding separates them.
-	rep.OK = rep.ShardSpans > 1 && rep.CriticalPathMs > 0 &&
-		rep.CriticalPathMs <= rep.WallMs*1.0001+0.001
-	fmt.Fprintf(os.Stderr,
-		"optload: trace probe: trace %s, %d spans (%d shards), wall %.1fms, critical path %.1fms, serial %.1fms, ok=%v\n",
-		rep.TraceID, rep.Spans, rep.ShardSpans, rep.WallMs, rep.CriticalPathMs, rep.SerialMs, rep.OK)
-	return rep
-}
-
-// jobState is the slice of the job resource the trace probe reads.
-type jobState struct {
-	ID    string `json:"id"`
-	State string `json:"state"`
-}
-
-func httpDo(c *http.Client, method, url, body string) ([]byte, error) {
-	var rd io.Reader
-	if body != "" {
-		rd = strings.NewReader(body)
-	}
-	req, err := http.NewRequest(method, url, rd)
-	if err != nil {
-		return nil, err
-	}
-	if body != "" {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	resp, err := c.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode >= 300 {
-		return nil, fmt.Errorf("%s %s: http %d: %s", method, url, resp.StatusCode, raw)
-	}
-	return raw, nil
-}
-
-func submitJob(c *http.Client, base, body string) (string, error) {
-	raw, err := httpDo(c, http.MethodPost, base+"/v2/jobs", body)
-	if err != nil {
-		return "", err
-	}
-	var job jobState
-	if err := json.Unmarshal(raw, &job); err != nil || job.ID == "" {
-		return "", fmt.Errorf("submit: bad job response %s", raw)
-	}
-	return job.ID, nil
-}
-
-func jobStatus(c *http.Client, base, id string) (*jobState, error) {
-	raw, err := httpDo(c, http.MethodGet, base+"/v2/jobs/"+id, "")
-	if err != nil {
-		return nil, err
-	}
-	var job jobState
-	if err := json.Unmarshal(raw, &job); err != nil {
-		return nil, err
-	}
-	return &job, nil
-}
-
-func waitTerminal(c *http.Client, base, id string) (string, error) {
-	deadline := time.Now().Add(time.Minute)
-	for {
-		job, err := jobStatus(c, base, id)
-		if err != nil {
-			return "", err
-		}
-		switch job.State {
-		case "succeeded", "failed", "cancelled":
-			return job.State, nil
-		}
-		if time.Now().After(deadline) {
-			return "", fmt.Errorf("job %s still %s after 1m", id, job.State)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
 }
 
 // writeReport emits the report as indented JSON to the path or stdout.

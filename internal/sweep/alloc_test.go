@@ -7,8 +7,9 @@ import (
 	"optspeed/internal/core"
 )
 
-// batchedAllocSpace is the same shape the optbench speedup_batched
-// benchmark sweeps: a dense procs axis against every machine class.
+// batchedAllocSpace is the same shape BenchmarkSweepSpeedupBatched
+// (bench_test.go at the repository root) sweeps: a dense procs axis
+// against every machine class.
 func batchedAllocSpace() Space {
 	procs := make([]int, 64)
 	for i := range procs {
