@@ -51,6 +51,7 @@ import (
 	"time"
 
 	"optspeed/client"
+	"optspeed/internal/core"
 )
 
 func main() {
@@ -167,13 +168,9 @@ func cmdOptimize(ctx context.Context, c *client.Client, args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	var spec client.MachineSpec
-	if len(*machine) > 0 && (*machine)[0] == '{' {
-		if err := json.Unmarshal([]byte(*machine), &spec); err != nil {
-			return fmt.Errorf("optimize: parse -machine: %w", err)
-		}
-	} else {
-		spec.Type = *machine
+	spec, err := core.ParseMachineArg(*machine)
+	if err != nil {
+		return fmt.Errorf("optimize: parse -machine: %w", err)
 	}
 	res, err := c.Optimize(ctx, client.OptimizeRequest{
 		N: *n, Stencil: *st, Shape: *sh, Machine: spec, Snapped: *snapped,
@@ -197,13 +194,9 @@ func cmdLaws(ctx context.Context, c *client.Client, args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	var spec client.MachineSpec
-	if len(*machine) > 0 && (*machine)[0] == '{' {
-		if err := json.Unmarshal([]byte(*machine), &spec); err != nil {
-			return fmt.Errorf("laws: parse -machine: %w", err)
-		}
-	} else {
-		spec.Type = *machine
+	spec, err := core.ParseMachineArg(*machine)
+	if err != nil {
+		return fmt.Errorf("laws: parse -machine: %w", err)
 	}
 	var procs []int
 	if *procsFlag != "" {

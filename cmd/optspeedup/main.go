@@ -8,91 +8,70 @@
 //	optspeedup -n 512 -stencil 5-point -shape square -arch sync-bus -procs 0
 //
 // With -procs 0 the machine is unbounded (the paper's "architecture
-// grows with the problem" regime). Machine parameters default to the
-// calibrated values documented at the top of internal/core/machine.go
-// and can be overridden with flags.
+// grows with the problem" regime). -arch takes a machine type name,
+// which uses the calibrated defaults documented at the top of
+// internal/core/machine.go, or a full JSON machine spec such as
+// '{"type":"sync-bus","b":2e-6}' (the form -dump-spec prints); fields
+// the spec omits take the same defaults.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"optspeed/internal/core"
-	"optspeed/internal/stencil"
 	"optspeed/internal/sweep"
 )
 
 func main() {
+	switch err := run(os.Args[1:], os.Stdout); {
+	case err == flag.ErrHelp:
+	case err != nil:
+		fmt.Fprintf(os.Stderr, "optspeedup: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("optspeedup", flag.ContinueOnError)
 	var (
-		n        = flag.Int("n", 256, "grid points per side (problem size is n^2)")
-		stName   = flag.String("stencil", "5-point", "stencil: 5-point | 9-point | 9-star | 13-point")
-		shape    = flag.String("shape", "square", "partition shape: strip | square")
-		arch     = flag.String("arch", "sync-bus", "architecture: hypercube | mesh | sync-bus | async-bus | full-async-bus | banyan")
-		procs    = flag.Int("procs", 0, "available processors (0 = unbounded)")
-		tflp     = flag.Float64("tflp", core.DefaultTflp, "seconds per floating point operation")
-		busB     = flag.Float64("b", core.DefaultBusCycle, "bus cycle time per word (buses)")
-		busC     = flag.Float64("c", core.DefaultBusOverhead, "fixed per-word overhead (buses)")
-		alpha    = flag.Float64("alpha", core.DefaultAlpha, "per-packet cost (hypercube/mesh)")
-		beta     = flag.Float64("beta", core.DefaultBeta, "message startup cost (hypercube/mesh)")
-		packet   = flag.Float64("packet", core.DefaultPacketWords, "packet size in words (hypercube/mesh)")
-		switchW  = flag.Float64("w", core.DefaultSwitchTime, "switch stage time (banyan)")
-		snapped  = flag.Bool("snap", false, "snap square partitions to working rectangles")
-		curveMax = flag.Int("curve", 0, "also print the cycle-time curve up to this processor count")
-		specFile = flag.String("spec", "", "JSON machine spec file (overrides -arch and machine flags)")
-		dumpSpec = flag.Bool("dump-spec", false, "print the machine's JSON spec and exit")
+		n        = fs.Int("n", 256, "grid points per side (problem size is n^2)")
+		stName   = fs.String("stencil", "5-point", "stencil: 5-point | 9-point | 9-star | 13-point")
+		shape    = fs.String("shape", "square", "partition shape: strip | square")
+		arch     = fs.String("arch", "sync-bus", "architecture: hypercube | mesh | sync-bus | async-bus | full-async-bus | banyan, or a JSON machine spec")
+		procs    = fs.Int("procs", 0, "available processors (0 = unbounded, or the -arch spec's procs)")
+		snapped  = fs.Bool("snap", false, "snap square partitions to working rectangles")
+		curveMax = fs.Int("curve", 0, "also print the cycle-time curve up to this processor count")
+		dumpSpec = fs.Bool("dump-spec", false, "print the machine's JSON spec and exit")
 	)
-	flag.Parse()
-
-	st, ok := stencil.ByName(*stName)
-	if !ok {
-		fatalf("unknown stencil %q", *stName)
+	if err := fs.Parse(args); err != nil {
+		return err
 	}
-	sh, err := sweep.ParseShape(*shape)
+
+	p, err := sweep.Spec{N: *n, Stencil: *stName, Shape: *shape}.Problem()
 	if err != nil {
-		fatalf("unknown shape %q", *shape)
+		return err
 	}
-	p, err := core.NewProblem(*n, st, sh)
+	spec, err := core.ParseMachineArg(*arch)
 	if err != nil {
-		fatalf("%v", err)
+		return err
 	}
-
-	var machine core.Architecture
-	if *specFile != "" {
-		data, err := os.ReadFile(*specFile)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		machine, err = core.ParseMachine(data)
-		if err != nil {
-			fatalf("%v", err)
-		}
-	} else {
-		switch *arch {
-		case "hypercube":
-			machine = core.Hypercube{TflpTime: *tflp, Alpha: *alpha, Beta: *beta, PacketWords: *packet, NProcs: *procs}
-		case "mesh":
-			machine = core.Mesh{TflpTime: *tflp, Alpha: *alpha, Beta: *beta, PacketWords: *packet, NProcs: *procs}
-		case "sync-bus":
-			machine = core.SyncBus{TflpTime: *tflp, B: *busB, C: *busC, NProcs: *procs}
-		case "async-bus":
-			machine = core.AsyncBus{TflpTime: *tflp, B: *busB, C: *busC, NProcs: *procs}
-		case "full-async-bus":
-			machine = core.AsyncBus{TflpTime: *tflp, B: *busB, C: *busC, NProcs: *procs, Overlap: core.OverlapReadsAndWrites}
-		case "banyan":
-			machine = core.Banyan{TflpTime: *tflp, W: *switchW, NProcs: *procs}
-		default:
-			fatalf("unknown architecture %q", *arch)
-		}
+	if *procs != 0 {
+		spec.Procs = *procs
 	}
-
+	machine, err := spec.Machine()
+	if err != nil {
+		return err
+	}
 	if *dumpSpec {
 		data, err := core.MarshalMachine(machine)
 		if err != nil {
-			fatalf("%v", err)
+			return err
 		}
-		fmt.Println(string(data))
-		return
+		_, err = fmt.Fprintln(stdout, string(data))
+		return err
 	}
 
 	optimize := core.Optimize
@@ -101,37 +80,32 @@ func main() {
 	}
 	alloc, err := optimize(p, machine)
 	if err != nil {
-		fatalf("%v", err)
+		return err
 	}
 
-	fmt.Printf("problem:        %s (k=%d, E=%g flops/point)\n", p, p.K(), p.Flops())
-	fmt.Printf("architecture:   %s\n", machine.Name())
-	fmt.Printf("optimal procs:  %d", alloc.Procs)
+	fmt.Fprintf(stdout, "problem:        %s (k=%d, E=%g flops/point)\n", p, p.K(), p.Flops())
+	fmt.Fprintf(stdout, "architecture:   %s\n", machine.Name())
+	fmt.Fprintf(stdout, "optimal procs:  %d", alloc.Procs)
 	switch {
 	case alloc.Single:
-		fmt.Printf("  (keep the whole grid on one processor)")
+		fmt.Fprintf(stdout, "  (keep the whole grid on one processor)")
 	case alloc.UsedAll:
-		fmt.Printf("  (spread maximally)")
+		fmt.Fprintf(stdout, "  (spread maximally)")
 	case alloc.Interior:
-		fmt.Printf("  (interior optimum: fewer than available)")
+		fmt.Fprintf(stdout, "  (interior optimum: fewer than available)")
 	}
-	fmt.Println()
-	fmt.Printf("partition area: %.1f points (continuous optimum %.1f)\n", alloc.Area, alloc.ContinuousArea)
-	fmt.Printf("cycle time:     %.6g s/iteration\n", alloc.CycleTime)
-	fmt.Printf("speedup:        %.2f  (serial %.6g s/iteration)\n",
-		alloc.Speedup, p.SerialTime(machine.Tflp()))
-	fmt.Printf("growth order:   %s\n", core.SpeedupGrowth(machine, sh))
+	fmt.Fprintln(stdout)
+	serial := p.SerialTime(machine.Tflp())
+	fmt.Fprintf(stdout, "partition area: %.1f points (continuous optimum %.1f)\n", alloc.Area, alloc.ContinuousArea)
+	fmt.Fprintf(stdout, "cycle time:     %.6g s/iteration\n", alloc.CycleTime)
+	fmt.Fprintf(stdout, "speedup:        %.2f  (serial %.6g s/iteration)\n", alloc.Speedup, serial)
+	fmt.Fprintf(stdout, "growth order:   %s\n", core.SpeedupGrowth(machine, p.Shape))
 
 	if *curveMax > 1 {
-		fmt.Println("\nP\tcycle(s)\tspeedup")
-		serial := p.SerialTime(machine.Tflp())
+		fmt.Fprintln(stdout, "\nP\tcycle(s)\tspeedup")
 		for i, t := range core.CycleCurve(p, machine, *curveMax) {
-			fmt.Printf("%d\t%.6g\t%.2f\n", i+1, t, serial/t)
+			fmt.Fprintf(stdout, "%d\t%.6g\t%.2f\n", i+1, t, serial/t)
 		}
 	}
-}
-
-func fatalf(format string, args ...interface{}) {
-	fmt.Fprintf(os.Stderr, "optspeedup: "+format+"\n", args...)
-	os.Exit(1)
+	return nil
 }

@@ -1,11 +1,15 @@
 // Command paperfigs regenerates every table and figure in the paper's
 // evaluation (plus the validation and ablation studies) in text form —
-// the reproduction harness.
+// the reproduction harness. The validate experiment runs the
+// discrete-event architecture simulators against the analytic model,
+// then the hypercube-embedding, banyan module-assignment and bus
+// arbitration ablations behind the model's contention-free assumptions.
 //
 // Usage:
 //
 //	paperfigs                 # everything except wall-clock timing
 //	paperfigs -only fig7      # one experiment
+//	paperfigs -only validate  # simulators vs model, plus the ablations
 //	paperfigs -empirical      # include the goroutine timing study (V2)
 //	paperfigs -list           # list experiment ids
 package main

@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/json"
 	"fmt"
+	"strings"
 )
 
 // MachineSpec is the serializable description of a machine, for
@@ -82,6 +83,21 @@ func ParseMachine(data []byte) (Architecture, error) {
 		return nil, fmt.Errorf("core: bad machine spec: %w", err)
 	}
 	return spec.Machine()
+}
+
+// ParseMachineArg reads a machine given as a command-line argument: a
+// bare type name such as "sync-bus", or a full JSON spec when the
+// argument starts with '{'. The spec is returned unmaterialized, so
+// omitted fields still take the calibrated defaults in Machine.
+func ParseMachineArg(arg string) (MachineSpec, error) {
+	if !strings.HasPrefix(arg, "{") {
+		return MachineSpec{Type: arg}, nil
+	}
+	var spec MachineSpec
+	if err := json.Unmarshal([]byte(arg), &spec); err != nil {
+		return MachineSpec{}, fmt.Errorf("core: bad machine spec: %w", err)
+	}
+	return spec, nil
 }
 
 // SpecFor returns the serializable spec of an architecture (the inverse

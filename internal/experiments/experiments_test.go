@@ -324,7 +324,8 @@ func TestRunAll(t *testing.T) {
 	out := buf.String()
 	for _, frag := range []string{
 		"Fig. 1", "Fig. 5", "Table I", "Fig. 6", "Fig. 7", "Fig. 8", "In-text",
-		"Scaled speedup", "V1", "A1", "A2", "A3",
+		"Scaled speedup", "V1", "Hypercube embedding ablation",
+		"Banyan module-assignment ablation", "Bus arbitration disciplines", "A1", "A2", "A3",
 		"Convergence checking", "Parameter elasticities", "Isoefficiency",
 	} {
 		if !strings.Contains(out, frag) {

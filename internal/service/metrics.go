@@ -3,25 +3,21 @@ package service
 import (
 	"net/http"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"optspeed/internal/telemetry"
 )
 
-// endpointMetrics accumulates latency for one endpoint. The counters
-// and the latency histogram live in the shared telemetry registry (the
-// Prometheus page); total and max are kept alongside because the
-// legacy /v1/metrics JSON reports exact average and maximum latency,
-// which a bucketed histogram cannot reproduce — and that JSON is
-// pinned byte-for-byte by golden tests.
+// endpointMetrics holds one endpoint's instruments in the shared
+// telemetry registry (the Prometheus page). The legacy /v1/metrics JSON
+// is a view over the same instruments: its count, exact average and
+// maximum latency come from the histogram's count, integer-nanosecond
+// sum and max.
 type endpointMetrics struct {
 	count     *telemetry.Counter
 	errors    *telemetry.Counter // responses with status >= 400, excluding 499
 	cancelled *telemetry.Counter // requests aborted by the client (status 499)
 	latency   *telemetry.Histogram
-	totalNS   atomic.Int64
-	maxNS     atomic.Int64
 }
 
 // EndpointSnapshot is the JSON form of one endpoint's metrics.
@@ -79,14 +75,7 @@ func (m *metricsRegistry) observe(name string, status int, d time.Duration) {
 	case status >= 400:
 		ep.errors.Inc()
 	}
-	ep.latency.Observe(d.Seconds())
-	ep.totalNS.Add(int64(d))
-	for {
-		max := ep.maxNS.Load()
-		if int64(d) <= max || ep.maxNS.CompareAndSwap(max, int64(d)) {
-			return
-		}
-	}
+	ep.latency.Observe(d)
 }
 
 func (m *metricsRegistry) snapshot() map[string]EndpointSnapshot {
@@ -94,17 +83,15 @@ func (m *metricsRegistry) snapshot() map[string]EndpointSnapshot {
 	defer m.mu.Unlock()
 	out := make(map[string]EndpointSnapshot, len(m.endpoints))
 	for name, ep := range m.endpoints {
-		count := ep.count.Value()
-		total := time.Duration(ep.totalNS.Load())
-		max := time.Duration(ep.maxNS.Load())
+		count := ep.latency.Count()
 		s := EndpointSnapshot{
 			Count:     count,
 			Errors:    ep.errors.Value(),
 			Cancelled: ep.cancelled.Value(),
-			MaxMillis: float64(max) / float64(time.Millisecond),
+			MaxMillis: float64(ep.latency.Max()) / float64(time.Millisecond),
 		}
 		if count > 0 {
-			s.AvgMillis = float64(total) / float64(count) / float64(time.Millisecond)
+			s.AvgMillis = float64(ep.latency.Sum()) / float64(count) / float64(time.Millisecond)
 		}
 		out[name] = s
 	}

@@ -11,9 +11,10 @@ import (
 )
 
 // registerCollectors bridges every subsystem's counters into the
-// telemetry registry as scrape-time reads. Called once from New, after
-// all subsystems exist; when metrics are disabled it is simply not
-// called and no subsystem pays anything.
+// telemetry registry as scrape-time reads. New calls it once, after all
+// subsystems exist, whether or not metrics are disabled:
+// DisableMetrics only removes the GET /metrics route, and every series
+// registered here is a Func read only when a page is rendered.
 func (s *Server) registerCollectors() {
 	s.telemetry.NewGaugeFunc("optspeed_uptime_seconds",
 		"Seconds since this process started serving.",

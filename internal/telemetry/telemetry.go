@@ -2,8 +2,8 @@
 // metrics registry with a Prometheus text-exposition writer, and
 // request-scoped tracing with a bounded in-memory trace store.
 //
-// Metrics: counters, gauges, and fixed-bucket histograms whose hot
-// paths are single atomic operations — zero allocations per Inc/Set/
+// Metrics: counters, gauges, and fixed-bucket duration histograms whose
+// hot paths are a few atomic operations — zero allocations per Inc/Set/
 // Observe — plus Func variants that read a value at scrape time, so
 // subsystems that already keep their own atomic counters (the sweep
 // engine, the WAL store, the admission gate) export without changing
@@ -22,6 +22,7 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // Label is one name/value pair attached to a metric series.
@@ -80,26 +81,29 @@ func (g *Gauge) Add(delta float64) {
 // Value returns the current gauge value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
-// Histogram is a fixed-bucket distribution. Observe is a linear scan
-// over the (small, fixed) bound slice, one atomic add, and one CAS for
-// the sum — no allocation, no lock.
+// Histogram is a fixed-bucket distribution of durations. Observe is a
+// linear scan over the (small, fixed) bound slice, one atomic add for
+// the bucket and one for the integer-nanosecond sum, and a load for the
+// maximum (a CAS only when it grows) — no allocation, no lock. The
+// exposition renders bounds and sum in seconds.
 type Histogram struct {
-	bounds  []float64       // sorted upper bounds, exclusive of +Inf
-	counts  []atomic.Uint64 // len(bounds)+1; last is the +Inf bucket
-	sumBits atomic.Uint64   // float64 bits of the running sum
+	limits []time.Duration // the family's bucket bounds, exclusive of +Inf
+	counts []atomic.Uint64 // len(limits)+1; last is the +Inf bucket
+	sumNS  atomic.Int64    // running sum of observed durations
+	maxNS  atomic.Int64    // largest observed duration
 }
 
-// Observe records one value.
-func (h *Histogram) Observe(v float64) {
+// Observe records one duration.
+func (h *Histogram) Observe(d time.Duration) {
 	i := 0
-	for i < len(h.bounds) && v > h.bounds[i] {
+	for i < len(h.limits) && d > h.limits[i] {
 		i++
 	}
 	h.counts[i].Add(1)
+	h.sumNS.Add(int64(d))
 	for {
-		old := h.sumBits.Load()
-		nw := math.Float64bits(math.Float64frombits(old) + v)
-		if h.sumBits.CompareAndSwap(old, nw) {
+		max := h.maxNS.Load()
+		if int64(d) <= max || h.maxNS.CompareAndSwap(max, int64(d)) {
 			return
 		}
 	}
@@ -114,8 +118,12 @@ func (h *Histogram) Count() uint64 {
 	return n
 }
 
-// Sum returns the sum of all observed values.
-func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
+// Sum returns the sum of all observed durations, exact to the
+// nanosecond.
+func (h *Histogram) Sum() time.Duration { return time.Duration(h.sumNS.Load()) }
+
+// Max returns the largest observed duration (0 before any).
+func (h *Histogram) Max() time.Duration { return time.Duration(h.maxNS.Load()) }
 
 // metric kinds, mapped onto exposition TYPE names.
 type metricKind int
@@ -312,8 +320,9 @@ func (r *Registry) NewGauge(name, help string, labels ...Label) *Gauge {
 }
 
 // NewHistogram registers a histogram series with the given upper
-// bounds (+Inf is implicit) and returns its handle. Series of the same
-// family must be registered with identical bounds.
+// bounds in seconds (+Inf is implicit) and returns its handle; bounds
+// are compared against observations to the nanosecond. Series of the
+// same family must be registered with identical bounds.
 func (r *Registry) NewHistogram(name, help string, buckets []float64, labels ...Label) *Histogram {
 	c := r.register(name, help, kindHistogram, buckets, labels)
 	r.mu.Lock()
@@ -327,7 +336,11 @@ func (r *Registry) NewHistogram(name, help string, buckets []float64, labels ...
 			panic(fmt.Sprintf("telemetry: histogram %s: series registered with different bucket layout", name))
 		}
 	}
-	c.hist = &Histogram{bounds: fam.buckets, counts: make([]atomic.Uint64, len(fam.buckets)+1)}
+	limits := make([]time.Duration, len(buckets))
+	for i, b := range buckets {
+		limits[i] = time.Duration(math.Round(b * float64(time.Second)))
+	}
+	c.hist = &Histogram{limits: limits, counts: make([]atomic.Uint64, len(buckets)+1)}
 	return c.hist
 }
 
@@ -490,7 +503,7 @@ func (f *family) render(b []byte) []byte {
 func (f *family) renderHistogram(b []byte, c *child) []byte {
 	h := c.hist
 	var cum uint64
-	for i, bound := range h.bounds {
+	for i, bound := range f.buckets {
 		cum += h.counts[i].Load()
 		b = append(b, f.name...)
 		b = append(b, "_bucket"...)
@@ -499,7 +512,7 @@ func (f *family) renderHistogram(b []byte, c *child) []byte {
 		b = strconv.AppendUint(b, cum, 10)
 		b = append(b, '\n')
 	}
-	cum += h.counts[len(h.bounds)].Load()
+	cum += h.counts[len(f.buckets)].Load()
 	b = append(b, f.name...)
 	b = append(b, "_bucket"...)
 	b = renderLabels(b, c.labels, "+Inf")
@@ -510,7 +523,7 @@ func (f *family) renderHistogram(b []byte, c *child) []byte {
 	b = append(b, "_sum"...)
 	b = renderLabels(b, c.labels, "")
 	b = append(b, ' ')
-	b = appendFloat(b, h.Sum())
+	b = appendFloat(b, float64(h.Sum())/float64(time.Second))
 	b = append(b, '\n')
 	b = append(b, f.name...)
 	b = append(b, "_count"...)

@@ -47,10 +47,10 @@ func TestCounterGaugeExposition(t *testing.T) {
 func TestHistogramExposition(t *testing.T) {
 	r := NewRegistry()
 	h := r.NewHistogram("optspeed_latency_seconds", "Latency.", []float64{0.01, 0.1, 1})
-	h.Observe(0.005)
-	h.Observe(0.05)
-	h.Observe(0.05)
-	h.Observe(5)
+	h.Observe(5 * time.Millisecond)
+	h.Observe(50 * time.Millisecond)
+	h.Observe(50 * time.Millisecond)
+	h.Observe(5 * time.Second)
 	out := string(render(t, r))
 	want := strings.Join([]string{
 		"# HELP optspeed_latency_seconds Latency.",
@@ -68,6 +68,9 @@ func TestHistogramExposition(t *testing.T) {
 	}
 	if h.Count() != 4 {
 		t.Fatalf("Count = %d, want 4", h.Count())
+	}
+	if h.Sum() != 5105*time.Millisecond || h.Max() != 5*time.Second {
+		t.Fatalf("Sum, Max = %v, %v; want 5.105s, 5s", h.Sum(), h.Max())
 	}
 }
 
@@ -145,7 +148,7 @@ func TestRegistryOutputConformance(t *testing.T) {
 		h := r.NewHistogram("optspeed_http_request_duration_seconds", "Latency.",
 			DefLatencyBuckets, L("endpoint", ep))
 		for i := 0; i < 10; i++ {
-			h.Observe(float64(i) * 0.013)
+			h.Observe(time.Duration(i) * 13 * time.Millisecond)
 		}
 	}
 	r.NewGauge("optspeed_uptime_seconds", "Uptime.").Set(12.5)
@@ -204,7 +207,7 @@ func TestHotPathAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(1000, func() { c.Inc() }); n != 0 {
 		t.Errorf("Counter.Inc allocates %v/op", n)
 	}
-	if n := testing.AllocsPerRun(1000, func() { h.Observe(0.017) }); n != 0 {
+	if n := testing.AllocsPerRun(1000, func() { h.Observe(17 * time.Millisecond) }); n != 0 {
 		t.Errorf("Histogram.Observe allocates %v/op", n)
 	}
 	if n := testing.AllocsPerRun(1000, func() { g.Set(3) }); n != 0 {
@@ -228,7 +231,7 @@ func TestConcurrentInstruments(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
 				c.Inc()
-				h.Observe(1)
+				h.Observe(time.Second)
 				g.Add(1)
 				if i%64 == 0 {
 					var buf bytes.Buffer
@@ -244,8 +247,11 @@ func TestConcurrentInstruments(t *testing.T) {
 	if h.Count() != workers*per {
 		t.Errorf("histogram count = %d, want %d", h.Count(), workers*per)
 	}
-	if h.Sum() != workers*per {
-		t.Errorf("histogram sum = %v, want %d", h.Sum(), workers*per)
+	if h.Max() != time.Second {
+		t.Errorf("histogram max = %v, want 1s", h.Max())
+	}
+	if h.Sum() != workers*per*time.Second {
+		t.Errorf("histogram sum = %v, want %v", h.Sum(), workers*per*time.Second)
 	}
 	if g.Value() != workers*per {
 		t.Errorf("gauge = %v, want %d", g.Value(), workers*per)
@@ -273,7 +279,7 @@ func BenchmarkHistogramObserve(b *testing.B) {
 	b.RunParallel(func(pb *testing.PB) {
 		i := 0
 		for pb.Next() {
-			h.Observe(float64(i%100) * 0.003)
+			h.Observe(time.Duration(i%100) * 3 * time.Millisecond)
 			i++
 		}
 	})
