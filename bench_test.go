@@ -178,15 +178,6 @@ func BenchmarkAblatePacket(b *testing.B) {
 	}
 }
 
-// BenchmarkAblateSnap measures the working-rectangle snap study (A3).
-func BenchmarkAblateSnap(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.AblateSnap([]int{128, 256, 512}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // --- Solver benchmarks (V2): the real goroutine measurements ---
 
 func benchSolver(b *testing.B, n, workers int, d solver.Decomposition) {
@@ -269,8 +260,8 @@ func BenchmarkSolverChecked512(b *testing.B) {
 	}
 }
 
-// BenchmarkDistributedSolver measures the channel-based solver (8
-// workers, n=512).
+// BenchmarkDistributedSolver measures the channel-based solver on a
+// strip decomposition (8×1 worker grid, n=512).
 func BenchmarkDistributedSolver(b *testing.B) {
 	n := 512
 	k := grid.Laplace5(n)
@@ -278,7 +269,7 @@ func BenchmarkDistributedSolver(b *testing.B) {
 	u.SetConstantBoundary(1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := solver.DistributedSolve(u, k, nil, 8, 1); err != nil {
+		if _, err := solver.DistributedSolveBlocks(u, k, nil, 8, 1, 1); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"optspeed/client"
+	"optspeed/internal/core"
 	"optspeed/internal/service"
 	"optspeed/internal/sweep"
 )
@@ -170,18 +171,27 @@ func TestStreamValidationError(t *testing.T) {
 
 // TestCancelMidJob exercises live cancellation through the SDK: submit
 // a slow sweep, watch progress via the iterator, cancel, and confirm
-// the terminal state.
+// the terminal state. The sweep is a cold space of 1365 grid sizes
+// times every stencil, shape and machine type — 65,520 optimize specs,
+// none cached — on a Workers:1 engine, so it is still running when the
+// cancel lands.
 func TestCancelMidJob(t *testing.T) {
 	c := newService(t, service.Config{Engine: sweep.New(sweep.Options{Workers: 1})})
 	ctx := context.Background()
-	specs := make([]client.Spec, 300)
-	for i := range specs {
-		specs[i] = client.Spec{
-			Op: "optimize-snapped", N: 4096 + 8*i, Stencil: "5-point", Shape: "square",
-			Machine: client.MachineSpec{Type: "sync-bus"},
-		}
+	ns := make([]int, 1365)
+	for i := range ns {
+		ns[i] = 4096 + i
 	}
-	job, err := c.SubmitSweep(ctx, client.SweepRequest{Specs: specs})
+	var machines []client.MachineSpec
+	for _, typ := range core.MachineTypes() {
+		machines = append(machines, client.MachineSpec{Type: typ})
+	}
+	space := &client.Space{
+		Ns: ns, Stencils: []string{"5-point", "9-point", "9-star", "13-point"},
+		Shapes: []string{"strip", "square"}, Machines: machines,
+	}
+	total := len(ns) * 4 * 2 * len(machines)
+	job, err := c.SubmitSweep(ctx, client.SweepRequest{Space: space})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,6 +206,13 @@ func TestCancelMidJob(t *testing.T) {
 	if err := it.Err(); err != nil {
 		t.Fatal(err)
 	}
+	mid, err := c.Job(ctx, job.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mid.State.Terminal() || mid.Progress.Completed >= mid.Progress.Total {
+		t.Fatalf("job not seen mid-flight before the cancel: %+v", mid)
+	}
 	if _, err := c.Cancel(ctx, job.ID); err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +223,7 @@ func TestCancelMidJob(t *testing.T) {
 	if fin.State != client.JobCancelled {
 		t.Fatalf("job finished %q, want cancelled", fin.State)
 	}
-	if fin.Progress.Completed >= len(specs) {
+	if fin.Progress.Completed >= total {
 		t.Fatal("cancelled job completed every spec")
 	}
 
@@ -221,9 +238,9 @@ func TestCancelMidJob(t *testing.T) {
 	if !errors.As(it2.Err(), &jobErr) || jobErr.State != client.JobCancelled {
 		t.Fatalf("cancelled-job iterator ended with %v, want *JobError{cancelled}", it2.Err())
 	}
-	if drained >= len(specs) || drained != fin.Progress.Completed {
+	if drained >= total || drained != fin.Progress.Completed {
 		t.Fatalf("drained %d results, progress says %d of %d",
-			drained, fin.Progress.Completed, len(specs))
+			drained, fin.Progress.Completed, total)
 	}
 }
 

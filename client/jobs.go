@@ -32,7 +32,9 @@ type OptimizeRequest struct {
 	Stencil string      `json:"stencil"`
 	Shape   string      `json:"shape"`
 	Machine MachineSpec `json:"machine"`
-	Snapped bool        `json:"snapped,omitempty"`
+	// Snapped is a compatibility alias: the server returns the same
+	// answer with or without it.
+	Snapped bool `json:"snapped,omitempty"`
 }
 
 // JobState is a job's lifecycle position.

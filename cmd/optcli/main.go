@@ -7,7 +7,7 @@
 //
 // Commands:
 //
-//	optimize  -n N -stencil S -shape SH -machine TYPE [-snapped]
+//	optimize  -n N -stencil S -shape SH -machine TYPE
 //	          submit one optimize query, wait, and print its result
 //	submit    -f sweep.json ("-" = stdin)
 //	          submit a sweep job and print the accepted job
@@ -164,7 +164,6 @@ func cmdOptimize(ctx context.Context, c *client.Client, args []string) error {
 	st := fs.String("stencil", "5-point", "stencil name")
 	sh := fs.String("shape", "square", "partition shape (strip|square)")
 	machine := fs.String("machine", "sync-bus", "machine type or full machine-spec JSON")
-	snapped := fs.Bool("snapped", false, "snap squares to working rectangles")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -173,7 +172,7 @@ func cmdOptimize(ctx context.Context, c *client.Client, args []string) error {
 		return fmt.Errorf("optimize: parse -machine: %w", err)
 	}
 	res, err := c.Optimize(ctx, client.OptimizeRequest{
-		N: *n, Stencil: *st, Shape: *sh, Machine: spec, Snapped: *snapped,
+		N: *n, Stencil: *st, Shape: *sh, Machine: spec,
 	})
 	if err != nil {
 		return err

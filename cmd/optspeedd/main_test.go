@@ -186,7 +186,7 @@ func TestCrashRecoveryOverSIGKILL(t *testing.T) {
 	}
 	bin := buildDaemon(t)
 	dataDir := t.TempDir()
-	d := startDaemon(t, bin, dataDir)
+	d := startDaemon(t, bin, dataDir, "-workers", "1")
 
 	// A few quick sweeps, driven to completion and snapshotted.
 	const quickSweep = `{"sweep":{"space":{"ns":[64,128],"stencils":["5-point","9-point"],` +
@@ -207,16 +207,20 @@ func TestCrashRecoveryOverSIGKILL(t *testing.T) {
 	}
 
 	// One slow job left mid-flight: wait for real progress so its start
-	// record (and at least one chunk) is on disk, then SIGKILL.
+	// record (and at least one chunk) is on disk, then SIGKILL. The job
+	// is a cold space of 1365 grid sizes times every stencil, shape and
+	// machine type (65,520 optimize specs) on the one-worker pool.
 	var slowNs strings.Builder
-	for i := 0; i < 300; i++ {
+	for i := 0; i < 1365; i++ {
 		if i > 0 {
 			slowNs.WriteByte(',')
 		}
-		fmt.Fprintf(&slowNs, "%d", 4096+8*i)
+		fmt.Fprintf(&slowNs, "%d", 4096+i)
 	}
-	slowSweep := `{"sweep":{"space":{"op":"optimize-snapped","ns":[` + slowNs.String() +
-		`],"stencils":["9-point-star"],"shapes":["square"],"machines":[{"type":"mesh"}]}}}`
+	slowSweep := `{"sweep":{"space":{"ns":[` + slowNs.String() +
+		`],"stencils":["5-point","9-point","9-star","13-point"],"shapes":["strip","square"],` +
+		`"machines":[{"type":"hypercube"},{"type":"mesh"},{"type":"sync-bus"},` +
+		`{"type":"async-bus"},{"type":"full-async-bus"},{"type":"banyan"}]}}}`
 	var slow wireJob
 	httpJSON(t, http.MethodPost, d.base+"/v2/jobs", slowSweep, &slow)
 	deadline := time.Now().Add(30 * time.Second)
@@ -260,5 +264,22 @@ func TestCrashRecoveryOverSIGKILL(t *testing.T) {
 	}
 	if !mid.Recovered {
 		t.Fatal("mid-flight job not flagged recovered")
+	}
+	// The results it persisted before the kill are real allocations.
+	var page struct {
+		Results []struct {
+			Procs int    `json:"procs"`
+			Error string `json:"error"`
+		} `json:"results"`
+	}
+	httpJSON(t, http.MethodGet, d2.base+"/v2/jobs/"+slow.ID+"/results", "", &page)
+	allocated := 0
+	for _, r := range page.Results {
+		if r.Procs > 0 && r.Error == "" {
+			allocated++
+		}
+	}
+	if allocated == 0 {
+		t.Fatalf("mid-flight job recovered %d results, none with an allocation", len(page.Results))
 	}
 }

@@ -46,7 +46,7 @@ func TestLiveMetricsConformance(t *testing.T) {
 		t.Fatalf("live exposition invalid: %v\n%s", err, raw)
 	}
 	for _, family := range []string{
-		"optspeed_http_requests_total",
+		"optspeed_http_request_duration_seconds",
 		"optspeed_engine_evaluations_total",
 		"optspeed_admission_gate_capacity",
 		"optspeed_jobs_finished_total",

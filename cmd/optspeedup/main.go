@@ -42,7 +42,6 @@ func run(args []string, stdout io.Writer) error {
 		shape    = fs.String("shape", "square", "partition shape: strip | square")
 		arch     = fs.String("arch", "sync-bus", "architecture: hypercube | mesh | sync-bus | async-bus | full-async-bus | banyan, or a JSON machine spec")
 		procs    = fs.Int("procs", 0, "available processors (0 = unbounded, or the -arch spec's procs)")
-		snapped  = fs.Bool("snap", false, "snap square partitions to working rectangles")
 		curveMax = fs.Int("curve", 0, "also print the cycle-time curve up to this processor count")
 		dumpSpec = fs.Bool("dump-spec", false, "print the machine's JSON spec and exit")
 	)
@@ -74,11 +73,7 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 
-	optimize := core.Optimize
-	if *snapped {
-		optimize = core.OptimizeSnapped
-	}
-	alloc, err := optimize(p, machine)
+	alloc, err := core.Optimize(p, machine)
 	if err != nil {
 		return err
 	}

@@ -10,7 +10,7 @@ import (
 
 // goldenCases pins optspeedup's stdout byte-for-byte: the README quick
 // start, the paper's P*=14 anchor, one case per other machine type, and
-// the -snap, -curve and -dump-spec paths. Each testdata/<name>.golden
+// the -curve and -dump-spec paths. Each testdata/<name>.golden
 // file is the output of the command line beside it.
 var goldenCases = []struct {
 	name string
@@ -23,7 +23,6 @@ var goldenCases = []struct {
 	{"async-bus", "-n 256 -stencil 13-point -arch async-bus"},
 	{"full-async-bus", "-n 256 -shape strip -arch full-async-bus"},
 	{"banyan", "-n 2048 -stencil 9-star -arch banyan -procs 1024"},
-	{"snap", "-n 256 -arch sync-bus -snap"},
 	{"curve", "-n 256 -arch hypercube -curve 8"},
 	{"dump-spec", "-arch mesh -procs 32 -dump-spec"},
 }

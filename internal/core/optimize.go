@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"optspeed/internal/convexopt"
-	"optspeed/internal/partition"
 )
 
 // Allocation is the result of optimizing the processor count for a
@@ -144,49 +143,6 @@ func continuousArea(p Problem, arch Architecture, procs int) float64 {
 		return a
 	}
 	return p.AreaFor(procs)
-}
-
-// OptimizeSnapped is Optimize followed by snapping square partitions to
-// the nearest working rectangle (paper §3): the continuous optimum area is
-// mapped to a realizable legal-rectangle decomposition and the cycle time
-// re-evaluated at the realized processor count. For strip problems the
-// snap rounds the strip count (the paper's AL = n·⌊Â/n⌋ versus AL + n
-// choice); convexity guarantees picking the better neighbor is optimal.
-func OptimizeSnapped(p Problem, arch Architecture) (Allocation, error) {
-	alloc, err := Optimize(p, arch)
-	if err != nil {
-		return Allocation{}, err
-	}
-	if p.Shape != partition.Square {
-		return alloc, nil
-	}
-	ws, err := partition.NewWorkingSet(p.N)
-	if err != nil {
-		return Allocation{}, err
-	}
-	_, procs, ok := ws.SnapSquare(alloc.Area)
-	if !ok || procs < 1 {
-		return alloc, nil
-	}
-	maxP := boundedProcs(p, arch)
-	if procs > maxP {
-		procs = maxP
-	}
-	cycle := func(q int) float64 { return arch.CycleTime(p, p.AreaFor(q)) }
-	// Convexity: the better of the snapped count and the discrete
-	// optimum's neighbors is the realizable optimum.
-	best, bestT := alloc.Procs, alloc.CycleTime
-	if t := cycle(procs); t < bestT {
-		best, bestT = procs, t
-	}
-	alloc.Procs = best
-	alloc.Area = p.AreaFor(best)
-	alloc.CycleTime = bestT
-	alloc.Speedup = p.SerialTime(arch.Tflp()) / bestT
-	alloc.UsedAll = best == maxP
-	alloc.Single = best == 1
-	alloc.Interior = best > 1 && best < maxP
-	return alloc, nil
 }
 
 // CycleCurve samples the cycle time for every processor count in

@@ -60,38 +60,56 @@ func TestCycleUnimodal(t *testing.T) {
 // mag draws a positive magnitude across several decades.
 func mag(r *rand.Rand) float64 { return math.Exp(r.Float64()*12 - 9) }
 
-// TestOptimizeMatchesBruteForce: the ternary search equals exhaustive
-// search over all processor counts.
+// TestOptimizeMatchesBruteForce: the search equals exhaustive search
+// over all processor counts, for every machine type and both shapes,
+// with random parameters and caps, and for the banyan with both a fixed
+// network (NProcs set) and one that grows with the decomposition. That
+// Optimize is exact is also why the optimize-snapped op can answer with
+// Optimize: no realizable count can beat the exact discrete minimum.
 func TestOptimizeMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
-	for trial := 0; trial < 40; trial++ {
-		n := 32 << rng.Intn(2)
-		st := stencil.Builtins()[rng.Intn(4)]
-		sh := partition.Shapes()[rng.Intn(2)]
-		p := MustProblem(n, st, sh)
-		var arch Architecture
-		switch rng.Intn(3) {
-		case 0:
-			arch = SyncBus{TflpTime: mag(rng), B: mag(rng), C: mag(rng) * float64(rng.Intn(2))}
-		case 1:
-			arch = AsyncBus{TflpTime: mag(rng), B: mag(rng)}
-		default:
-			arch = Hypercube{TflpTime: mag(rng), Alpha: mag(rng), Beta: mag(rng), PacketWords: 64}
-		}
-		alloc, err := Optimize(p, arch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		maxP := boundedProcs(p, arch)
-		bestP, bestT := 1, math.Inf(1)
-		for procs := 1; procs <= maxP; procs++ {
-			if tt := arch.CycleTime(p, p.AreaFor(procs)); tt < bestT {
-				bestP, bestT = procs, tt
+	type machineCase struct {
+		typ   string
+		fixed bool // draw a processor cap (for banyan: a fixed network)
+	}
+	var cases []machineCase
+	for _, typ := range MachineTypes() {
+		cases = append(cases, machineCase{typ, false}, machineCase{typ, true})
+	}
+	for _, mc := range cases {
+		for _, sh := range partition.Shapes() {
+			for trial := 0; trial < 6; trial++ {
+				n := 24 << rng.Intn(2)
+				p := MustProblem(n, stencil.Builtins()[rng.Intn(4)], sh)
+				spec := MachineSpec{
+					Type: mc.typ, Tflp: mag(rng),
+					BusCycle: mag(rng), BusOverhead: mag(rng) * float64(rng.Intn(2)),
+					Alpha: mag(rng), Beta: mag(rng), PacketWords: 1 + float64(rng.Intn(256)),
+					SwitchTime: mag(rng), ReadsOnly: rng.Intn(2) == 0, ConvHW: rng.Intn(2) == 0,
+				}
+				if mc.fixed {
+					spec.Procs = 2 << rng.Intn(10)
+				}
+				arch, err := spec.Machine()
+				if err != nil {
+					t.Fatal(err)
+				}
+				alloc, err := Optimize(p, arch)
+				if err != nil {
+					t.Fatal(err)
+				}
+				maxP := boundedProcs(p, arch)
+				bestP, bestT := 1, math.Inf(1)
+				for procs := 1; procs <= maxP; procs++ {
+					if tt := arch.CycleTime(p, p.AreaFor(procs)); tt < bestT {
+						bestP, bestT = procs, tt
+					}
+				}
+				if alloc.CycleTime > bestT*(1+1e-12) {
+					t.Errorf("%s on %s (procs cap %d): Optimize %d procs (t=%g) worse than brute force %d (t=%g)",
+						p, arch.Name(), spec.Procs, alloc.Procs, alloc.CycleTime, bestP, bestT)
+				}
 			}
-		}
-		if alloc.CycleTime > bestT*(1+1e-12) {
-			t.Errorf("trial %d (%s on %s): Optimize %d procs (t=%g) worse than brute force %d (t=%g)",
-				trial, p, arch.Name(), alloc.Procs, alloc.CycleTime, bestP, bestT)
 		}
 	}
 }
@@ -193,33 +211,6 @@ func TestOptimalAreaClosedFormAgreement(t *testing.T) {
 				t.Errorf("closed-form P=%.2f vs search P=%d", contProcs, alloc.Procs)
 			}
 		})
-	}
-}
-
-// TestOptimizeSnapped: snapping square partitions to working rectangles
-// changes the cycle time only marginally (the paper's §3 conclusion that
-// the near-square approximation is safe).
-func TestOptimizeSnapped(t *testing.T) {
-	p := MustProblem(256, stencil.FivePoint, partition.Square)
-	bus := DefaultSyncBus(0)
-	exact := MustOptimize(p, bus)
-	snapped, err := OptimizeSnapped(p, bus)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snapped.CycleTime > exact.CycleTime*1.05 {
-		t.Errorf("snapped cycle %g more than 5%% above exact %g",
-			snapped.CycleTime, exact.CycleTime)
-	}
-	// Strip problems pass through unchanged.
-	ps := MustProblem(256, stencil.FivePoint, partition.Strip)
-	a1 := MustOptimize(ps, bus)
-	a2, err := OptimizeSnapped(ps, bus)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a1.Procs != a2.Procs {
-		t.Errorf("strip snap changed procs %d → %d", a1.Procs, a2.Procs)
 	}
 }
 

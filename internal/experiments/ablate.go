@@ -76,42 +76,8 @@ func AblatePacket(n int, packets []float64, betas []float64) ([]AblatePacketRow,
 	return out, nil
 }
 
-// AblateSnapRow is one point of ablation A3: the cycle-time penalty of
-// snapping the continuous square optimum to a working rectangle.
-type AblateSnapRow struct {
-	N            int
-	ExactProcs   int
-	SnappedProcs int
-	PenaltyPct   float64 // (snapped − exact)/exact × 100
-}
-
-// AblateSnap compares exact-square and working-rectangle optima across
-// grid sizes.
-func AblateSnap(ns []int) ([]AblateSnapRow, error) {
-	var out []AblateSnapRow
-	bus := core.DefaultSyncBus(0)
-	for _, n := range ns {
-		p := core.Problem{N: n, Stencil: stencil.FivePoint, Shape: partition.Square}
-		exact, err := core.Optimize(p, bus)
-		if err != nil {
-			return nil, err
-		}
-		snapped, err := core.OptimizeSnapped(p, bus)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, AblateSnapRow{
-			N:            n,
-			ExactProcs:   exact.Procs,
-			SnappedProcs: snapped.Procs,
-			PenaltyPct:   100 * (snapped.CycleTime - exact.CycleTime) / exact.CycleTime,
-		})
-	}
-	return out, nil
-}
-
-// RenderAblations writes all three ablation tables.
-func RenderAblations(w io.Writer, cb []AblateCBRow, pkt []AblatePacketRow, snap []AblateSnapRow) error {
+// RenderAblations writes both ablation tables.
+func RenderAblations(w io.Writer, cb []AblateCBRow, pkt []AblatePacketRow) error {
 	t1 := tab.New("A1 — c/b ratio vs optimal allocation (n=256 squares, 1024-proc bus)",
 		"c/b", "P*", "interior?", "speedup")
 	for _, r := range cb {
@@ -127,15 +93,6 @@ func RenderAblations(w io.Writer, cb []AblateCBRow, pkt []AblatePacketRow, snap 
 		t2.AddRow(r.PacketWords, r.Beta, r.Speedup)
 	}
 	if err := t2.WriteText(w); err != nil {
-		return err
-	}
-	fmt.Fprintln(w)
-	t3 := tab.New("A3 — working-rectangle snap penalty (sync bus squares)",
-		"n", "exact P*", "snapped P*", "cycle penalty %")
-	for _, r := range snap {
-		t3.AddRow(r.N, r.ExactProcs, r.SnappedProcs, r.PenaltyPct)
-	}
-	if err := t3.WriteText(w); err != nil {
 		return err
 	}
 	_, err := fmt.Fprintln(w)

@@ -276,17 +276,8 @@ func TestAblations(t *testing.T) {
 	if pkt[2].Speedup <= pkt[3].Speedup {
 		t.Error("lower beta not faster")
 	}
-	snap, err := AblateSnap([]int{128, 256})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range snap {
-		if r.PenaltyPct < 0 || r.PenaltyPct > 5 {
-			t.Errorf("n=%d: snap penalty %.2f%% outside [0, 5]", r.N, r.PenaltyPct)
-		}
-	}
 	var buf bytes.Buffer
-	if err := RenderAblations(&buf, cb, pkt, snap); err != nil {
+	if err := RenderAblations(&buf, cb, pkt); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -325,7 +316,7 @@ func TestRunAll(t *testing.T) {
 	for _, frag := range []string{
 		"Fig. 1", "Fig. 5", "Table I", "Fig. 6", "Fig. 7", "Fig. 8", "In-text",
 		"Scaled speedup", "V1", "Hypercube embedding ablation",
-		"Banyan module-assignment ablation", "Bus arbitration disciplines", "A1", "A2", "A3",
+		"Banyan module-assignment ablation", "Bus arbitration disciplines", "A1", "A2",
 		"Convergence checking", "Parameter elasticities", "Isoefficiency",
 	} {
 		if !strings.Contains(out, frag) {

@@ -1,6 +1,6 @@
 // Package experiments regenerates every table and figure in the paper's
 // evaluation, plus the validation and ablation studies that support it
-// (experiments F6, F7, F8, T1, X1-X6, V1-V2, A1-A3). Each experiment is
+// (experiments F6, F7, F8, T1, X1-X6, V1-V2, A1-A2). Each experiment is
 // a pure function returning structured rows, with a renderer producing
 // the text form the cmd/paperfigs tool prints.
 package experiments

@@ -103,11 +103,7 @@ func RunAll(w io.Writer, only map[string]bool, includeEmpirical bool) error {
 		if err != nil {
 			return err
 		}
-		snap, err := AblateSnap([]int{128, 256, 512, 1024})
-		if err != nil {
-			return err
-		}
-		if err := RenderAblations(w, cb, pkt, snap); err != nil {
+		if err := RenderAblations(w, cb, pkt); err != nil {
 			return err
 		}
 	}

@@ -39,19 +39,46 @@ func smallSpace() *sweep.Space {
 	}
 }
 
-// slowRequest is a sweep big and heavy enough that a Workers:1 engine
-// cannot finish it before the test reacts: snapped optimization at
-// large n enumerates working rectangles, costing tens of milliseconds
-// per spec (distinct n values, so the cache never helps).
+// slowRequest is a cold space large enough that a Workers:1 engine
+// cannot finish it before the test reacts: 1365 distinct grid sizes
+// times every stencil, shape and machine type is 65,520 optimize specs,
+// none of them cached, a few microseconds each.
 func slowRequest() Request {
-	specs := make([]sweep.Spec, 300)
-	for i := range specs {
-		specs[i] = sweep.Spec{
-			Op: sweep.OpOptimizeSnapped, N: 4096 + 8*i, Stencil: "5-point", Shape: "square",
-			Machine: core.MachineSpec{Type: "sync-bus"},
-		}
+	ns := make([]int, 1365)
+	for i := range ns {
+		ns[i] = 4096 + i
 	}
-	return Request{Kind: KindSweep, Specs: specs}
+	var machines []core.MachineSpec
+	for _, typ := range core.MachineTypes() {
+		machines = append(machines, core.MachineSpec{Type: typ})
+	}
+	return Request{Kind: KindSweep, Space: &sweep.Space{
+		Ns: ns, Stencils: []string{"5-point", "9-point", "9-star", "13-point"},
+		Shapes: []string{"strip", "square"}, Machines: machines,
+	}}
+}
+
+// waitMidFlight polls until the job has some but not all results, and
+// fails if it ends first.
+func waitMidFlight(t *testing.T, st *Store, id string) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		cur, err := st.Get(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p := cur.Progress; p.Completed > 0 && p.Completed < p.Total {
+			return
+		}
+		if cur.State.Terminal() {
+			t.Fatalf("job reached %q before it was seen mid-flight", cur.State)
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("job produced no results in 10s")
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 func newTestStore(t *testing.T, opts Options) *Store {
@@ -120,20 +147,7 @@ func TestCancelWhileStreaming(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Let some results land, then cancel mid-flight.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		cur, err := st.Get(snap.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cur.Progress.Completed >= 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("job produced no results in 10s")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitMidFlight(t, st, snap.ID)
 	if _, err := st.Cancel(snap.ID); err != nil {
 		t.Fatal(err)
 	}
@@ -149,11 +163,11 @@ func TestCancelWhileStreaming(t *testing.T) {
 	}
 	// Partial results remain readable, and cancelling again reports the
 	// job already terminal while still returning its final snapshot.
-	page, err := st.Results(snap.ID, 0, 0)
+	page, err := st.Results(snap.ID, 0, MaxPageSize)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(page.Results) != fin.Progress.Completed && fin.Progress.Completed <= MaxPageSize {
+	if want := min(fin.Progress.Completed, MaxPageSize); len(page.Results) != want {
 		t.Fatalf("page has %d results, progress says %d", len(page.Results), fin.Progress.Completed)
 	}
 	again, err := st.Cancel(snap.ID)

@@ -156,23 +156,3 @@ func (ws *WorkingSet) RealizableProcCounts() []int {
 	sort.Ints(counts)
 	return counts
 }
-
-// SnapSquare maps an ideal (real-valued) square partition area to a
-// realizable decomposition: the nearest working rectangle and the number
-// of processors the corresponding grid-of-blocks decomposition uses. The
-// processor count is round(n/h)·(n/w) — the strip count nearest the
-// rectangle height times the exact column count.
-func (ws *WorkingSet) SnapSquare(targetArea float64) (r Rect, procs int, ok bool) {
-	r, ok = ws.Nearest(targetArea)
-	if !ok {
-		return Rect{}, 0, false
-	}
-	q := int(math.Round(float64(ws.N) / float64(r.H)))
-	if q < 1 {
-		q = 1
-	}
-	if q > ws.N {
-		q = ws.N
-	}
-	return r, q * (ws.N / r.W), true
-}

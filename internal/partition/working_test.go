@@ -217,38 +217,6 @@ func TestErrorsNoWorkingSet(t *testing.T) {
 	if _, ok := ws.Errors(16); ok {
 		t.Error("Errors on empty set succeeded")
 	}
-	if _, _, ok := ws.SnapSquare(16); ok {
-		t.Error("SnapSquare on empty set succeeded")
-	}
-}
-
-func TestSnapSquare(t *testing.T) {
-	n := 256
-	ws, err := NewWorkingSet(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Target 4096 = 64×64: 16 processors exactly.
-	r, procs, ok := ws.SnapSquare(4096)
-	if !ok {
-		t.Fatal("SnapSquare failed")
-	}
-	if r.Area() != 4096 {
-		t.Errorf("snapped rect %v, want area 4096", r)
-	}
-	if procs != 16 {
-		t.Errorf("procs = %d, want 16", procs)
-	}
-	// Procs always within [1, n²].
-	for _, target := range []float64{1, 7, 100, 5000, 65536, 1e7} {
-		_, procs, ok := ws.SnapSquare(target)
-		if !ok {
-			t.Fatalf("SnapSquare(%g) failed", target)
-		}
-		if procs < 1 || procs > n*n {
-			t.Errorf("SnapSquare(%g) procs = %d out of range", target, procs)
-		}
-	}
 }
 
 // TestRealizableProcCounts: the square-decomposition counts are sparse
@@ -292,32 +260,6 @@ func TestRealizableProcCounts(t *testing.T) {
 		if !seen[want] {
 			t.Errorf("count %d missing", want)
 		}
-	}
-}
-
-// Property: SnapSquare's processor count times the snapped rectangle's
-// area covers approximately the whole grid (within the working-set
-// approximation error).
-func TestSnapSquareConsistencyProperty(t *testing.T) {
-	ws, err := NewWorkingSet(128)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(8))
-	f := func() bool {
-		target := 4 + rng.Float64()*4000
-		r, procs, ok := ws.SnapSquare(target)
-		if !ok {
-			return false
-		}
-		covered := float64(procs) * float64(r.Area())
-		total := float64(128 * 128)
-		// Within 25% of the grid: mixed strip heights and the nearest-
-		// area snap both contribute slack.
-		return covered > 0.75*total && covered < 1.25*total
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 250}); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -14,7 +14,6 @@ import (
 // maximum latency come from the histogram's count, integer-nanosecond
 // sum and max.
 type endpointMetrics struct {
-	count     *telemetry.Counter
 	errors    *telemetry.Counter // responses with status >= 400, excluding 499
 	cancelled *telemetry.Counter // requests aborted by the client (status 499)
 	latency   *telemetry.Histogram
@@ -52,8 +51,6 @@ func (m *metricsRegistry) endpoint(name string) *endpointMetrics {
 	if ep == nil {
 		lbl := telemetry.L("endpoint", name)
 		ep = &endpointMetrics{
-			count: m.reg.NewCounter("optspeed_http_requests_total",
-				"HTTP requests served, by instrumented endpoint.", lbl),
 			errors: m.reg.NewCounter("optspeed_http_request_errors_total",
 				"HTTP responses with status >= 400 (excluding client aborts).", lbl),
 			cancelled: m.reg.NewCounter("optspeed_http_requests_cancelled_total",
@@ -68,7 +65,6 @@ func (m *metricsRegistry) endpoint(name string) *endpointMetrics {
 
 func (m *metricsRegistry) observe(name string, status int, d time.Duration) {
 	ep := m.endpoint(name)
-	ep.count.Inc()
 	switch {
 	case status == statusClientClosedRequest:
 		ep.cancelled.Inc()

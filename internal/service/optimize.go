@@ -9,7 +9,9 @@ import (
 )
 
 // OptimizeRequest is one model query. Machine fields left zero take the
-// calibrated defaults; Snapped selects working-rectangle snapping.
+// calibrated defaults. Snapped is a compatibility alias: it runs the
+// query as op optimize-snapped, which returns the same answer as
+// optimize.
 type OptimizeRequest struct {
 	N       int              `json:"n"`
 	Stencil string           `json:"stencil"`

@@ -144,7 +144,7 @@ func TestPrometheusEndpoint(t *testing.T) {
 		t.Fatalf("exposition invalid: %v\n%s", err, raw)
 	}
 	for _, family := range []string{
-		"optspeed_http_requests_total",
+		"optspeed_http_request_duration_seconds_count",
 		"optspeed_http_request_duration_seconds_bucket",
 		"optspeed_engine_evaluations_total",
 		"optspeed_engine_cache_hits_total",

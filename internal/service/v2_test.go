@@ -81,20 +81,25 @@ func terminal(j JobJSON) bool {
 	return false
 }
 
-// slowSweepBody is a Workers:1-sized sweep that takes long enough to
-// observe and cancel mid-flight: snapped optimization at large n
-// enumerates working rectangles, costing tens of milliseconds per spec
-// (distinct n values, so the cache never helps).
+// slowSweepBody is a cold space large enough that a Workers:1 engine
+// cannot finish it before the test observes and cancels it: 1365
+// distinct grid sizes times every stencil, shape and machine type is
+// 65,520 optimize specs (just under DefaultMaxSweepSpecs), none of them
+// cached, a few microseconds each.
 func slowSweepBody(t *testing.T) string {
 	t.Helper()
-	specs := make([]sweep.Spec, 300)
-	for i := range specs {
-		specs[i] = sweep.Spec{
-			Op: sweep.OpOptimizeSnapped, N: 4096 + 8*i, Stencil: "5-point", Shape: "square",
-			Machine: core.MachineSpec{Type: "sync-bus"},
-		}
+	ns := make([]int, 1365)
+	for i := range ns {
+		ns[i] = 4096 + i
 	}
-	raw, err := json.Marshal(JobSubmitRequest{Kind: "sweep", Sweep: &SweepRequest{Specs: specs}})
+	var machines []core.MachineSpec
+	for _, typ := range core.MachineTypes() {
+		machines = append(machines, core.MachineSpec{Type: typ})
+	}
+	raw, err := json.Marshal(JobSubmitRequest{Kind: "sweep", Sweep: &SweepRequest{Space: &sweep.Space{
+		Ns: ns, Stencils: []string{"5-point", "9-point", "9-star", "13-point"},
+		Shapes: []string{"strip", "square"}, Machines: machines,
+	}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +300,10 @@ func TestJobCancelMidRunOverHTTP(t *testing.T) {
 	if err := json.Unmarshal(raw, &accepted); err != nil {
 		t.Fatal(err)
 	}
-	pollJob(t, ts.URL, accepted.ID, func(j JobJSON) bool { return j.Progress.Completed >= 1 })
+	mid := pollJob(t, ts.URL, accepted.ID, func(j JobJSON) bool { return j.Progress.Completed >= 1 || terminal(j) })
+	if terminal(mid) || mid.Progress.Completed >= mid.Progress.Total {
+		t.Fatalf("job not seen mid-flight before the cancel: %+v", mid)
+	}
 	resp, raw = doJSON(t, http.MethodDelete, ts.URL+"/v2/jobs/"+accepted.ID, "")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("cancel: %d %s", resp.StatusCode, raw)

@@ -13,13 +13,19 @@ import (
 // over channels — the code path of the paper's square decomposition on
 // a hypercube or mesh (§4).
 //
-// The halo exchange is two-phase: vertical neighbors first exchange
-// boundary rows spanning the full local width including column halos;
-// horizontal neighbors then exchange boundary columns spanning the full
-// local height including the freshly filled halo rows. Corner values
-// therefore propagate through two hops, which is exactly what diagonal
-// stencils (the 9-point box) need; no diagonal channels exist, matching
-// the machines the paper considers.
+// The halo exchange is two-phase: vertical neighbors first exchange the
+// stencil's RowRadius boundary rows, spanning the full local width
+// including column halos; horizontal neighbors then exchange its
+// ColRadius boundary columns, spanning the full local height including
+// the freshly filled halo rows. Corner values therefore propagate
+// through two hops, which is exactly what diagonal stencils (the 9-point
+// box) need; no diagonal channels exist, matching the machines the paper
+// considers. A py×1 worker grid is the strip decomposition: each worker
+// owns a band of whole rows and only the vertical exchange runs.
+//
+// py is clamped to n/RowRadius and px to n/ColRadius (and both to n),
+// so every block is at least as deep as the halo it ships; otherwise an
+// exchange would forward a neighbor's stale halo instead of owned data.
 //
 // Results are bit-identical to the shared-memory solver.
 func DistributedSolveBlocks(u *grid.Grid, k grid.Kernel, f *grid.Grid, py, px, iterations int) (Result, error) {
@@ -29,15 +35,15 @@ func DistributedSolveBlocks(u *grid.Grid, k grid.Kernel, f *grid.Grid, py, px, i
 	if iterations < 0 {
 		return Result{}, fmt.Errorf("solver: negative iterations %d", iterations)
 	}
-	halo := k.Stencil.ChebyshevRadius()
-	if halo > u.Halo {
+	if halo := k.Stencil.ChebyshevRadius(); halo > u.Halo {
 		return Result{}, fmt.Errorf("solver: stencil radius %d exceeds grid halo %d", halo, u.Halo)
 	}
 	if py < 1 || px < 1 {
 		return Result{}, fmt.Errorf("solver: worker grid %dx%d invalid", py, px)
 	}
 	n := u.N
-	clamp := func(v int) int {
+	rowHalo, colHalo := k.Stencil.RowRadius(), k.Stencil.ColRadius()
+	clamp := func(v, halo int) int {
 		if halo > 0 && v > n/halo {
 			v = n / halo
 		}
@@ -49,7 +55,7 @@ func DistributedSolveBlocks(u *grid.Grid, k grid.Kernel, f *grid.Grid, py, px, i
 		}
 		return v
 	}
-	py, px = clamp(py), clamp(px)
+	py, px = clamp(py, rowHalo), clamp(px, colHalo)
 
 	rowBands, err := partition.DecomposeStrips(n, py)
 	if err != nil {
@@ -181,30 +187,30 @@ func DistributedSolveBlocks(u *grid.Grid, k grid.Kernel, f *grid.Grid, py, px, i
 				for iter := 0; iter < iterations; iter++ {
 					// Phase 1: vertical exchange (full width + col halos).
 					if r > 0 {
-						upCh[vEdge(r-1, c)] <- copyRows(st, 0, halo)
-						sent += int64(halo) * int64(st.cols+2*u.Halo)
+						upCh[vEdge(r-1, c)] <- copyRows(st, 0, rowHalo)
+						sent += int64(rowHalo) * int64(st.cols+2*u.Halo)
 					}
 					if r < py-1 {
-						downCh[vEdge(r, c)] <- copyRows(st, st.rows-halo, halo)
-						sent += int64(halo) * int64(st.cols+2*u.Halo)
+						downCh[vEdge(r, c)] <- copyRows(st, st.rows-rowHalo, rowHalo)
+						sent += int64(rowHalo) * int64(st.cols+2*u.Halo)
 					}
 					if r > 0 {
-						pasteRows(st, -halo, <-downCh[vEdge(r-1, c)])
+						pasteRows(st, -rowHalo, <-downCh[vEdge(r-1, c)])
 					}
 					if r < py-1 {
 						pasteRows(st, st.rows, <-upCh[vEdge(r, c)])
 					}
 					// Phase 2: horizontal exchange (full height + fresh row halos).
 					if c > 0 {
-						leftCh[hEdge(r, c-1)] <- copyCols(st, 0, halo)
-						sent += int64(halo) * int64(st.rows+2*u.Halo)
+						leftCh[hEdge(r, c-1)] <- copyCols(st, 0, colHalo)
+						sent += int64(colHalo) * int64(st.rows+2*u.Halo)
 					}
 					if c < px-1 {
-						rightCh[hEdge(r, c)] <- copyCols(st, st.cols-halo, halo)
-						sent += int64(halo) * int64(st.rows+2*u.Halo)
+						rightCh[hEdge(r, c)] <- copyCols(st, st.cols-colHalo, colHalo)
+						sent += int64(colHalo) * int64(st.rows+2*u.Halo)
 					}
 					if c > 0 {
-						pasteCols(st, -halo, <-rightCh[hEdge(r, c-1)])
+						pasteCols(st, -colHalo, <-rightCh[hEdge(r, c-1)])
 					}
 					if c < px-1 {
 						pasteCols(st, st.cols, <-leftCh[hEdge(r, c)])

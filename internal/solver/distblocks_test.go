@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"optspeed/internal/grid"
+	"optspeed/internal/stencil"
 )
 
 // TestDistBlocksMatchesShared: the 2-D block message-passing solver is
@@ -31,6 +32,69 @@ func TestDistBlocksMatchesShared(t *testing.T) {
 			}
 			if res.PartitionsY*res.PartitionsX != res.Workers {
 				t.Errorf("worker accounting: %+v", res)
+			}
+		}
+	}
+}
+
+// TestDistBlocksAsymmetricStencil: a stencil whose row and column radii
+// differ exchanges RowRadius rows vertically and ColRadius columns
+// horizontally, clamps each worker-grid axis by its own radius, and
+// stays bit-identical to the serial solver on strip (py×1) and block
+// (py×px) worker grids, for the stencil and its transpose.
+func TestDistBlocksAsymmetricStencil(t *testing.T) {
+	tall := stencil.MustNew("tall", []stencil.Offset{
+		{DI: -2, DJ: 0}, {DI: -1, DJ: 0}, {DI: 1, DJ: 0}, {DI: 2, DJ: 0},
+		{DI: 0, DJ: -1}, {DI: 0, DJ: 1}, {DI: -1, DJ: -1}, {DI: 1, DJ: 1},
+	}, 9)
+	wide := stencil.MustNew("wide", []stencil.Offset{
+		{DI: 0, DJ: -2}, {DI: 0, DJ: -1}, {DI: 0, DJ: 1}, {DI: 0, DJ: 2},
+		{DI: -1, DJ: 0}, {DI: 1, DJ: 0}, {DI: -1, DJ: 1}, {DI: 1, DJ: -1},
+	}, 9)
+	const n, iters = 21, 12
+	start := func() *grid.Grid {
+		u := grid.MustNew(n)
+		u.SetBoundary(func(i, j int) float64 { return float64(i-2*j) * 0.05 })
+		u.FillFunc(func(i, j int) float64 { return float64((i*5+j*3)%7) * 0.1 })
+		return u
+	}
+	for _, st := range []stencil.Stencil{tall, wide} {
+		if st.RowRadius() == st.ColRadius() {
+			t.Fatalf("%s: radii %d and %d are equal", st.Name(), st.RowRadius(), st.ColRadius())
+		}
+		k := grid.Averaging(st)
+		serial := start()
+		if _, err := Solve(serial, k, nil, Config{Workers: 1, MaxIterations: iters}); err != nil {
+			t.Fatal(err)
+		}
+		for _, wg := range [][2]int{{1, 1}, {2, 1}, {5, 1}, {40, 1}, {2, 3}, {3, 2}, {4, 5}, {40, 40}} {
+			u := start()
+			res, err := DistributedSolveBlocks(u, k, nil, wg[0], wg[1], iters)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := serial.MaxAbsDiff(u); d != 0 {
+				t.Errorf("%s %dx%d: diff %g from serial", st.Name(), wg[0], wg[1], d)
+			}
+			py, px := min(wg[0], n/st.RowRadius()), min(wg[1], n/st.ColRadius())
+			if res.PartitionsY != py || res.PartitionsX != px {
+				t.Errorf("%s %dx%d: ran %dx%d, want %dx%d", st.Name(), wg[0], wg[1],
+					res.PartitionsY, res.PartitionsX, py, px)
+			}
+			// Each internal row boundary ships RowRadius rows of the
+			// full local width both ways; each internal column
+			// boundary ships ColRadius columns of the full local height.
+			var want int64
+			if py > 1 {
+				perEdge := int64(st.RowRadius()) * int64(n+2*px*u.Halo)
+				want += 2 * int64(py-1) * perEdge
+			}
+			if px > 1 {
+				perEdge := int64(st.ColRadius()) * int64(n+2*py*u.Halo)
+				want += 2 * int64(px-1) * perEdge
+			}
+			if want *= iters; res.WordsSent != want {
+				t.Errorf("%s %dx%d: WordsSent=%d, want %d", st.Name(), wg[0], wg[1], res.WordsSent, want)
 			}
 		}
 	}
@@ -82,7 +146,7 @@ func TestDistBlocksSquareVolumeBeatsStrips(t *testing.T) {
 	const workers = 16
 	const iters = 3
 	uStrips := grid.MustNew(n)
-	strips, err := DistributedSolve(uStrips, k, nil, workers, iters)
+	strips, err := DistributedSolveBlocks(uStrips, k, nil, workers, 1, iters)
 	if err != nil {
 		t.Fatal(err)
 	}

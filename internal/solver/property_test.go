@@ -41,7 +41,7 @@ func TestRandomConfigEquivalence(t *testing.T) {
 		}
 
 		dist := refCopy()
-		if _, err := DistributedSolve(dist, k, nil, workers, iters); err != nil {
+		if _, err := DistributedSolveBlocks(dist, k, nil, workers, 1, iters); err != nil {
 			return false
 		}
 		if serial.MaxAbsDiff(dist) != 0 {

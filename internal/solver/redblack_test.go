@@ -112,7 +112,7 @@ func TestDistributedWordCount(t *testing.T) {
 		u.SetConstantBoundary(1)
 		k := grid.Laplace5(n)
 		const iters = 7
-		res, err := DistributedSolve(u, k, nil, workers, iters)
+		res, err := DistributedSolveBlocks(u, k, nil, workers, 1, iters)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -177,14 +177,25 @@ func TestPersistedCancelSurvivesRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	js := jobs.NewStore(jobs.Options{Persister: ps, Recovered: nil, SnapshotInterval: -1})
+	js := jobs.NewStore(jobs.Options{
+		Engine: sweep.New(sweep.Options{Workers: 1}), Persister: ps, Recovered: nil, SnapshotInterval: -1,
+	})
 
-	specs := make([]sweep.Spec, 400)
-	for i := range specs {
-		specs[i] = sweep.Spec{Op: sweep.OpOptimizeSnapped, N: 4096 + 8*i, Stencil: "9-point-star", Shape: "square",
-			Machine: core.MachineSpec{Type: "mesh"}}
+	// A cold space of 1365 grid sizes times every stencil, shape and
+	// machine type: 65,520 optimize specs on one worker, each result
+	// chunk fsynced, so the job is still running when the cancel lands.
+	ns := make([]int, 1365)
+	for i := range ns {
+		ns[i] = 4096 + i
 	}
-	snap, err := js.Submit(jobs.Request{Kind: jobs.KindSweep, Specs: specs})
+	var machines []core.MachineSpec
+	for _, typ := range core.MachineTypes() {
+		machines = append(machines, core.MachineSpec{Type: typ})
+	}
+	snap, err := js.Submit(jobs.Request{Kind: jobs.KindSweep, Space: &sweep.Space{
+		Ns: ns, Stencils: []string{"5-point", "9-point", "9-star", "13-point"},
+		Shapes: []string{"strip", "square"}, Machines: machines,
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,8 +205,11 @@ func TestPersistedCancelSurvivesRestart(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.Progress.Completed > 0 {
+		if p := got.Progress; p.Completed > 0 && p.Completed < p.Total {
 			break
+		}
+		if got.State.Terminal() {
+			t.Fatalf("job reached %q before it was seen mid-flight", got.State)
 		}
 		if time.Now().After(deadline) {
 			t.Fatal("no progress in 10s")
@@ -235,5 +249,14 @@ func TestPersistedCancelSurvivesRestart(t *testing.T) {
 	}
 	if len(page.Results) == 0 && fin.Progress.Completed > 0 {
 		t.Fatal("partial results lost across restart")
+	}
+	allocated := 0
+	for _, r := range page.Results {
+		if r.Err == nil && r.Alloc.Procs > 0 {
+			allocated++
+		}
+	}
+	if allocated == 0 {
+		t.Fatalf("recovered %d results, none with an allocation", len(page.Results))
 	}
 }

@@ -310,6 +310,46 @@ func TestKeySeparatesOps(t *testing.T) {
 	}
 }
 
+// TestOptimizeSnappedIsOptimizeAlias: the optimize-snapped op answers
+// exactly what optimize answers, for every machine type, both shapes,
+// every stencil, and capped and uncapped machines. Only the echoed op
+// differs.
+func TestOptimizeSnappedIsOptimizeAlias(t *testing.T) {
+	var machines []core.MachineSpec
+	for _, typ := range core.MachineTypes() {
+		machines = append(machines, core.MachineSpec{Type: typ}, core.MachineSpec{Type: typ, Procs: 64})
+	}
+	sp := Space{
+		Ns:       []int{37, 256, 1000},
+		Stencils: []string{"5-point", "9-point", "9-star", "13-point"},
+		Shapes:   []string{"strip", "square"},
+		Machines: machines,
+	}
+	e := New(Options{Workers: 2})
+	want, err := e.RunSpace(context.Background(), sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp.Op = OpOptimizeSnapped
+	got, err := e.RunSpace(context.Background(), sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if got[i].Spec.Op != OpOptimizeSnapped {
+			t.Fatalf("spec %d echoes op %q", i, got[i].Spec.Op)
+		}
+		if got[i].CacheHit {
+			t.Fatalf("spec %d: optimize-snapped answered from optimize's cache entry", i)
+		}
+		g := got[i]
+		g.Spec.Op = want[i].Spec.Op
+		if !reflect.DeepEqual(g, want[i]) {
+			t.Errorf("spec %d: optimize-snapped %+v != optimize %+v", i, got[i], want[i])
+		}
+	}
+}
+
 func TestInvalidSpecs(t *testing.T) {
 	e := New(Options{})
 	cases := []Spec{

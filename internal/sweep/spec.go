@@ -23,7 +23,10 @@ type Op string
 const (
 	// OpOptimize finds the optimal allocation (default).
 	OpOptimize Op = "optimize"
-	// OpOptimizeSnapped optimizes and snaps squares to working rectangles.
+	// OpOptimizeSnapped is a compatibility alias of OpOptimize: it
+	// evaluates core.Optimize, whose answer is the exact discrete
+	// minimum, so no snap to a working rectangle can improve on it. The
+	// op keeps its own cache key and echoes its own name.
 	OpOptimizeSnapped Op = "optimize-snapped"
 	// OpSpeedup evaluates the speedup at exactly Procs processors.
 	OpSpeedup Op = "speedup"
@@ -89,8 +92,8 @@ type batchFunc func(p core.Problem, arch core.Architecture, procs []int) ([]floa
 
 // opTable is the op set, in the order Ops lists it.
 var opTable = [...]opDef{
-	{op: OpOptimize, key: keyN, eval: allocOp(core.Optimize)},
-	{op: OpOptimizeSnapped, key: keyN, eval: allocOp(core.OptimizeSnapped)},
+	{op: OpOptimize, key: keyN, eval: optimizeOp},
+	{op: OpOptimizeSnapped, key: keyN, eval: optimizeOp},
 	{op: OpSpeedup, key: keyN | keyProcs, eval: procsOp(core.Speedup), batch: core.SpeedupBatch},
 	{op: OpMinGrid, key: keyProcs, seedN: true, eval: func(s Spec, r resolved) outcome {
 		g, err := core.MinGridAllProcs(r.problem, r.arch, s.Procs)
@@ -112,12 +115,10 @@ var opTable = [...]opDef{
 	{op: OpCriticalPath, key: keyN | keyProcs, eval: procsOp(core.CriticalPathBound), batch: core.CriticalPathBatch},
 }
 
-// allocOp adapts an optimizer to an op evaluator.
-func allocOp(f func(core.Problem, core.Architecture) (core.Allocation, error)) func(Spec, resolved) outcome {
-	return func(_ Spec, r resolved) outcome {
-		alloc, err := f(r.problem, r.arch)
-		return outcome{alloc: alloc, value: alloc.Speedup, err: err}
-	}
+// optimizeOp evaluates the optimal allocation.
+func optimizeOp(_ Spec, r resolved) outcome {
+	alloc, err := core.Optimize(r.problem, r.arch)
+	return outcome{alloc: alloc, value: alloc.Speedup, err: err}
 }
 
 // procsOp adapts a speedup at the spec's Procs to an op evaluator.

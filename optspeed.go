@@ -116,12 +116,6 @@ type Allocation = core.Allocation
 // Optimize minimizes the cycle time over the admissible processor range.
 func Optimize(p Problem, a Architecture) (Allocation, error) { return core.Optimize(p, a) }
 
-// OptimizeSnapped additionally snaps square partitions to realizable
-// working rectangles.
-func OptimizeSnapped(p Problem, a Architecture) (Allocation, error) {
-	return core.OptimizeSnapped(p, a)
-}
-
 // Speedup returns the speedup at a given processor count.
 func Speedup(p Problem, a Architecture, procs int) (float64, error) {
 	return core.Speedup(p, a, procs)
@@ -320,13 +314,16 @@ func Solve(u *Grid, k Kernel, f *Grid, cfg SolveConfig) (SolveResult, error) {
 	return solver.Solve(u, k, f, cfg)
 }
 
-// DistributedSolve runs the channel-based message-passing solver.
+// DistributedSolve runs the channel-based message-passing solver on a
+// strip decomposition: DistributedSolveBlocks on a py×1 block grid with
+// py = max(workers, 1).
 func DistributedSolve(u *Grid, k Kernel, f *Grid, workers, iterations int) (SolveResult, error) {
-	return solver.DistributedSolve(u, k, f, workers, iterations)
+	return solver.DistributedSolveBlocks(u, k, f, max(workers, 1), 1, iterations)
 }
 
 // DistributedSolveBlocks runs the 2-D block message-passing solver on a
-// py×px worker grid (the paper's square decomposition as channel code).
+// py×px worker grid (the paper's square decomposition as channel code;
+// px = 1 is the strip decomposition).
 func DistributedSolveBlocks(u *Grid, k Kernel, f *Grid, py, px, iterations int) (SolveResult, error) {
 	return solver.DistributedSolveBlocks(u, k, f, py, px, iterations)
 }
@@ -382,7 +379,9 @@ type SweepResult = sweep.Result
 
 // Sweep operations.
 const (
-	SweepOptimize        = sweep.OpOptimize
+	SweepOptimize = sweep.OpOptimize
+	// SweepOptimizeSnapped is a compatibility alias of SweepOptimize:
+	// it returns the same allocation.
 	SweepOptimizeSnapped = sweep.OpOptimizeSnapped
 	SweepSpeedup         = sweep.OpSpeedup
 	SweepMinGrid         = sweep.OpMinGrid

@@ -120,9 +120,6 @@ func TestFacadeModelQueries(t *testing.T) {
 	if _, err := spec.Machine(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OptimizeSnapped(p, DefaultSyncBus(0)); err != nil {
-		t.Fatal(err)
-	}
 	_ = FlexBus(30)
 	_ = DefaultMesh(16)
 	ab := DefaultAsyncBus(0)
@@ -146,16 +143,24 @@ func TestFacadeSolver(t *testing.T) {
 	if res.Iterations != 10 {
 		t.Errorf("iterations %d", res.Iterations)
 	}
-	u2, err := NewGrid(32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	u2.SetConstantBoundary(1)
-	if _, err := DistributedSolve(u2, Laplace5(32), nil, 4, 10); err != nil {
-		t.Fatal(err)
-	}
-	if d := u.MaxAbsDiff(u2); d != 0 {
-		t.Errorf("facade solvers disagree by %g", d)
+	// DistributedSolve is a strip (workers×1) block grid; a worker
+	// count below one runs one strip.
+	for _, workers := range []int{4, 0} {
+		u2, err := NewGrid(32)
+		if err != nil {
+			t.Fatal(err)
+		}
+		u2.SetConstantBoundary(1)
+		res, err := DistributedSolve(u2, Laplace5(32), nil, workers, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := max(workers, 1); res.PartitionsY != want || res.PartitionsX != 1 {
+			t.Errorf("DistributedSolve(%d workers) ran %dx%d", workers, res.PartitionsY, res.PartitionsX)
+		}
+		if d := u.MaxAbsDiff(u2); d != 0 {
+			t.Errorf("facade solvers disagree by %g with %d workers", d, workers)
+		}
 	}
 	if _, err := NewGeometricSchedule(4, 1.5); err != nil {
 		t.Fatal(err)
