@@ -3,9 +3,6 @@ package dispatch
 import (
 	"encoding/json"
 	"strconv"
-
-	"optspeed/internal/core"
-	"optspeed/internal/sweep"
 )
 
 // Fast path for decoding peer NDJSON lines. The gather side of a
@@ -14,7 +11,10 @@ import (
 // reflective Unmarshal (~5µs and several allocations per line) would
 // make merging cost more than evaluating. This hand-rolled decoder
 // parses the known line shape in ~1/10th of that, accepting fields in
-// any order; anything it does not recognize — escaped strings, unknown
+// any order. It keeps only the answer fields: the echoed spec and the
+// done line's stats are grammar-checked and skipped, since the
+// coordinator names every spec from its own shard plan. Anything it
+// does not recognize — escaped strings, unknown
 // keys, exotic whitespace — falls back to encoding/json for that line,
 // so the fast path is an optimization, never a compatibility wall.
 // decode_test.go holds it byte-equivalent to encoding/json over
@@ -65,7 +65,7 @@ func fastDecodeLine(raw []byte, res *wireResult) (ok, isResult, done bool) {
 			}
 			done = b
 		case "stats":
-			if !p.skipValue() {
+			if !p.skipValue(0) {
 				return false, false, false
 			}
 		default:
@@ -74,7 +74,7 @@ func fastDecodeLine(raw []byte, res *wireResult) (ok, isResult, done bool) {
 			// expect verbatim routes the line to the fallback.
 			return false, false, false
 		}
-		more, mok := p.objectNext()
+		more, mok := p.next('}')
 		if !mok {
 			return false, false, false
 		}
@@ -124,8 +124,9 @@ func (p *parser) key() ([]byte, bool) {
 	return s, true
 }
 
-// objectNext consumes `,` (more=true) or `}` (more=false).
-func (p *parser) objectNext() (more, ok bool) {
+// next consumes `,` (more=true) or the closing byte of the enclosing
+// object or array (more=false).
+func (p *parser) next(end byte) (more, ok bool) {
 	p.ws()
 	if p.i >= len(p.b) {
 		return false, false
@@ -134,7 +135,7 @@ func (p *parser) objectNext() (more, ok bool) {
 	case ',':
 		p.i++
 		return true, true
-	case '}':
+	case end:
 		p.i++
 		return false, true
 	}
@@ -269,50 +270,50 @@ func (p *parser) floatVal() (float64, bool) {
 	return v, true
 }
 
-// skipValue consumes any JSON value without interpreting it.
-func (p *parser) skipValue() bool {
+// maxSkipDepth bounds how deeply skipValue nests; anything deeper goes
+// to the fallback, which applies encoding/json's own nesting limit.
+const maxSkipDepth = 32
+
+// skipValue consumes one JSON value without keeping it: the echoed
+// spec and the done line's stats. It walks the JSON grammar with the
+// same primitives the kept fields use, so a value encoding/json would
+// reject (a stray comma, a leading zero, a key with no value) fails
+// here too and the line goes to the fallback, which reports it.
+func (p *parser) skipValue(depth int) bool {
 	p.ws()
-	if p.i >= len(p.b) {
+	if p.i >= len(p.b) || depth > maxSkipDepth {
 		return false
 	}
 	switch p.b[p.i] {
 	case '"':
 		_, ok := p.stringVal()
 		return ok
-	case '{', '[':
-		open, close := p.b[p.i], byte('}')
-		if open == '[' {
-			close = ']'
+	case '{':
+		p.i++
+		if p.expect('}') {
+			return true
 		}
-		depth := 0
-		inStr := false
-		for ; p.i < len(p.b); p.i++ {
-			c := p.b[p.i]
-			if inStr {
-				switch {
-				case c == '\\' || c < 0x20 || c >= 0x80:
-					// Escaped, forbidden, or non-ASCII content: fall
-					// back (see stringVal).
-					return false
-				case c == '"':
-					inStr = false
-				}
-				continue
+		for {
+			if _, ok := p.key(); !ok || !p.skipValue(depth+1) {
+				return false
 			}
-			switch c {
-			case '"':
-				inStr = true
-			case open:
-				depth++
-			case close:
-				depth--
-				if depth == 0 {
-					p.i++
-					return true
-				}
+			if more, ok := p.next('}'); !ok || !more {
+				return ok
 			}
 		}
-		return false
+	case '[':
+		p.i++
+		if p.expect(']') {
+			return true
+		}
+		for {
+			if !p.skipValue(depth + 1) {
+				return false
+			}
+			if more, ok := p.next(']'); !ok || !more {
+				return ok
+			}
+		}
 	case 't', 'f':
 		_, ok := p.boolVal()
 		return ok
@@ -326,38 +327,6 @@ func (p *parser) skipValue() bool {
 		_, ok := p.numberSpan()
 		return ok
 	}
-}
-
-// internString converts small known vocabulary values without
-// allocating; everything else is copied once.
-func internString(b []byte) string {
-	switch string(b) {
-	case "5-point":
-		return "5-point"
-	case "9-point":
-		return "9-point"
-	case "9-star":
-		return "9-star"
-	case "13-point":
-		return "13-point"
-	case "strip":
-		return "strip"
-	case "square":
-		return "square"
-	case "hypercube":
-		return "hypercube"
-	case "mesh":
-		return "mesh"
-	case "sync-bus":
-		return "sync-bus"
-	case "async-bus":
-		return "async-bus"
-	case "full-async-bus":
-		return "full-async-bus"
-	case "banyan":
-		return "banyan"
-	}
-	return string(b)
 }
 
 // parseResult parses the `{"index":...}` result object.
@@ -376,7 +345,8 @@ func (p *parser) parseResult(res *wireResult) bool {
 				return false
 			}
 		case "spec":
-			if !p.parseSpec(&res.Spec) {
+			// The coordinator names the spec from its own shard plan.
+			if !p.skipValue(0) {
 				return false
 			}
 		case "cache_hit":
@@ -420,139 +390,7 @@ func (p *parser) parseResult(res *wireResult) bool {
 		default:
 			return false // unknown key: encoding/json decides (case folding)
 		}
-		more, mok := p.objectNext()
-		if !mok {
-			return false
-		}
-		if !more {
-			return true
-		}
-	}
-}
-
-// parseSpec parses the nested spec object.
-func (p *parser) parseSpec(s *sweep.Spec) bool {
-	if !p.expect('{') {
-		return false
-	}
-	for {
-		key, ok := p.key()
-		if !ok {
-			return false
-		}
-		switch string(key) {
-		case "op":
-			v, sok := p.stringVal()
-			if !sok {
-				return false
-			}
-			s.Op = sweep.Op(internString(v))
-		case "n":
-			if s.N, ok = p.intVal(); !ok {
-				return false
-			}
-		case "stencil":
-			v, sok := p.stringVal()
-			if !sok {
-				return false
-			}
-			s.Stencil = internString(v)
-		case "shape":
-			v, sok := p.stringVal()
-			if !sok {
-				return false
-			}
-			s.Shape = internString(v)
-		case "machine":
-			if !p.parseMachine(&s.Machine) {
-				return false
-			}
-		case "procs":
-			if s.Procs, ok = p.intVal(); !ok {
-				return false
-			}
-		case "target":
-			if s.Target, ok = p.floatVal(); !ok {
-				return false
-			}
-		case "points_per_proc":
-			if s.PointsPerProc, ok = p.floatVal(); !ok {
-				return false
-			}
-		default:
-			return false // unknown key: encoding/json decides (case folding)
-		}
-		more, mok := p.objectNext()
-		if !mok {
-			return false
-		}
-		if !more {
-			return true
-		}
-	}
-}
-
-// parseMachine parses the innermost machine object.
-func (p *parser) parseMachine(m *core.MachineSpec) bool {
-	if !p.expect('{') {
-		return false
-	}
-	for {
-		key, ok := p.key()
-		if !ok {
-			return false
-		}
-		switch string(key) {
-		case "type":
-			v, sok := p.stringVal()
-			if !sok {
-				return false
-			}
-			m.Type = internString(v)
-		case "procs":
-			if m.Procs, ok = p.intVal(); !ok {
-				return false
-			}
-		case "tflp":
-			if m.Tflp, ok = p.floatVal(); !ok {
-				return false
-			}
-		case "b":
-			if m.BusCycle, ok = p.floatVal(); !ok {
-				return false
-			}
-		case "c":
-			if m.BusOverhead, ok = p.floatVal(); !ok {
-				return false
-			}
-		case "alpha":
-			if m.Alpha, ok = p.floatVal(); !ok {
-				return false
-			}
-		case "beta":
-			if m.Beta, ok = p.floatVal(); !ok {
-				return false
-			}
-		case "packet":
-			if m.PacketWords, ok = p.floatVal(); !ok {
-				return false
-			}
-		case "w":
-			if m.SwitchTime, ok = p.floatVal(); !ok {
-				return false
-			}
-		case "reads_only":
-			if m.ReadsOnly, ok = p.boolVal(); !ok {
-				return false
-			}
-		case "convergence_hardware":
-			if m.ConvHW, ok = p.boolVal(); !ok {
-				return false
-			}
-		default:
-			return false // unknown key: encoding/json decides (case folding)
-		}
-		more, mok := p.objectNext()
+		more, mok := p.next('}')
 		if !mok {
 			return false
 		}

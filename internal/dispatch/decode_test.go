@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"optspeed/internal/core"
@@ -33,10 +34,10 @@ func decodeBoth(t *testing.T, raw []byte) (wireResult, bool, bool) {
 	return fast, isResult, done
 }
 
-// randomWireResult builds a random result covering every field,
-// including values that force the encoding/json fallback (escaped
-// strings) and omitempty-elided zeros.
-func randomWireResult(rng *rand.Rand) wireResult {
+// randomWireResult builds a random result covering every field, and a
+// random spec for the peer to echo, including values that force the
+// encoding/json fallback (escaped strings) and omitempty-elided zeros.
+func randomWireResult(rng *rand.Rand) (wireResult, sweep.Spec) {
 	stencils := []string{"5-point", "9-point", "9-star", "13-point", "weird \"st\"", ""}
 	shapes := []string{"strip", "square", "rhombus"}
 	types := []string{"hypercube", "mesh", "sync-bus", "async-bus", "full-async-bus", "banyan", "<custom>"}
@@ -54,31 +55,31 @@ func randomWireResult(rng *rand.Rand) wireResult {
 			return rng.NormFloat64() * 1e9
 		}
 	}
-	return wireResult{
-		Index:    rng.Intn(100000),
-		CacheHit: rng.Intn(2) == 0,
-		Spec: sweep.Spec{
-			Op:      sweep.Op(ops[rng.Intn(len(ops))]),
-			N:       rng.Intn(4096) - 4,
-			Stencil: stencils[rng.Intn(len(stencils))],
-			Shape:   shapes[rng.Intn(len(shapes))],
-			Machine: core.MachineSpec{
-				Type:        types[rng.Intn(len(types))],
-				Procs:       rng.Intn(3) * rng.Intn(2048),
-				Tflp:        f(),
-				BusCycle:    f(),
-				BusOverhead: f(),
-				Alpha:       f(),
-				Beta:        f(),
-				PacketWords: f(),
-				SwitchTime:  f(),
-				ReadsOnly:   rng.Intn(4) == 0,
-				ConvHW:      rng.Intn(4) == 0,
-			},
-			Procs:         rng.Intn(3) * rng.Intn(512),
-			Target:        f(),
-			PointsPerProc: f(),
+	spec := sweep.Spec{
+		Op:      sweep.Op(ops[rng.Intn(len(ops))]),
+		N:       rng.Intn(4096) - 4,
+		Stencil: stencils[rng.Intn(len(stencils))],
+		Shape:   shapes[rng.Intn(len(shapes))],
+		Machine: core.MachineSpec{
+			Type:        types[rng.Intn(len(types))],
+			Procs:       rng.Intn(3) * rng.Intn(2048),
+			Tflp:        f(),
+			BusCycle:    f(),
+			BusOverhead: f(),
+			Alpha:       f(),
+			Beta:        f(),
+			PacketWords: f(),
+			SwitchTime:  f(),
+			ReadsOnly:   rng.Intn(4) == 0,
+			ConvHW:      rng.Intn(4) == 0,
 		},
+		Procs:         rng.Intn(3) * rng.Intn(512),
+		Target:        f(),
+		PointsPerProc: f(),
+	}
+	return wireResult{
+		Index:     rng.Intn(100000),
+		CacheHit:  rng.Intn(2) == 0,
 		Procs:     rng.Intn(3) * rng.Intn(2048),
 		ProcsUsed: f(),
 		Area:      f(),
@@ -87,12 +88,12 @@ func randomWireResult(rng *rand.Rand) wireResult {
 		Grid:      rng.Intn(3) * rng.Intn(8192),
 		Value:     f(),
 		Error:     errs[rng.Intn(len(errs))],
-	}
+	}, spec
 }
 
-// wireResultTagged mirrors wireResult with the service's omitempty
-// tags, so marshaling it reproduces the exact elision behavior of the
-// peer's encoder for test inputs.
+// wireResultTagged mirrors the service's result line, echoed spec and
+// omitempty tags included, so marshaling it reproduces the exact
+// elision behavior of the peer's encoder for test inputs.
 type wireResultTagged struct {
 	Index     int        `json:"index"`
 	Spec      sweep.Spec `json:"spec"`
@@ -107,6 +108,15 @@ type wireResultTagged struct {
 	Error     string     `json:"error,omitempty"`
 }
 
+// withSpec builds the peer's line for result w echoing spec s.
+func withSpec(w wireResult, s sweep.Spec) wireResultTagged {
+	return wireResultTagged{
+		Index: w.Index, Spec: s, CacheHit: w.CacheHit, Procs: w.Procs,
+		ProcsUsed: w.ProcsUsed, Area: w.Area, CycleTime: w.CycleTime,
+		Speedup: w.Speedup, Grid: w.Grid, Value: w.Value, Error: w.Error,
+	}
+}
+
 // TestDecodeLineMatchesEncodingJSON is the decoder's equivalence
 // property: over thousands of randomized result lines — compact and
 // indented, with and without escapes — the fast decoder (or its
@@ -114,8 +124,8 @@ type wireResultTagged struct {
 func TestDecodeLineMatchesEncodingJSON(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for iter := 0; iter < 4000; iter++ {
-		w := randomWireResult(rng)
-		tagged := wireResultTagged(w)
+		w, spec := randomWireResult(rng)
+		tagged := withSpec(w, spec)
 		var raw []byte
 		var err error
 		if iter%5 == 4 {
@@ -137,7 +147,8 @@ func TestDecodeLineMatchesEncodingJSON(t *testing.T) {
 			t.Fatalf("line %s not recognized as a result", raw)
 		}
 		// Against the original too: omitempty drops zeros, which decode
-		// back to zeros, so the round trip must be exact.
+		// back to zeros, and the echoed spec is skipped, so the round
+		// trip must be exact.
 		if !reflect.DeepEqual(got, w) {
 			t.Fatalf("round trip diverged:\n in  %+v\n out %+v\n raw %s", w, got, raw)
 		}
@@ -163,22 +174,34 @@ func TestDecodeLineDoneAndEdgeCases(t *testing.T) {
 		}
 	}
 	var res wireResult
-	for _, bad := range []string{``, `{`, `nope`, `{"done":tru}`, `{"result":{"index":"x"}}`} {
+	for _, bad := range []string{``, `{`, `nope`, `{"done":tru}`, `{"result":{"index":"x"}}`,
+		// Malformed values the decoder skips rather than keeps.
+		`{"done":true,"stats":{"specs":5,,}}`, `{"done":true,"stats":{"specs":01}}`,
+		`{"done":true,"stats":[1 2]}`, `{"done":true,"stats":{"specs"}}`,
+		`{"result":{"index":0,"spec":{"n":1,}}}`, `{"result":{"index":0,"spec":[}}`,
+		// Nesting past encoding/json's depth limit.
+		`{"done":true,"stats":` + strings.Repeat("[", 10001) + strings.Repeat("]", 10001) + `}`} {
 		if _, _, err := decodeLine([]byte(bad), &res); err == nil {
-			t.Errorf("decodeLine(%q): want error", bad)
+			t.Errorf("decodeLine(%.80q): want error", bad)
 		}
 	}
 }
 
-// TestDecodeLineAgreesUnderCorruption mutates valid lines — prefix
-// truncations and single-byte substitutions — and requires decodeLine
-// to agree with encoding/json on every one: both succeed with the same
-// value, or both fail. This is what makes the fast path safe against
-// a peer dying mid-line or writing garbage.
+// TestDecodeLineAgreesUnderCorruption mutates valid lines — a result
+// line and a done line with a stats object, both of which carry a
+// nested value the decoder skips — by prefix truncations and
+// single-byte substitutions, and requires decodeLine to agree with
+// encoding/json on every one: both succeed with the same value, or
+// both fail. This is what makes the fast path safe against a peer
+// dying mid-line or writing garbage.
 func TestDecodeLineAgreesUnderCorruption(t *testing.T) {
-	base := []byte(`{"result":{"index":7,"spec":{"op":"speedup","n":64,"stencil":"5-point",` +
-		`"shape":"strip","machine":{"type":"sync-bus","reads_only":true},"procs":4},` +
-		`"cache_hit":true,"value":3.25,"error":"boom"}}`)
+	bases := [][]byte{
+		[]byte(`{"result":{"index":7,"spec":{"op":"speedup","n":64,"stencil":"5-point",` +
+			`"shape":"strip","machine":{"type":"sync-bus","reads_only":true},"procs":4},` +
+			`"cache_hit":true,"value":3.25,"error":"boom"}}`),
+		[]byte(`{"done":true,"stats":{"specs":5,"cache_hits":0,"evaluated":5,"errors":0,` +
+			`"ratio":-1.5e3,"peers":["a",null,false],"empty":{}}}`),
+	}
 	check := func(raw []byte) {
 		t.Helper()
 		var fast wireResult
@@ -198,17 +221,19 @@ func TestDecodeLineAgreesUnderCorruption(t *testing.T) {
 			t.Fatalf("decodeLine(%q) diverged on value", raw)
 		}
 	}
-	for i := 0; i <= len(base); i++ {
-		check(base[:i])
-	}
 	rng := rand.New(rand.NewSource(7))
-	for iter := 0; iter < 4000; iter++ {
-		mut := append([]byte(nil), base...)
-		// Full byte range: high bytes matter — encoding/json coerces
-		// invalid UTF-8 inside strings to U+FFFD, and the fast path
-		// must defer to it there rather than accept the raw bytes.
-		mut[rng.Intn(len(mut))] = byte(rng.Intn(256))
-		check(mut)
+	for _, base := range bases {
+		for i := 0; i <= len(base); i++ {
+			check(base[:i])
+		}
+		for iter := 0; iter < 4000; iter++ {
+			mut := append([]byte(nil), base...)
+			// Full byte range: high bytes matter — encoding/json coerces
+			// invalid UTF-8 inside strings to U+FFFD, and the fast path
+			// must defer to it there rather than accept the raw bytes.
+			mut[rng.Intn(len(mut))] = byte(rng.Intn(256))
+			check(mut)
+		}
 	}
 }
 

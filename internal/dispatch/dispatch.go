@@ -80,12 +80,13 @@ func (r Request) size() int {
 	return len(r.Specs)
 }
 
-// expand returns the request's specs, expanding a space.
-func (r Request) expand() []sweep.Spec {
+// specAt returns the request's spec at index i, decoding a space
+// position rather than expanding the space.
+func (r Request) specAt(i int) sweep.Spec {
 	if r.Space != nil {
-		return r.Space.Expand()
+		return r.Space.At(i)
 	}
-	return r.Specs
+	return r.Specs[i]
 }
 
 // ShardDone reports one shard's completion to the progress callback.
@@ -374,13 +375,14 @@ func (d *Dispatcher) Distributed() bool {
 func (d *Dispatcher) ShardSize() int { return d.shardSize }
 
 // shard is one unit of scatter work: a contiguous slice of the
-// request's spec order, as a sub-space or an explicit spec list.
+// request's spec order, as a sub-space or an explicit spec list. The
+// plan is the one source of which spec each shard-local index
+// answers: work.specAt names it for peer results and fallbacks alike.
 type shard struct {
 	index int // position in submission order
 	start int // global index of the shard's first spec
 	size  int
-	space *sweep.Space // non-nil for space shards
-	specs []sweep.Spec // non-nil for spec-list shards
+	work  Request // a sub-space or a spec-list slice
 }
 
 // plan partitions the request into contiguous shards.
@@ -394,7 +396,7 @@ func (d *Dispatcher) plan(req Request) []shard {
 				index: i,
 				start: planned[i].Start,
 				size:  sp.Size(),
-				space: &sp,
+				work:  Request{Space: &sp},
 			}
 		}
 		return shards
@@ -409,7 +411,7 @@ func (d *Dispatcher) plan(req Request) []shard {
 			index: len(shards),
 			start: start,
 			size:  end - start,
-			specs: req.Specs[start:end],
+			work:  Request{Specs: req.Specs[start:end]},
 		})
 	}
 	return shards
@@ -793,12 +795,11 @@ func (d *Dispatcher) runShard(ctx context.Context, sh shard, onShard func(ShardD
 // evalLocal evaluates one shard on the coordinator's engine, in
 // submission order, with global indices restored.
 func (d *Dispatcher) evalLocal(ctx context.Context, sh shard) ([]sweep.Result, error) {
-	req := Request{Specs: sh.specs, Space: sh.space}
-	opened, err := d.openLocal(ctx, req)
+	opened, err := d.openLocal(ctx, sh.work)
 	if err != nil {
 		return nil, err
 	}
-	results, err := d.engine.Collect(ctx, opened.Chunks, opened.Total, req.expand)
+	results, err := d.engine.Collect(ctx, opened.Chunks, opened.Total, sh.work.specAt)
 	if err != nil {
 		return nil, err
 	}
@@ -896,5 +897,5 @@ func (d *Dispatcher) Run(ctx context.Context, req Request) ([]sweep.Result, erro
 	if err != nil {
 		return nil, err
 	}
-	return d.engine.Collect(ctx, opened.Chunks, opened.Total, req.expand)
+	return d.engine.Collect(ctx, opened.Chunks, opened.Total, req.specAt)
 }

@@ -81,11 +81,12 @@ func TestDistributedEquivalence(t *testing.T) {
 
 // TestDistributedEquivalenceUnderFaults re-runs the same corpus against
 // coordinators whose first peer misbehaves — killed mid-stream, plain
-// 5xx, garbage NDJSON, or a stream truncated before its done line —
-// and requires the same golden bytes: shard reassignment must be
-// invisible in the output.
+// 5xx, garbage NDJSON, a stream truncated before its done line, or
+// every echoed spec rewritten to a different one — and requires the
+// same golden bytes: shard reassignment must be invisible in the
+// output, and each result's spec comes from the coordinator's plan.
 func TestDistributedEquivalenceUnderFaults(t *testing.T) {
-	for _, mode := range []string{"kill-mid-stream", "http-500", "garbage", "truncate-no-done"} {
+	for _, mode := range []string{"kill-mid-stream", "http-500", "garbage", "truncate-no-done", "wrong-spec"} {
 		t.Run(mode, func(t *testing.T) {
 			peers := []string{newFaultPeer(t, mode, -1), newWorker(t), newWorker(t)}
 			coord, disp := newCoordinator(t, peers, 8)
@@ -97,16 +98,20 @@ func TestDistributedEquivalenceUnderFaults(t *testing.T) {
 				checkGolden(t, "equivalence_"+tc.name, got)
 			}
 			s := disp.Stats()
-			if mode == "truncate-no-done" {
+			switch mode {
+			case "truncate-no-done", "wrong-spec":
 				// The truncated stream delivered every result before
 				// dropping its done line; the accumulator is already
 				// complete, so no reassignment happens — the attempt is
 				// recorded against the peer's ledger but nothing re-runs.
+				// A wrong echo is no fault at all: the spec is never read.
 				if s.ShardsRetried != 0 {
-					t.Fatalf("complete-but-unterminated streams should not re-run: stats %+v", s)
+					t.Fatalf("complete deliveries should not re-run: stats %+v", s)
 				}
-			} else if s.ShardsRetried == 0 {
-				t.Fatalf("fault peer never tripped a retry: stats %+v", s)
+			default:
+				if s.ShardsRetried == 0 {
+					t.Fatalf("fault peer never tripped a retry: stats %+v", s)
+				}
 			}
 			if s.ShardsFallback != 0 {
 				t.Fatalf("healthy peers remained; local fallback should not fire: stats %+v", s)

@@ -67,7 +67,7 @@ func postSweep(t *testing.T, base, body string) (int, []byte) {
 type faultPeer struct {
 	t     *testing.T
 	inner http.Handler
-	mode  string // "kill-mid-stream" | "http-500" | "garbage" | "duplicate-lines" | "truncate-no-done"
+	mode  string // "kill-mid-stream" | "http-500" | "garbage" | "duplicate-lines" | "truncate-no-done" | "wrong-spec"
 	failN int64  // requests to sabotage; -1 = all
 	seen  atomic.Int64
 }
@@ -116,7 +116,7 @@ func (fp *faultPeer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	case "garbage":
 		w.Header().Set("Content-Type", "application/x-ndjson")
 		io.WriteString(w, "this is not json\n{\"result\": [broken\n")
-	case "kill-mid-stream", "duplicate-lines", "truncate-no-done":
+	case "kill-mid-stream", "duplicate-lines", "truncate-no-done", "wrong-spec":
 		fp.replay(w, r)
 	default:
 		fp.t.Errorf("unknown fault mode %q", fp.mode)
@@ -125,8 +125,8 @@ func (fp *faultPeer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 // replay records the real worker's full response, then re-serves it
 // with the configured corruption: killed connection mid-body,
-// duplicated result lines, or a truncated stream with the done line
-// dropped.
+// duplicated result lines, a truncated stream with the done line
+// dropped, or every echoed spec replaced by a different valid one.
 func (fp *faultPeer) replay(w http.ResponseWriter, r *http.Request) {
 	rec := httptest.NewRecorder()
 	fp.inner.ServeHTTP(rec, r)
@@ -162,5 +162,36 @@ func (fp *faultPeer) replay(w http.ResponseWriter, r *http.Request) {
 		if i := bytes.LastIndexByte(bytes.TrimRight(body, "\n"), '\n'); i >= 0 {
 			w.Write(body[:i+1]) // all result lines, done line dropped
 		}
+	case "wrong-spec":
+		w.Write(rewriteSpecs(body))
+	}
+}
+
+// wrongSpec is a valid spec no equivalence body contains.
+const wrongSpec = `"spec":{"op":"optimize","n":8,"stencil":"13-point","shape":"strip","machine":{"type":"banyan"}}`
+
+// rewriteSpecs replaces every `"spec":{…}` object in body with
+// wrongSpec. Specs hold no braces inside strings, so counting braces
+// finds each object's end.
+func rewriteSpecs(body []byte) []byte {
+	key := []byte(`"spec":{`)
+	var out []byte
+	for {
+		i := bytes.Index(body, key)
+		if i < 0 {
+			return append(out, body...)
+		}
+		out = append(out, body[:i]...)
+		out = append(out, wrongSpec...)
+		j, depth := i+len(key), 1
+		for ; depth > 0; j++ {
+			switch body[j] {
+			case '{':
+				depth++
+			case '}':
+				depth--
+			}
+		}
+		body = body[j:]
 	}
 }

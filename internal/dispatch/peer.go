@@ -36,21 +36,22 @@ type shardBody struct {
 	Space *sweep.Space `json:"space,omitempty"`
 }
 
-// wireResult mirrors the service's SweepResultJSON. Index is
+// wireResult mirrors the service's SweepResultJSON, minus the echoed
+// spec: the coordinator planned the shard, so it names each result's
+// spec from its own plan and skips the peer's copy. Index is
 // shard-local (the peer sees the shard as a whole sweep); the
 // accumulator restores the global offset.
 type wireResult struct {
-	Index     int        `json:"index"`
-	Spec      sweep.Spec `json:"spec"`
-	CacheHit  bool       `json:"cache_hit"`
-	Procs     int        `json:"procs"`
-	ProcsUsed float64    `json:"procs_used"`
-	Area      float64    `json:"area"`
-	CycleTime float64    `json:"cycle_time"`
-	Speedup   float64    `json:"speedup"`
-	Grid      int        `json:"grid"`
-	Value     float64    `json:"value"`
-	Error     string     `json:"error"`
+	Index     int     `json:"index"`
+	CacheHit  bool    `json:"cache_hit"`
+	Procs     int     `json:"procs"`
+	ProcsUsed float64 `json:"procs_used"`
+	Area      float64 `json:"area"`
+	CycleTime float64 `json:"cycle_time"`
+	Speedup   float64 `json:"speedup"`
+	Grid      int     `json:"grid"`
+	Value     float64 `json:"value"`
+	Error     string  `json:"error"`
 }
 
 // wireLine mirrors one NDJSON line of the stream.
@@ -59,15 +60,16 @@ type wireLine struct {
 	Done   bool        `json:"done"`
 }
 
-// resultFromWire reconstructs the engine result a wire line encodes.
-// The mapping is the exact inverse of the service's sweepResultJSON for
+// resultFromWire reconstructs the engine result a wire line encodes for
+// spec s, the spec the coordinator planned at the line's index. The
+// mapping is the exact inverse of the service's sweepResultJSON for
 // every field that reaches the wire, so re-encoding a gathered result
 // on the coordinator reproduces the peer's bytes — the property the
 // distributed-equivalence golden test pins end to end.
-func resultFromWire(w *wireResult) sweep.Result {
+func resultFromWire(s sweep.Spec, w *wireResult) sweep.Result {
 	r := sweep.Result{
 		Index:    w.Index,
-		Spec:     w.Spec,
+		Spec:     s,
 		CacheHit: w.CacheHit,
 		Value:    w.Value,
 		Grid:     w.Grid,
@@ -84,7 +86,7 @@ func resultFromWire(w *wireResult) sweep.Result {
 			Speedup:   w.Speedup,
 		}
 	}
-	if w.Spec.Op == sweep.OpScaled {
+	if s.Op == sweep.OpScaled {
 		r.Scaled = core.ScaledPoint{
 			Procs:     w.ProcsUsed,
 			CycleTime: w.CycleTime,
@@ -106,7 +108,7 @@ func (d *Dispatcher) fetchShard(ctx context.Context, peer *peerState, sh shard, 
 	ctx, cancel := context.WithTimeout(ctx, d.shardTimeout)
 	defer cancel()
 
-	payload, err := json.Marshal(shardBody{Specs: sh.specs, Space: sh.space})
+	payload, err := json.Marshal(shardBody{Specs: sh.work.Specs, Space: sh.work.Space})
 	if err != nil {
 		return fmt.Errorf("dispatch: encode shard: %w", err)
 	}
@@ -166,7 +168,7 @@ func (d *Dispatcher) fetchShard(ctx context.Context, peer *peerState, sh shard, 
 			if local < 0 || local >= sh.size {
 				return fmt.Errorf("dispatch: shard index %d out of range [0, %d)", local, sh.size)
 			}
-			r := resultFromWire(&wire)
+			r := resultFromWire(sh.work.specAt(local), &wire)
 			r.Index += sh.start
 			// Duplicate deliveries are dropped here, not errored:
 			// first delivery wins and progress is counted once.

@@ -417,7 +417,7 @@ func (e *Engine) streamChunks(ctx context.Context, specs []Spec, pre []preResolv
 // submitted Spec and an Err of ctx.Err()).
 func (e *Engine) Run(ctx context.Context, specs []Spec) ([]Result, error) {
 	return e.Collect(ctx, e.streamChunks(ctx, specs, nil, nil), len(specs),
-		func() []Spec { return specs })
+		func(i int) Spec { return specs[i] })
 }
 
 // Collect drains a chunked stream of total results (one from
@@ -425,9 +425,9 @@ func (e *Engine) Run(ctx context.Context, specs []Spec) ([]Result, error) {
 // contract) into submission (Index) order, recycling each chunk as it
 // lands. On a dead context the unfinished entries keep their submitted
 // Spec and an Err of ctx.Err(), and the context error is returned;
-// specs supplies the submitted list and is called only then, so a
-// caller holding a space need not expand it on the common path.
-func (e *Engine) Collect(ctx context.Context, ch <-chan *Chunk, total int, specs func() []Spec) ([]Result, error) {
+// specAt names the submitted spec at an index and is called only for
+// those entries, so a caller holding a space never expands it.
+func (e *Engine) Collect(ctx context.Context, ch <-chan *Chunk, total int, specAt func(int) Spec) ([]Result, error) {
 	results := make([]Result, total)
 	done := make([]bool, total)
 	for c := range ch {
@@ -439,10 +439,9 @@ func (e *Engine) Collect(ctx context.Context, ch <-chan *Chunk, total int, specs
 		e.Recycle(c)
 	}
 	if err := ctx.Err(); err != nil {
-		submitted := specs()
 		for i := range results {
 			if !done[i] {
-				results[i] = Result{Index: i, Spec: submitted[i], Err: err}
+				results[i] = Result{Index: i, Spec: specAt(i), Err: err}
 			}
 		}
 		return results, err
@@ -463,7 +462,7 @@ func (e *Engine) RunSpace(ctx context.Context, sp Space) ([]Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return e.Collect(ctx, ch, total, sp.Expand)
+	return e.Collect(ctx, ch, total, sp.At)
 }
 
 // StreamSpaceChunks expands a Cartesian space and streams its results

@@ -12,7 +12,10 @@ import (
 // checked exhaustively over randomized spaces: concatenating the
 // shards' expansions in slice order reproduces the parent expansion
 // exactly, every shard respects the size bound, and Start offsets
-// match the running position.
+// match the running position. It also pins Space.At, which the
+// coordinator names gathered results' specs by, to Expand: the parent's
+// At(i) is Expand()[i], and a shard's At(j) is the parent's
+// At(Start+j).
 func TestShardSpaceCoversExpandOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	stencils := []string{"5-point", "9-point", "9-star", "13-point"}
@@ -28,6 +31,7 @@ func TestShardSpaceCoversExpandOrder(t *testing.T) {
 			Stencils: stencils[:1+rng.Intn(len(stencils))],
 			Shapes:   shapes[:1+rng.Intn(len(shapes))],
 			Machines: machines[:1+rng.Intn(len(machines))],
+			Target:   float64(rng.Intn(3)),
 		}
 		for i := range sp.Ns {
 			sp.Ns[i] = 8 << i
@@ -42,10 +46,20 @@ func TestShardSpaceCoversExpandOrder(t *testing.T) {
 		shards := ShardSpace(sp, shardSize)
 
 		want := sp.Expand()
+		for i := range want {
+			if got := sp.At(i); got != want[i] {
+				t.Fatalf("iter %d: At(%d) = %+v, Expand()[%d] = %+v", iter, i, got, i, want[i])
+			}
+		}
 		var got []Spec
 		for i, sh := range shards {
 			if sh.Start != len(got) {
 				t.Fatalf("iter %d shard %d: Start=%d, want %d", iter, i, sh.Start, len(got))
+			}
+			for j := 0; j < sh.Space.Size(); j++ {
+				if a, b := sh.Space.At(j), sp.At(sh.Start+j); a != b {
+					t.Fatalf("iter %d shard %d: At(%d) = %+v, parent At(%d) = %+v", iter, i, j, a, sh.Start+j, b)
+				}
 			}
 			part := sh.Space.Expand()
 			if len(part) == 0 {

@@ -412,6 +412,24 @@ func (sp Space) Expand() []Spec {
 	return sp.appendSpecs(make([]Spec, 0, size))
 }
 
+// At returns Expand()[i] without expanding the space: a mixed-radix
+// decode of i in Expand's nesting order (procs innermost, ns
+// outermost). i must lie in [0, Size()).
+func (sp Space) At(i int) Spec {
+	s := Spec{Op: sp.Op, Target: sp.Target, PointsPerProc: sp.PointsPerProc}
+	if len(sp.Procs) > 0 {
+		s.Procs = sp.Procs[i%len(sp.Procs)]
+		i /= len(sp.Procs)
+	}
+	s.Machine = sp.Machines[i%len(sp.Machines)]
+	i /= len(sp.Machines)
+	s.Shape = sp.Shapes[i%len(sp.Shapes)]
+	i /= len(sp.Shapes)
+	s.Stencil = sp.Stencils[i%len(sp.Stencils)]
+	s.N = sp.Ns[i/len(sp.Stencils)]
+	return s
+}
+
 // appendSpecs enumerates the space onto out (typically a pooled
 // buffer), in the same fixed order as Expand. The caller has already
 // rejected overflowing spaces.
