@@ -22,16 +22,15 @@ import (
 // iteration) that the paper's §6.1 worked examples use (see
 // PaperExampleBus and TestInTextSpeedups).
 type SyncBus struct {
-	TflpTime   float64 // seconds per flop
-	B          float64 // bus cycle time per word (seconds)
-	C          float64 // fixed per-word overhead: address calc + bus acquisition (seconds)
-	NProcs     int     // available processors; 0 = unbounded
-	ReadsOnly  bool    // count only boundary reads (paper's in-text variant)
-	nameSuffix string
+	TflpTime  float64 // seconds per flop
+	B         float64 // bus cycle time per word (seconds)
+	C         float64 // fixed per-word overhead: address calc + bus acquisition (seconds)
+	NProcs    int     // available processors; 0 = unbounded
+	ReadsOnly bool    // count only boundary reads (paper's in-text variant)
 }
 
 // Name implements Architecture.
-func (s SyncBus) Name() string { return "sync-bus" + s.nameSuffix }
+func (s SyncBus) Name() string { return "sync-bus" }
 
 // Tflp implements Architecture.
 func (s SyncBus) Tflp() float64 { return s.TflpTime }

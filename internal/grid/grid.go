@@ -17,10 +17,15 @@ import (
 // enough for the stencils in use (two points, the largest radius among the
 // paper's stencils). Interior points are addressed (i, j) with
 // 0 ≤ i, j < N; ghost points extend to index -Halo and N+Halo-1.
+//
+// A block (NewBlock) is a rows×cols grid, the local grid of one worker
+// in a partitioned solve: its N is the row count and Cols() the column
+// count, and column indices run to Cols()+Halo-1.
 type Grid struct {
-	N    int // interior points per side
+	N    int // interior points per side; a block's interior rows
 	Halo int // ghost ring width
 
+	cols   int // interior columns: N, except for a block
 	stride int
 	data   []float64
 }
@@ -36,15 +41,25 @@ func NewHalo(n, halo int) (*Grid, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("grid: size n=%d must be positive", n)
 	}
+	return NewBlock(n, n, halo)
+}
+
+// NewBlock allocates a rows×cols block with a ghost ring of the given
+// width.
+func NewBlock(rows, cols, halo int) (*Grid, error) {
+	if rows < 1 || cols < 1 {
+		return nil, fmt.Errorf("grid: block %dx%d must be positive", rows, cols)
+	}
 	if halo < 0 {
 		return nil, fmt.Errorf("grid: halo %d must be non-negative", halo)
 	}
-	stride := n + 2*halo
+	stride := cols + 2*halo
 	return &Grid{
-		N:      n,
+		N:      rows,
 		Halo:   halo,
+		cols:   cols,
 		stride: stride,
-		data:   make([]float64, stride*stride),
+		data:   make([]float64, (rows+2*halo)*stride),
 	}, nil
 }
 
@@ -68,6 +83,9 @@ func (g *Grid) At(i, j int) float64 { return g.data[g.index(i, j)] }
 // Set stores v at (i, j); ghost points are addressable.
 func (g *Grid) Set(i, j int, v float64) { g.data[g.index(i, j)] = v }
 
+// Cols returns the number of interior columns: N, except for a block.
+func (g *Grid) Cols() int { return g.cols }
+
 // Stride returns the row stride of the backing array, for kernels that
 // index it directly.
 func (g *Grid) Stride() int { return g.stride }
@@ -80,7 +98,7 @@ func (g *Grid) Data() []float64 { return g.data }
 func (g *Grid) Fill(v float64) {
 	for i := 0; i < g.N; i++ {
 		row := g.index(i, 0)
-		for j := 0; j < g.N; j++ {
+		for j := 0; j < g.cols; j++ {
 			g.data[row+j] = v
 		}
 	}
@@ -90,7 +108,7 @@ func (g *Grid) Fill(v float64) {
 func (g *Grid) FillFunc(f func(i, j int) float64) {
 	for i := 0; i < g.N; i++ {
 		row := g.index(i, 0)
-		for j := 0; j < g.N; j++ {
+		for j := 0; j < g.cols; j++ {
 			g.data[row+j] = f(i, j)
 		}
 	}
@@ -100,10 +118,9 @@ func (g *Grid) FillFunc(f func(i, j int) float64) {
 // ring: every ghost point (i, j) outside the interior gets f(i, j). Use
 // SetConstantBoundary for the paper's constant-boundary assumption.
 func (g *Grid) SetBoundary(f func(i, j int) float64) {
-	lo, hi := -g.Halo, g.N+g.Halo
-	for i := lo; i < hi; i++ {
-		for j := lo; j < hi; j++ {
-			if i >= 0 && i < g.N && j >= 0 && j < g.N {
+	for i := -g.Halo; i < g.N+g.Halo; i++ {
+		for j := -g.Halo; j < g.cols+g.Halo; j++ {
+			if i >= 0 && i < g.N && j >= 0 && j < g.cols {
 				continue
 			}
 			g.Set(i, j, f(i, j))
@@ -119,7 +136,7 @@ func (g *Grid) SetConstantBoundary(v float64) {
 
 // Clone returns a deep copy of the grid, ghost ring included.
 func (g *Grid) Clone() *Grid {
-	out := &Grid{N: g.N, Halo: g.Halo, stride: g.stride, data: make([]float64, len(g.data))}
+	out := &Grid{N: g.N, Halo: g.Halo, cols: g.cols, stride: g.stride, data: make([]float64, len(g.data))}
 	copy(out.data, g.data)
 	return out
 }
@@ -127,18 +144,24 @@ func (g *Grid) Clone() *Grid {
 // CopyFrom copies all data (ghost ring included) from src, which must have
 // identical geometry.
 func (g *Grid) CopyFrom(src *Grid) error {
-	if g.N != src.N || g.Halo != src.Halo {
+	if !g.sameGeometry(src) {
 		return fmt.Errorf("grid: CopyFrom geometry mismatch: %dx%d/halo %d vs %dx%d/halo %d",
-			g.N, g.N, g.Halo, src.N, src.N, src.Halo)
+			g.N, g.cols, g.Halo, src.N, src.cols, src.Halo)
 	}
 	copy(g.data, src.data)
 	return nil
 }
 
+// sameGeometry reports whether g and other have the same extent and
+// ghost ring.
+func (g *Grid) sameGeometry(other *Grid) bool {
+	return g.N == other.N && g.cols == other.cols && g.Halo == other.Halo
+}
+
 // Swap exchanges the backing arrays of two grids with identical geometry;
 // the idiomatic double-buffer step between Jacobi sweeps.
 func (g *Grid) Swap(other *Grid) error {
-	if g.N != other.N || g.Halo != other.Halo {
+	if !g.sameGeometry(other) {
 		return fmt.Errorf("grid: Swap geometry mismatch")
 	}
 	g.data, other.data = other.data, g.data
@@ -149,7 +172,7 @@ func (g *Grid) Swap(other *Grid) error {
 func (g *Grid) MaxAbsDiff(other *Grid) float64 {
 	var m float64
 	for i := 0; i < g.N; i++ {
-		for j := 0; j < g.N; j++ {
+		for j := 0; j < g.cols; j++ {
 			d := math.Abs(g.At(i, j) - other.At(i, j))
 			if d > m {
 				m = d
@@ -165,7 +188,7 @@ func (g *Grid) MaxAbsDiff(other *Grid) float64 {
 func (g *Grid) SumSquaredDiff(other *Grid) float64 {
 	var s float64
 	for i := 0; i < g.N; i++ {
-		for j := 0; j < g.N; j++ {
+		for j := 0; j < g.cols; j++ {
 			d := g.At(i, j) - other.At(i, j)
 			s += d * d
 		}

@@ -23,6 +23,55 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// TestBlockGeometry: a rows×cols block addresses rows and columns
+// separately, and every whole-grid operation covers its rows×cols
+// interior, not a square.
+func TestBlockGeometry(t *testing.T) {
+	if _, err := NewBlock(3, 0, 1); err == nil {
+		t.Error("zero-column block accepted")
+	}
+	b, err := NewBlock(3, 5, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.N != 3 || b.Cols() != 5 || b.Stride() != 9 || len(b.Data()) != 7*9 {
+		t.Fatalf("3x5 block: N=%d Cols=%d Stride=%d len=%d", b.N, b.Cols(), b.Stride(), len(b.Data()))
+	}
+	if MustNew(4).Cols() != 4 {
+		t.Error("a square grid's Cols is not N")
+	}
+	b.SetConstantBoundary(1)
+	b.FillFunc(func(i, j int) float64 { return float64(10*i + j) })
+	b.Set(4, 6, 2) // last ghost point
+	if b.At(2, 4) != 24 || b.At(-2, 6) != 1 || b.At(4, 6) != 2 {
+		t.Error("block points misaddressed")
+	}
+	if got := b.InteriorSum(); got != 3*(0+1+2+3+4)+5*(0+10+20) {
+		t.Errorf("InteriorSum %g covers the wrong points", got)
+	}
+	c := b.Clone()
+	if c.Cols() != 5 || c.MaxAbsDiff(b) != 0 {
+		t.Error("Clone lost the block's geometry")
+	}
+	if err := c.CopyFrom(MustNew(3)); err == nil {
+		t.Error("CopyFrom accepted a 3x3 grid into a 3x5 block")
+	}
+	other, _ := NewBlock(5, 3, 2)
+	if err := b.Swap(other); err == nil {
+		t.Error("Swap accepted a 5x3 block for a 3x5 one")
+	}
+	k := Laplace5(5)
+	if err := SweepRegion(c, b, k, nil, 0, 3, 0, 5); err != nil {
+		t.Errorf("full-block sweep rejected: %v", err)
+	}
+	if err := SweepRegion(c, b, k, nil, 0, 3, 0, 6); err == nil {
+		t.Error("sweep past the block's last column accepted")
+	}
+	if err := SweepRegion(c, b, k, nil, 0, 4, 0, 5); err == nil {
+		t.Error("sweep past the block's last row accepted")
+	}
+}
+
 func TestMustNewPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

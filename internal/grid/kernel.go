@@ -110,7 +110,7 @@ func Averaging(st stencil.Stencil) Kernel {
 // with source term f (may be nil for a homogeneous problem). src and dst
 // must have identical geometry and must not alias.
 func Sweep(dst, src *Grid, k Kernel, f *Grid) error {
-	return SweepRegion(dst, src, k, f, 0, src.N, 0, src.N)
+	return SweepRegion(dst, src, k, f, 0, src.N, 0, src.cols)
 }
 
 // SweepRegion performs one Jacobi sweep over rows [r0, r1) and columns
@@ -140,12 +140,12 @@ func SweepRegionDelta(dst, src *Grid, k Kernel, f *Grid, r0, r1, c0, c1 int) (fl
 
 // checkSweepArgs validates the shared sweep preconditions.
 func checkSweepArgs(dst, src *Grid, k Kernel, r0, r1, c0, c1 int) error {
-	if dst.N != src.N || dst.Halo != src.Halo {
+	if !dst.sameGeometry(src) {
 		return fmt.Errorf("grid: SweepRegion geometry mismatch")
 	}
-	if r0 < 0 || c0 < 0 || r1 > src.N || c1 > src.N || r0 > r1 || c0 > c1 {
-		return fmt.Errorf("grid: SweepRegion region [%d,%d)x[%d,%d) out of bounds for n=%d",
-			r0, r1, c0, c1, src.N)
+	if r0 < 0 || c0 < 0 || r1 > src.N || c1 > src.cols || r0 > r1 || c0 > c1 {
+		return fmt.Errorf("grid: SweepRegion region [%d,%d)x[%d,%d) out of bounds for %dx%d",
+			r0, r1, c0, c1, src.N, src.cols)
 	}
 	if k.Stencil.ChebyshevRadius() > src.Halo {
 		return fmt.Errorf("grid: stencil %s radius %d exceeds halo %d",
@@ -170,7 +170,7 @@ func SweepSOR(g *Grid, k Kernel, f *Grid, omega float64) error {
 	}
 	for i := 0; i < g.N; i++ {
 		base := g.index(i, 0)
-		for j := 0; j < g.N; j++ {
+		for j := 0; j < g.cols; j++ {
 			idx := base + j
 			var acc float64
 			for t, fo := range flat {

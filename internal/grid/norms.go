@@ -9,19 +9,13 @@ import (
 // residual of one Jacobi application (zero exactly at the discrete
 // solution). It returns the max and L2 norms. src halos must be current.
 func Residual(u *Grid, k Kernel, f *Grid) (maxNorm, l2Norm float64, err error) {
-	tmp, err := NewHalo(u.N, u.Halo)
-	if err != nil {
-		return 0, 0, err
-	}
-	if err := tmp.CopyFrom(u); err != nil {
-		return 0, 0, err
-	}
+	tmp := u.Clone()
 	if err := Sweep(tmp, u, k, f); err != nil {
 		return 0, 0, err
 	}
 	var sum float64
 	for i := 0; i < u.N; i++ {
-		for j := 0; j < u.N; j++ {
+		for j := 0; j < u.cols; j++ {
 			d := math.Abs(tmp.At(i, j) - u.At(i, j))
 			if d > maxNorm {
 				maxNorm = d
@@ -37,7 +31,7 @@ func Residual(u *Grid, k Kernel, f *Grid) (maxNorm, l2Norm float64, err error) {
 func ErrorAgainst(u *Grid, exact func(i, j int) float64) (maxNorm, l2Norm float64) {
 	var sum float64
 	for i := 0; i < u.N; i++ {
-		for j := 0; j < u.N; j++ {
+		for j := 0; j < u.cols; j++ {
 			d := math.Abs(u.At(i, j) - exact(i, j))
 			if d > maxNorm {
 				maxNorm = d
@@ -53,7 +47,7 @@ func ErrorAgainst(u *Grid, exact func(i, j int) float64) (maxNorm, l2Norm float6
 func (g *Grid) InteriorSum() float64 {
 	var s float64
 	for i := 0; i < g.N; i++ {
-		for j := 0; j < g.N; j++ {
+		for j := 0; j < g.cols; j++ {
 			s += g.At(i, j)
 		}
 	}
@@ -64,7 +58,7 @@ func (g *Grid) InteriorSum() float64 {
 // value, if any — a guard for iterative solvers.
 func (g *Grid) CheckFinite() error {
 	for i := 0; i < g.N; i++ {
-		for j := 0; j < g.N; j++ {
+		for j := 0; j < g.cols; j++ {
 			if v := g.At(i, j); math.IsNaN(v) || math.IsInf(v, 0) {
 				return fmt.Errorf("grid: non-finite value %g at (%d,%d)", v, i, j)
 			}

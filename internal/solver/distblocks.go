@@ -9,9 +9,10 @@ import (
 
 // DistributedSolveBlocks runs the square-partition Jacobi iteration in
 // message-passing style: a py×px grid of workers, each owning a private
-// block plus halo, exchanging boundary values with its four neighbors
-// over channels — the code path of the paper's square decomposition on
-// a hypercube or mesh (§4).
+// rows×cols block plus halo (grid.NewBlock), exchanging boundary values
+// with its four neighbors over channels — the code path of the paper's
+// square decomposition on a hypercube or mesh (§4). Each channel reuses
+// one message buffer, so the iterations allocate nothing.
 //
 // The halo exchange is two-phase: vertical neighbors first exchange the
 // stencil's RowRadius boundary rows, spanning the full local width
@@ -71,37 +72,23 @@ func DistributedSolveBlocks(u *grid.Grid, k grid.Kernel, f *grid.Grid, py, px, i
 		row0, col0 int // global origin
 		cur, nxt   *grid.Grid
 		rhs        *grid.Grid
-		maxDim     int
 	}
 	workers := py * px
 	states := make([]*wstate, workers)
 	for r := 0; r < py; r++ {
 		for c := 0; c < px; c++ {
 			rb, cb := rowBands[r], colBands[c]
-			dim := rb.Rows
-			if cb.Rows > dim {
-				dim = cb.Rows
-			}
-			local, err := grid.NewHalo(dim, u.Halo)
-			if err != nil {
+			st := &wstate{rows: rb.Rows, cols: cb.Rows, row0: rb.Row0, col0: cb.Row0}
+			if st.cur, err = grid.NewBlock(st.rows, st.cols, u.Halo); err != nil {
 				return Result{}, err
 			}
-			localNext, err := grid.NewHalo(dim, u.Halo)
-			if err != nil {
+			if st.nxt, err = grid.NewBlock(st.rows, st.cols, u.Halo); err != nil {
 				return Result{}, err
 			}
-			var localRHS *grid.Grid
 			if f != nil {
-				localRHS, err = grid.NewHalo(dim, u.Halo)
-				if err != nil {
+				if st.rhs, err = grid.NewBlock(st.rows, st.cols, u.Halo); err != nil {
 					return Result{}, err
 				}
-			}
-			st := &wstate{
-				rows: rb.Rows, cols: cb.Rows,
-				row0: rb.Row0, col0: cb.Row0,
-				cur: local, nxt: localNext, rhs: localRHS,
-				maxDim: dim,
 			}
 			// Scatter: block plus full halo ring from the global grid.
 			for li := -u.Halo; li < st.rows+u.Halo; li++ {
@@ -110,9 +97,9 @@ func DistributedSolveBlocks(u *grid.Grid, k grid.Kernel, f *grid.Grid, py, px, i
 					st.cur.Set(li, lj, v)
 					st.nxt.Set(li, lj, v)
 					gi, gj := st.row0+li, st.col0+lj
-					if localRHS != nil && gi >= 0 && gi < n && gj >= 0 && gj < n &&
+					if st.rhs != nil && gi >= 0 && gi < n && gj >= 0 && gj < n &&
 						li >= 0 && li < st.rows && lj >= 0 && lj < st.cols {
-						localRHS.Set(li, lj, f.At(gi, gj))
+						st.rhs.Set(li, lj, f.At(gi, gj))
 					}
 				}
 			}
@@ -120,61 +107,80 @@ func DistributedSolveBlocks(u *grid.Grid, k grid.Kernel, f *grid.Grid, py, px, i
 		}
 	}
 
-	// Channels: one per directed edge. rows[r][c] between (r,c) and
-	// (r+1,c); cols between (r,c) and (r,c+1).
-	type slab [][]float64
-	downCh := make([]chan slab, (py-1)*px) // (r,c) → (r+1,c)
-	upCh := make([]chan slab, (py-1)*px)
-	rightCh := make([]chan slab, py*(px-1)) // (r,c) → (r,c+1)
-	leftCh := make([]chan slab, py*(px-1))
-	for i := range downCh {
-		downCh[i] = make(chan slab, 1)
-		upCh[i] = make(chan slab, 1)
+	// Links: one per directed edge. down/up between (r,c) and (r+1,c);
+	// right/left between (r,c) and (r,c+1). Each link owns one message
+	// buffer that travels back and forth: the sender takes it from ret,
+	// fills it and sends it on msg; the receiver pastes it and hands it
+	// back on ret. An exchange therefore allocates nothing, and a sender
+	// never overwrites a buffer its neighbor is still reading.
+	type link struct{ msg, ret chan []float64 }
+	newLink := func(words int) link {
+		l := link{msg: make(chan []float64, 1), ret: make(chan []float64, 1)}
+		l.ret <- make([]float64, words)
+		return l
 	}
-	for i := range rightCh {
-		rightCh[i] = make(chan slab, 1)
-		leftCh[i] = make(chan slab, 1)
-	}
+	downCh := make([]link, (py-1)*px) // (r,c) → (r+1,c)
+	upCh := make([]link, (py-1)*px)
+	rightCh := make([]link, py*(px-1)) // (r,c) → (r,c+1)
+	leftCh := make([]link, py*(px-1))
 	vEdge := func(r, c int) int { return r*px + c }     // edge (r,c)-(r+1,c)
 	hEdge := func(r, c int) int { return r*(px-1) + c } // edge (r,c)-(r,c+1)
+	for r := 0; r < py-1; r++ {
+		for c := 0; c < px; c++ {
+			words := rowHalo * (colBands[c].Rows + 2*u.Halo)
+			downCh[vEdge(r, c)], upCh[vEdge(r, c)] = newLink(words), newLink(words)
+		}
+	}
+	for r := 0; r < py; r++ {
+		for c := 0; c < px-1; c++ {
+			words := colHalo * (rowBands[r].Rows + 2*u.Halo)
+			rightCh[hEdge(r, c)], leftCh[hEdge(r, c)] = newLink(words), newLink(words)
+		}
+	}
 
-	// copyRows extracts `count` rows starting at local row r0, columns
-	// [-haloW, cols+haloW).
-	copyRows := func(st *wstate, r0, count int) slab {
-		out := make(slab, count)
-		for i := 0; i < count; i++ {
-			row := make([]float64, st.cols+2*u.Halo)
-			for j := -u.Halo; j < st.cols+u.Halo; j++ {
-				row[j+u.Halo] = st.cur.At(r0+i, j)
-			}
-			out[i] = row
-		}
-		return out
+	// rowSpan is the backing-array span of rowHalo local rows starting
+	// at r0, columns [-Halo, cols+Halo): whole rows are contiguous.
+	rowSpan := func(st *wstate, r0 int) []float64 {
+		w := st.cur.Stride()
+		return st.cur.Data()[(r0+u.Halo)*w : (r0+u.Halo+rowHalo)*w]
 	}
-	pasteRows := func(st *wstate, r0 int, data slab) {
-		for i, row := range data {
-			for idx, v := range row {
-				st.cur.Set(r0+i, idx-u.Halo, v)
-			}
-		}
+	// sendRows ships rowHalo rows starting at local row r0 and returns
+	// the words sent.
+	sendRows := func(l link, st *wstate, r0 int) int64 {
+		buf := <-l.ret
+		copy(buf, rowSpan(st, r0))
+		l.msg <- buf
+		return int64(len(buf))
 	}
-	copyCols := func(st *wstate, c0, count int) slab {
-		out := make(slab, count)
-		for j := 0; j < count; j++ {
-			col := make([]float64, st.rows+2*u.Halo)
+	recvRows := func(l link, st *wstate, r0 int) {
+		buf := <-l.msg
+		copy(rowSpan(st, r0), buf)
+		l.ret <- buf
+	}
+	// sendCols ships colHalo columns starting at local column c0, rows
+	// [-Halo, rows+Halo), and returns the words sent.
+	sendCols := func(l link, st *wstate, c0 int) int64 {
+		buf := <-l.ret
+		k := 0
+		for j := c0; j < c0+colHalo; j++ {
 			for i := -u.Halo; i < st.rows+u.Halo; i++ {
-				col[i+u.Halo] = st.cur.At(i, c0+j)
+				buf[k] = st.cur.At(i, j)
+				k++
 			}
-			out[j] = col
 		}
-		return out
+		l.msg <- buf
+		return int64(len(buf))
 	}
-	pasteCols := func(st *wstate, c0 int, data slab) {
-		for j, col := range data {
-			for idx, v := range col {
-				st.cur.Set(idx-u.Halo, c0+j, v)
+	recvCols := func(l link, st *wstate, c0 int) {
+		buf := <-l.msg
+		k := 0
+		for j := c0; j < c0+colHalo; j++ {
+			for i := -u.Halo; i < st.rows+u.Halo; i++ {
+				st.cur.Set(i, j, buf[k])
+				k++
 			}
 		}
+		l.ret <- buf
 	}
 
 	errCh := make(chan error, workers)
@@ -187,33 +193,29 @@ func DistributedSolveBlocks(u *grid.Grid, k grid.Kernel, f *grid.Grid, py, px, i
 				for iter := 0; iter < iterations; iter++ {
 					// Phase 1: vertical exchange (full width + col halos).
 					if r > 0 {
-						upCh[vEdge(r-1, c)] <- copyRows(st, 0, rowHalo)
-						sent += int64(rowHalo) * int64(st.cols+2*u.Halo)
+						sent += sendRows(upCh[vEdge(r-1, c)], st, 0)
 					}
 					if r < py-1 {
-						downCh[vEdge(r, c)] <- copyRows(st, st.rows-rowHalo, rowHalo)
-						sent += int64(rowHalo) * int64(st.cols+2*u.Halo)
+						sent += sendRows(downCh[vEdge(r, c)], st, st.rows-rowHalo)
 					}
 					if r > 0 {
-						pasteRows(st, -rowHalo, <-downCh[vEdge(r-1, c)])
+						recvRows(downCh[vEdge(r-1, c)], st, -rowHalo)
 					}
 					if r < py-1 {
-						pasteRows(st, st.rows, <-upCh[vEdge(r, c)])
+						recvRows(upCh[vEdge(r, c)], st, st.rows)
 					}
 					// Phase 2: horizontal exchange (full height + fresh row halos).
 					if c > 0 {
-						leftCh[hEdge(r, c-1)] <- copyCols(st, 0, colHalo)
-						sent += int64(colHalo) * int64(st.rows+2*u.Halo)
+						sent += sendCols(leftCh[hEdge(r, c-1)], st, 0)
 					}
 					if c < px-1 {
-						rightCh[hEdge(r, c)] <- copyCols(st, st.cols-colHalo, colHalo)
-						sent += int64(colHalo) * int64(st.rows+2*u.Halo)
+						sent += sendCols(rightCh[hEdge(r, c)], st, st.cols-colHalo)
 					}
 					if c > 0 {
-						pasteCols(st, -colHalo, <-rightCh[hEdge(r, c-1)])
+						recvCols(rightCh[hEdge(r, c-1)], st, -colHalo)
 					}
 					if c < px-1 {
-						pasteCols(st, st.cols, <-leftCh[hEdge(r, c)])
+						recvCols(leftCh[hEdge(r, c)], st, st.cols)
 					}
 					// Local sweep.
 					if err := grid.SweepRegion(st.nxt, st.cur, k, st.rhs, 0, st.rows, 0, st.cols); err != nil {

@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"runtime"
 	"testing"
 
 	"optspeed/internal/grid"
@@ -158,6 +159,26 @@ func TestDistBlocksSquareVolumeBeatsStrips(t *testing.T) {
 	if blocks.WordsSent >= strips.WordsSent {
 		t.Errorf("blocks shipped %d words, strips %d — expected fewer",
 			blocks.WordsSent, strips.WordsSent)
+	}
+}
+
+// TestDistBlocksLocalFootprint: each worker holds a rows×cols block
+// plus its halo, and the exchange buffers are reused, so a solve on 8×1
+// strips of n=512 allocates about two global grids' worth (the current
+// and next block of every worker, 4.7 MB) however many iterations run.
+func TestDistBlocksLocalFootprint(t *testing.T) {
+	const n = 512
+	k := grid.Laplace5(n)
+	u := grid.MustNew(n)
+	u.SetConstantBoundary(1)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := DistributedSolveBlocks(u, k, nil, 8, 1, 4); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 5<<20 {
+		t.Errorf("8x1 workers on n=%d allocate %d B over 4 iterations, budget 5 MiB", n, got)
 	}
 }
 

@@ -30,11 +30,10 @@ func batchedAllocSpace() Space {
 
 // TestBatchedSweepAllocBudget pins the cold batched speedup path's
 // allocation count: 768 specs across 12 procs groups on a fresh engine
-// must stay within a small constant per group — the putBatch cache
-// slab, the scratch/chunk pool misses, SpeedupBatch's internal curve
-// buffers, map growth as the cache fills, and the collected result
-// slice — nowhere near the one-allocation-per-cached-result cost the
-// slab insert replaced. The budget (500, vs ~2.6k before the zero-copy
+// must stay within a small constant per group — the cache's slab pages
+// and map growth as it fills, the scratch/chunk pool misses,
+// SpeedupBatch's internal curve buffers, and the collected result
+// slice — nowhere near one allocation per cached result. The budget (500, vs ~2.6k before the zero-copy
 // pipeline) leaves head-room for pool-cleared reruns under GC pressure
 // while still failing loudly on any per-result regression.
 func TestBatchedSweepAllocBudget(t *testing.T) {

@@ -2,7 +2,11 @@ package sweep
 
 import (
 	"errors"
+	"math"
 	"sync"
+	"unsafe"
+
+	"optspeed/internal/core"
 )
 
 // ErrWaitCancelled reports that a caller coalesced onto another
@@ -34,45 +38,106 @@ type cache struct {
 	shards []*cacheShard
 }
 
-// cacheShard is one independently locked LRU over intrusively linked
-// entries: the list pointers live inside centry, so inserting an entry
-// costs no container node beyond the entry itself, and a batch insert
-// of n entries costs one []centry slab. idx maps a key hash to the
-// entries with that hash, chained through centry.same; a lookup
-// compares the full key along the chain, so a hash collision costs a
-// longer walk, never a wrong answer. Keying the map by the 8-byte hash
-// instead of the 112-byte specKey keeps its slots small and spares it
-// re-hashing nine float fields on every lookup, insert and eviction.
+// pageLen is the number of entries in one slab page: as many as fill
+// an 8 KB allocation (35 at 232 B an entry), so the allocator's size
+// classes waste next to nothing. Pages are allocated as a shard fills,
+// so a sparsely used shard holds one 8 KB page.
+const pageLen = 8192 / int32(unsafe.Sizeof(centry{}))
+
+// nilSlot is the null slot number: the end of a list or hash chain.
+const nilSlot int32 = -1
+
+// cacheShard is one independently locked LRU whose entries live in a
+// paged slab and are addressed by int32 slot numbers. Every resident
+// entry is pointer-free (TestCacheEntryHoldsNoPointers), and so is the
+// index, so the garbage collector never scans the cache however large
+// it grows. The LRU links (centry.prev/next), the hash chains
+// (centry.same) and the free list (through centry.next) are slot
+// numbers. idx maps a key hash to the first slot with that hash; a
+// lookup compares the full key along the chain, so a hash collision
+// costs a longer walk, never a wrong answer. Keying the map by the
+// 8-byte hash instead of the 112-byte specKey keeps its slots small and
+// spares it re-hashing nine float fields on every lookup, insert and
+// eviction.
+//
+// Once the shard is full, an insert evicts the least recently used
+// settled entry and reuses its slot in place, so a cold miss allocates
+// nothing. In-flight entries are pinned: eviction steps over them, so
+// their slot numbers stay theirs until their owner settles them, and a
+// shard whose every entry is in flight briefly exceeds its capacity.
+// A goroutine that has to wait on an in-flight entry gets a waiter
+// record from the waiters side map, made on that first demand.
 type cacheShard struct {
-	mu   sync.Mutex
-	cap  int
-	n    int     // resident entries
-	head *centry // most recently used
-	tail *centry // least recently used
-	idx  map[uint64]*centry
+	mu      sync.Mutex
+	cap     int
+	n       int   // resident entries
+	head    int32 // most recently used
+	tail    int32 // least recently used
+	free    int32 // first slot of the free list
+	slots   int32 // slots handed out of the slab so far
+	pages   []*[pageLen]centry
+	idx     map[uint64]int32
+	waiters map[int32]*waiter // in-flight slot → its waiters' record
 }
 
-// centry is one cache slot. ready is set, together with out, under the
-// shard lock once the computation finishes; entries inserted complete
-// (putBatch) are ready from the start. done is made only when a second
-// goroutine has to wait on an in-flight entry, and closed when it
-// becomes ready, so an uncontended miss costs no channel. Waiters hold
-// the pointer, so eviction never races a fill. prev/next are the
-// shard's intrusive LRU links and same is its hash chain, all owned by
-// the shard lock; an evicted entry's links are cleared but the entry
-// stays valid for any waiter still holding it. Entries inserted by
-// putBatch live in a shared slab ([]centry), so an evicted slab member
-// keeps its slab reachable until every member is gone — acceptable,
-// because a batch's members enter together and age out of the LRU
-// together.
+// centry is one slab slot. A pending entry is in flight: its owner is
+// computing it and ans is not yet meaningful. The owner settles it
+// under the shard lock, either storing the answer or, on an error,
+// removing the entry. prev/next are the shard's LRU links and same is
+// its hash chain, all owned by the shard lock.
 type centry struct {
 	key        specKey
 	h          uint64 // key.hash(), the entry's idx key
-	done       chan struct{}
-	ready      bool
-	out        outcome
-	prev, next *centry
-	same       *centry // next entry with the same hash
+	ans        answer
+	prev, next int32
+	same       int32 // next slot with the same hash
+	pending    bool
+}
+
+// answer is the cached part of an outcome: its numbers. It holds no
+// problem, no machine name and no error; failures are never cached, and
+// the engine restores an allocation's problem and machine name from the
+// spec's own resolution (resolved.restore), which the cache key
+// determines.
+type answer struct {
+	procs                     int
+	area, cycleTime, speedup  float64
+	usedAll, single, interior bool
+	contArea                  float64
+	value                     float64
+	grid                      int
+	scaled                    core.ScaledPoint
+}
+
+// answerOf keeps the numbers of a successful outcome.
+func answerOf(o outcome) answer {
+	a := o.alloc
+	return answer{
+		procs: a.Procs, area: a.Area, cycleTime: a.CycleTime, speedup: a.Speedup,
+		usedAll: a.UsedAll, single: a.Single, interior: a.Interior,
+		contArea: a.ContinuousArea,
+		value:    o.value, grid: o.grid, scaled: o.scaled,
+	}
+}
+
+// outcome rebuilds the outcome an answer was kept from, less the
+// allocation's problem and machine name.
+func (a answer) outcome() outcome {
+	return outcome{
+		alloc: core.Allocation{
+			Procs: a.procs, Area: a.area, CycleTime: a.cycleTime, Speedup: a.speedup,
+			UsedAll: a.usedAll, Single: a.single, Interior: a.interior,
+			ContinuousArea: a.contArea,
+		},
+		value: a.value, grid: a.grid, scaled: a.scaled,
+	}
+}
+
+// waiter is the rendezvous for the goroutines waiting on one in-flight
+// entry: the owner stores its outcome in out, then closes done.
+type waiter struct {
+	done chan struct{}
+	out  outcome
 }
 
 func newCache(capacity int) *cache {
@@ -94,11 +159,12 @@ func newCache(capacity int) *cache {
 	if n > 1 {
 		per += per / 8
 	}
-	if per < 1 {
-		per = 1
-	}
-	// The index maps start empty and grow with residency, so a small
-	// sweep does not pay for buckets sized to the configured capacity.
+	// Slot numbers are int32; leave head-room for in-flight entries
+	// past capacity.
+	per = max(min(per, math.MaxInt32/2), 1)
+	// The slabs and index maps start empty and grow with residency, so
+	// a small sweep does not pay for storage sized to the configured
+	// capacity.
 	for i := range c.shards {
 		c.shards[i] = newCacheShard(per)
 	}
@@ -106,135 +172,200 @@ func newCache(capacity int) *cache {
 }
 
 func newCacheShard(capacity int) *cacheShard {
-	return &cacheShard{cap: capacity, idx: make(map[uint64]*centry)}
+	return &cacheShard{
+		cap: capacity, head: nilSlot, tail: nilSlot, free: nilSlot,
+		idx: make(map[uint64]int32),
+	}
 }
 
-// --- intrusive LRU and hash-chain plumbing (all under the shard lock) ---
+// --- slab, LRU and hash-chain plumbing (all under the shard lock) ---
 
-// pushFront links a fresh entry as most recently used.
-func (s *cacheShard) pushFront(e *centry) {
-	e.prev = nil
-	e.next = s.head
-	if s.head != nil {
-		s.head.prev = e
+// entry returns the entry in slot i.
+func (s *cacheShard) entry(i int32) *centry {
+	return &s.pages[i/pageLen][i%pageLen]
+}
+
+// alloc hands out a slot: a freed one if any, else the next unused
+// slot of the slab, adding a page when the last one is full.
+func (s *cacheShard) alloc() int32 {
+	if i := s.free; i != nilSlot {
+		s.free = s.entry(i).next
+		return i
 	}
-	s.head = e
-	if s.tail == nil {
-		s.tail = e
+	i := s.slots
+	if i%pageLen == 0 {
+		s.pages = append(s.pages, new([pageLen]centry))
+	}
+	s.slots++
+	return i
+}
+
+// pushFront links slot i as most recently used.
+func (s *cacheShard) pushFront(i int32) {
+	e := s.entry(i)
+	e.prev, e.next = nilSlot, s.head
+	if s.head != nilSlot {
+		s.entry(s.head).prev = i
+	}
+	s.head = i
+	if s.tail == nilSlot {
+		s.tail = i
 	}
 	s.n++
 }
 
-// unlink removes an entry from the LRU list without touching the index.
-func (s *cacheShard) unlink(e *centry) {
-	if e.prev != nil {
-		e.prev.next = e.next
+// unlink removes slot i from the LRU list without touching the index.
+func (s *cacheShard) unlink(i int32) {
+	e := s.entry(i)
+	if e.prev != nilSlot {
+		s.entry(e.prev).next = e.next
 	} else {
 		s.head = e.next
 	}
-	if e.next != nil {
-		e.next.prev = e.prev
+	if e.next != nilSlot {
+		s.entry(e.next).prev = e.prev
 	} else {
 		s.tail = e.prev
 	}
-	e.prev, e.next = nil, nil
 	s.n--
 }
 
-// moveToFront marks an entry most recently used.
-func (s *cacheShard) moveToFront(e *centry) {
-	if s.head == e {
+// moveToFront marks slot i most recently used.
+func (s *cacheShard) moveToFront(i int32) {
+	if s.head == i {
 		return
 	}
-	s.unlink(e)
-	s.pushFront(e)
+	s.unlink(i)
+	s.pushFront(i)
 }
 
-// find returns the resident entry for key, or nil.
-func (s *cacheShard) find(h uint64, key specKey) *centry {
-	for e := s.idx[h]; e != nil; e = e.same {
-		if e.key == key {
-			return e
+// chain returns the first slot of the hash chain for h, or nilSlot.
+func (s *cacheShard) chain(h uint64) int32 {
+	if i, ok := s.idx[h]; ok {
+		return i
+	}
+	return nilSlot
+}
+
+// find returns the slot of the resident entry for key, or nilSlot.
+func (s *cacheShard) find(h uint64, key specKey) int32 {
+	for i := s.chain(h); i != nilSlot; i = s.entry(i).same {
+		if s.entry(i).key == key {
+			return i
 		}
 	}
-	return nil
+	return nilSlot
 }
 
-// insert makes a fresh entry resident and most recently used, then
-// evicts down to capacity. The caller has checked that key is absent.
-func (s *cacheShard) insert(e *centry) {
-	e.same = s.idx[e.h]
-	s.idx[e.h] = e
-	s.pushFront(e)
-	s.evictOver()
+// insert makes key resident and most recently used, either settled
+// with answer a or pending, and returns its slot. A full shard first
+// evicts its least recently used settled entry, whose slot the new
+// entry then takes. The caller has checked that key is absent.
+func (s *cacheShard) insert(h uint64, key specKey, a answer, pending bool) int32 {
+	s.trim(s.cap - 1)
+	i := s.alloc()
+	*s.entry(i) = centry{key: key, h: h, ans: a, same: s.chain(h), pending: pending}
+	s.idx[h] = i
+	s.pushFront(i)
+	return i
 }
 
-// remove drops a resident entry from the LRU list and its hash chain.
-func (s *cacheShard) remove(e *centry) {
-	s.unlink(e)
-	if p := s.idx[e.h]; p == e {
-		if e.same == nil {
+// remove drops slot i from the LRU list and its hash chain and frees
+// the slot.
+func (s *cacheShard) remove(i int32) {
+	s.unlink(i)
+	e := s.entry(i)
+	if p := s.idx[e.h]; p == i {
+		if e.same == nilSlot {
 			delete(s.idx, e.h)
 		} else {
 			s.idx[e.h] = e.same
 		}
 	} else {
-		for p.same != e {
-			p = p.same
+		for s.entry(p).same != i {
+			p = s.entry(p).same
 		}
-		p.same = e.same
+		s.entry(p).same = e.same
 	}
-	e.same = nil
+	e.next, s.free = s.free, i
 }
 
-// evictOver drops least-recently-used entries until the shard is within
-// capacity.
-func (s *cacheShard) evictOver() {
-	for s.n > s.cap {
-		s.remove(s.tail)
-	}
-}
-
-// lookup returns key's resident entry, marked most recently used,
-// together with the channel to wait on before reading its outcome: nil
-// when the entry is ready, otherwise its done channel, made on this
-// first demand. A nil entry means a miss.
-func (s *cacheShard) lookup(h uint64, key specKey) (*centry, chan struct{}) {
-	e := s.find(h, key)
-	if e == nil {
-		return nil, nil
-	}
-	s.moveToFront(e)
-	if e.ready {
-		return e, nil
-	}
-	if e.done == nil {
-		e.done = make(chan struct{})
-	}
-	return e, e.done
-}
-
-// await returns e's outcome once done (nil for a ready entry) closes,
-// or ErrWaitCancelled if cancel closes first. Called without the lock:
-// out is immutable once the entry is ready.
-func await(cancel <-chan struct{}, e *centry, done chan struct{}) outcome {
-	if done != nil {
-		select {
-		case <-done:
-		case <-cancel:
-			return outcome{err: ErrWaitCancelled}
+// trim evicts least recently used settled entries until at most limit
+// remain, stepping over pinned in-flight entries.
+func (s *cacheShard) trim(limit int) {
+	for i := s.tail; s.n > limit && i != nilSlot; {
+		prev := s.entry(i).prev
+		if !s.entry(i).pending {
+			s.remove(i)
 		}
+		i = prev
 	}
-	return e.out
+}
+
+// lookup finds key's resident entry and marks it most recently used. A
+// settled entry's answer comes back at once; an in-flight one comes
+// back as the waiter record to block on, made on this first demand.
+func (s *cacheShard) lookup(h uint64, key specKey) (a answer, w *waiter, found bool) {
+	i := s.find(h, key)
+	if i == nilSlot {
+		return answer{}, nil, false
+	}
+	s.moveToFront(i)
+	if e := s.entry(i); !e.pending {
+		return e.ans, nil, true
+	}
+	if w = s.waiters[i]; w == nil {
+		if s.waiters == nil {
+			s.waiters = make(map[int32]*waiter)
+		}
+		w = &waiter{done: make(chan struct{})}
+		s.waiters[i] = w
+	}
+	return answer{}, w, true
+}
+
+// settle completes the in-flight entry in slot i with its owner's
+// outcome: waiters receive the outcome as it is, error included; a
+// success becomes the entry's answer, and a failure removes the entry.
+// The slot is still the owner's: in-flight entries are never evicted.
+func (s *cacheShard) settle(i int32, out outcome) {
+	if w := s.waiters[i]; w != nil {
+		w.out = out
+		close(w.done)
+		delete(s.waiters, i)
+	}
+	if out.err != nil {
+		s.remove(i)
+		return
+	}
+	e := s.entry(i)
+	e.ans, e.pending = answerOf(out), false
+	// The shard may have grown past capacity while this entry was
+	// pinned.
+	s.trim(s.cap)
+}
+
+// await returns the outcome w's owner settles, or ErrWaitCancelled if
+// cancel closes first. Called without the lock: w.out is immutable once
+// done is closed.
+func await(cancel <-chan struct{}, w *waiter) outcome {
+	select {
+	case <-w.done:
+		return w.out
+	case <-cancel:
+		return outcome{err: ErrWaitCancelled}
+	}
 }
 
 // getOrCompute returns the outcome for key, computing it with fn on a
 // miss. The bool reports whether the value came from the cache — either
 // an already-complete entry (a hit) or an in-flight computation by
-// another goroutine (coalesced); both avoid recomputation. A waiter
-// whose cancel channel closes before the in-flight computation finishes
-// gets ErrWaitCancelled instead of blocking past its context; fn itself
-// must not block on cancel (it is pure model evaluation).
+// another goroutine (coalesced); both avoid recomputation. A hit's
+// allocation lacks its problem and machine name (resolved.restore puts
+// them back). A waiter whose cancel channel closes before the in-flight
+// computation finishes gets ErrWaitCancelled instead of blocking past
+// its context; fn itself must not block on cancel (it is pure model
+// evaluation).
 func (c *cache) getOrCompute(cancel <-chan struct{}, key specKey, fn func() outcome) (outcome, bool) {
 	h := key.hash()
 	return c.shardFor(h).getOrCompute(cancel, h, key, fn)
@@ -247,29 +378,23 @@ func (c *cache) shardFor(h uint64) *cacheShard {
 
 func (s *cacheShard) getOrCompute(cancel <-chan struct{}, h uint64, key specKey, fn func() outcome) (outcome, bool) {
 	s.mu.Lock()
-	if e, done := s.lookup(h, key); e != nil {
+	if a, w, ok := s.lookup(h, key); ok {
 		s.mu.Unlock()
+		if w == nil {
+			return a.outcome(), true
+		}
 		// A failed computation is never "served from the cache":
 		// waiters that coalesced onto it get the error without the
-		// hit flag (the entry itself is removed below).
-		out := await(cancel, e, done)
+		// hit flag (settle removes the entry itself).
+		out := await(cancel, w)
 		return out, out.err == nil
 	}
-	e := &centry{key: key, h: h}
-	s.insert(e)
+	i := s.insert(h, key, answer{}, true)
 	s.mu.Unlock()
 
 	out := fn()
 	s.mu.Lock()
-	e.out, e.ready = out, true
-	if e.done != nil {
-		close(e.done)
-	}
-	// The entry may already have been evicted; only remove it if it is
-	// still the resident entry for its key.
-	if out.err != nil && s.find(h, key) == e {
-		s.remove(e)
-	}
+	s.settle(i, out)
 	s.mu.Unlock()
 	return out, false
 }
@@ -278,7 +403,9 @@ func (s *cacheShard) getOrCompute(cancel <-chan struct{}, h uint64, key specKey,
 // miss: the batched evaluation path probes its whole group first and
 // computes only the absentees in one pass. A resident in-flight entry
 // is waited on exactly like a getOrCompute hit (the waiter coalesces),
-// so peek honors cancel the same way. The bool reports residency.
+// so peek honors cancel the same way, and a settled entry's allocation
+// likewise lacks its problem and machine name. The bool reports
+// residency.
 func (c *cache) peek(cancel <-chan struct{}, key specKey) (outcome, bool) {
 	h := key.hash()
 	return c.shardFor(h).peek(cancel, h, key)
@@ -286,41 +413,31 @@ func (c *cache) peek(cancel <-chan struct{}, key specKey) (outcome, bool) {
 
 func (s *cacheShard) peek(cancel <-chan struct{}, h uint64, key specKey) (outcome, bool) {
 	s.mu.Lock()
-	e, done := s.lookup(h, key)
+	a, w, ok := s.lookup(h, key)
 	s.mu.Unlock()
-	if e == nil {
+	switch {
+	case !ok:
 		return outcome{}, false
+	case w != nil:
+		return await(cancel, w), true
 	}
-	return await(cancel, e, done), true
+	return a.outcome(), true
 }
 
-// putBatch inserts the successful members of one batched group in a
-// single slab: one []centry allocation covers every inserted entry, and
-// entries inserted complete need no done channel, so a 64-member procs
-// group costs one allocation instead of one per member. keys and outs
-// are parallel. Errored outcomes are skipped, so failures are never
-// cached, and an existing resident entry wins: it may have waiters.
+// putBatch inserts the successful members of one batched group as
+// settled entries. keys and outs are parallel. Errored outcomes are
+// skipped, so failures are never cached, and an existing resident entry
+// wins: it may have waiters.
 func (c *cache) putBatch(keys []specKey, outs []outcome) {
-	n := 0
-	for _, o := range outs {
-		if o.err == nil {
-			n++
-		}
-	}
-	if n == 0 {
-		return
-	}
-	slab := make([]centry, 0, n)
 	for i, o := range outs {
 		if o.err != nil {
 			continue
 		}
 		h := keys[i].hash()
-		slab = append(slab, centry{key: keys[i], h: h, ready: true, out: o})
 		s := c.shardFor(h)
 		s.mu.Lock()
-		if s.find(h, keys[i]) == nil {
-			s.insert(&slab[len(slab)-1])
+		if s.find(h, keys[i]) == nilSlot {
+			s.insert(h, keys[i], answerOf(o), false)
 		}
 		s.mu.Unlock()
 	}

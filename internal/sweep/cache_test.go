@@ -2,15 +2,16 @@ package sweep
 
 import (
 	"errors"
+	"reflect"
 	"runtime"
 	"testing"
 )
 
 // TestCacheHashCollision forces distinct keys onto one hash. The
 // shard's index is keyed by the hash alone, so it must chain colliding
-// entries and tell them apart by their full keys: on lookup, on
-// eviction from the middle of a chain, and on removal of a failed
-// computation.
+// slots and tell them apart by their full keys: on lookup, on eviction
+// from the middle of a chain (whose slot the next insert reuses), and on
+// removal of a failed computation.
 func TestCacheHashCollision(t *testing.T) {
 	const h = 0x5eed
 	keys := []specKey{{n: 1}, {n: 2}, {n: 3}}
@@ -28,19 +29,34 @@ func TestCacheHashCollision(t *testing.T) {
 	if s.n != 3 || len(s.idx) != 1 {
 		t.Fatalf("%d resident entries under %d hashes, want 3 under 1", s.n, len(s.idx))
 	}
+	// The chain runs from the newest slot to the oldest: 2 → 1 → 0.
+	slot := make([]int32, len(keys))
+	for i, k := range keys {
+		slot[i] = s.find(h, k)
+	}
+	if s.idx[h] != slot[2] || s.entry(slot[2]).same != slot[1] ||
+		s.entry(slot[1]).same != slot[0] || s.entry(slot[0]).same != nilSlot {
+		t.Fatalf("hash chain from %d: slots %v, want newest first", s.idx[h], slot)
+	}
 	for i, k := range keys {
 		if out, hit := get(s, h, k, outcome{grid: -1}); !hit || out.grid != value(i) {
 			t.Fatalf("key %d: got grid %d hit=%t, want its own grid %d from the cache", i, out.grid, hit, value(i))
 		}
 	}
 
-	// The chain is keys[2] → keys[1] → keys[0]. Touch keys[0] so the
-	// middle entry is least recently used, then evict it with an
-	// insert under another hash.
+	// Touch keys[0] so the middle entry is least recently used, then
+	// evict it with an insert under another hash, which takes its slot.
 	s.peek(nil, h, keys[0])
-	get(s, h+1, specKey{n: 4}, outcome{grid: 4})
+	other := specKey{n: 4}
+	get(s, h+1, other, outcome{grid: 4})
 	if _, ok := s.peek(nil, h, keys[1]); ok {
 		t.Fatal("evicted key still found")
+	}
+	if got := s.find(h+1, other); got != slot[1] {
+		t.Fatalf("the insert took slot %d, want the evicted slot %d", got, slot[1])
+	}
+	if s.idx[h] != slot[2] || s.entry(slot[2]).same != slot[0] || s.entry(slot[0]).same != nilSlot {
+		t.Fatal("eviction from the middle of the chain did not splice it")
 	}
 	for _, i := range []int{0, 2} {
 		if out, ok := s.peek(nil, h, keys[i]); !ok || out.grid != value(i) {
@@ -50,7 +66,7 @@ func TestCacheHashCollision(t *testing.T) {
 
 	// While keys[0] is in flight, keys[1] fails under the same hash
 	// and is dropped, and keys[0] stays resident; then keys[0] fails
-	// too, which must leave the shard empty.
+	// too, which must leave the shard empty with both slots free.
 	s = newCacheShard(2)
 	boom := errors.New("boom")
 	out, _ := s.getOrCompute(nil, h, keys[0], func() outcome {
@@ -59,10 +75,10 @@ func TestCacheHashCollision(t *testing.T) {
 		}
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		if s.find(h, keys[1]) != nil {
+		if s.find(h, keys[1]) != nilSlot {
 			t.Error("failed outcome was cached")
 		}
-		if s.find(h, keys[0]) == nil {
+		if s.find(h, keys[0]) == nilSlot {
 			t.Error("in-flight key lost when a colliding key failed")
 		}
 		return outcome{err: boom}
@@ -70,16 +86,126 @@ func TestCacheHashCollision(t *testing.T) {
 	if out.err != boom {
 		t.Fatalf("got %+v, want the computation's error", out)
 	}
-	if s.n != 0 || len(s.idx) != 0 || s.head != nil || s.tail != nil {
+	if s.n != 0 || len(s.idx) != 0 || s.head != nilSlot || s.tail != nilSlot {
 		t.Fatalf("shard not empty after both keys failed: n=%d idx=%d", s.n, len(s.idx))
 	}
+	free := 0
+	for i := s.free; i != nilSlot; i = s.entry(i).next {
+		free++
+	}
+	if free != int(s.slots) || free != 2 {
+		t.Fatalf("%d free slots of %d handed out, want 2 of 2", free, s.slots)
+	}
+}
+
+// TestCachePendingEntryPinned fills a one-slot shard with an in-flight
+// entry. Inserts past it must neither evict it nor reuse its slot, its
+// waiter must receive the owner's outcome as it is, error included, an
+// error must not be cached, and once the entry settles the shard must
+// shrink back to its capacity.
+func TestCachePendingEntryPinned(t *testing.T) {
+	const h = 0x5eed
+	pendKey, other, third := specKey{n: 1}, specKey{n: 2}, specKey{n: 3}
+	type got struct {
+		out outcome
+		hit bool
+	}
+	for _, fail := range []bool{false, true} {
+		want := outcome{grid: 7}
+		if fail {
+			want = outcome{err: errors.New("boom")}
+		}
+		s := newCacheShard(1)
+		started, release := make(chan struct{}), make(chan struct{})
+		owner, waiter := make(chan got, 1), make(chan got, 1)
+		go func() {
+			out, hit := s.getOrCompute(nil, h, pendKey, func() outcome {
+				close(started)
+				<-release
+				return want
+			})
+			owner <- got{out, hit}
+		}()
+		<-started
+
+		s.mu.Lock()
+		pend := s.find(h, pendKey)
+		s.insert(h+1, other, answer{grid: 2}, false)
+		s.insert(h+2, third, answer{grid: 3}, false)
+		if s.find(h, pendKey) != pend || !s.entry(pend).pending || s.tail != pend {
+			t.Fatalf("fail=%t: the in-flight entry was evicted or moved", fail)
+		}
+		if i := s.find(h+2, third); i == pend || s.find(h+1, other) != nilSlot || s.n != 2 {
+			t.Fatalf("fail=%t: n=%d, third in slot %d (pinned %d); want the settled entry evicted, not the pinned one",
+				fail, s.n, i, pend)
+		}
+		s.mu.Unlock()
+
+		go func() {
+			out, hit := s.getOrCompute(nil, h, pendKey, func() outcome {
+				t.Error("a waiter recomputed an in-flight key")
+				return outcome{}
+			})
+			waiter <- got{out, hit}
+		}()
+		for registered := false; !registered; {
+			s.mu.Lock()
+			registered = s.waiters[pend] != nil
+			s.mu.Unlock()
+			runtime.Gosched()
+		}
+		close(release)
+		o, w := <-owner, <-waiter
+		if o.hit || o.out.grid != want.grid || o.out.err != want.err {
+			t.Fatalf("fail=%t: owner got %+v hit=%t, want %+v", fail, o.out, o.hit, want)
+		}
+		if w.hit == fail || w.out.grid != want.grid || w.out.err != want.err {
+			t.Fatalf("fail=%t: waiter got %+v hit=%t, want the owner's %+v", fail, w.out, w.hit, want)
+		}
+
+		s.mu.Lock()
+		if len(s.waiters) != 0 {
+			t.Errorf("fail=%t: %d waiter records left", fail, len(s.waiters))
+		}
+		cached := s.find(h, pendKey) != nilSlot
+		if cached == fail || s.n != 1 {
+			t.Errorf("fail=%t: cached=%t with %d resident, want cached=%t and 1 resident", fail, cached, s.n, !fail)
+		}
+		s.mu.Unlock()
+	}
+}
+
+// TestCacheEntryHoldsNoPointers walks the slab entry's type: a pointer,
+// string, interface, slice, map, chan or func anywhere in it would make
+// every slab page a scanned object, and the index must stay a map the
+// collector does not scan either.
+func TestCacheEntryHoldsNoPointers(t *testing.T) {
+	var walk func(path string, typ reflect.Type)
+	walk = func(path string, typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				f := typ.Field(i)
+				walk(path+"."+f.Name, f.Type)
+			}
+		case reflect.Array:
+			walk(path+"[]", typ.Elem())
+		case reflect.Pointer, reflect.UnsafePointer, reflect.String, reflect.Interface,
+			reflect.Slice, reflect.Map, reflect.Chan, reflect.Func:
+			t.Errorf("%s is a %s: the collector would scan the cache", path, typ.Kind())
+		}
+	}
+	walk("centry", reflect.TypeOf(centry{}))
+	idx := reflect.TypeOf(cacheShard{}.idx)
+	walk("idx key", idx.Key())
+	walk("idx value", idx.Elem())
 }
 
 // TestCacheMissAllocBudget pins the getOrCompute path's allocations. A
 // cold miss on a full cache, which inserts one entry and evicts
-// another, allocates the entry and nothing else: no wait channel, since
-// nobody waits on it, and no index growth once the cache is full. A hit
-// allocates nothing.
+// another, allocates nothing: the new entry takes the evicted entry's
+// slot, nobody waits on it, so no waiter record is made, and the index
+// stops growing once the cache is full. A hit allocates nothing.
 func TestCacheMissAllocBudget(t *testing.T) {
 	c := newCache(1024)
 	fn := func() outcome { return outcome{value: 1} }
@@ -91,8 +217,8 @@ func TestCacheMissAllocBudget(t *testing.T) {
 	for i := 0; i < 4096; i++ {
 		miss()
 	}
-	if got := testing.AllocsPerRun(2000, miss); got != 1 {
-		t.Errorf("a cold miss on a full cache allocates %.3f objects, want exactly 1 (the entry)", got)
+	if got := testing.AllocsPerRun(2000, miss); got != 0 {
+		t.Errorf("a cold miss on a full cache allocates %.3f objects, want 0", got)
 	}
 	hot := specKey{n: next}
 	if got := testing.AllocsPerRun(2000, func() { c.getOrCompute(nil, hot, fn) }); got != 0 {
@@ -120,7 +246,7 @@ func TestCacheEntryFootprint(t *testing.T) {
 	runtime.KeepAlive(c)
 	per := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / float64(resident)
 	t.Logf("%d resident entries, %.0f B of heap each", resident, per)
-	if per > 400 {
-		t.Errorf("a resident cache entry costs %.0f B of heap, budget is 400", per)
+	if per > 320 {
+		t.Errorf("a resident cache entry costs %.0f B of heap, budget is 320", per)
 	}
 }

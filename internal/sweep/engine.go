@@ -21,9 +21,10 @@ type Options struct {
 // DefaultCacheSize is the LRU capacity used when Options.CacheSize is 0.
 // It matches the service's default per-request sweep limit, so a single
 // maximum-size sweep fits in cache and an identical repeat is answered
-// entirely from it. A resident entry costs about 350 bytes of heap,
-// its index slot included (TestCacheEntryFootprint holds it to 400), so
-// the full cache, 73,728 entries with its shard slack, is about 26 MB.
+// entirely from it. A resident entry costs about 266 bytes of heap,
+// its index slot included (TestCacheEntryFootprint holds it to 320), so
+// the full cache, 73,728 entries with its shard slack, is about 20 MB,
+// none of which the garbage collector scans.
 const DefaultCacheSize = 65536
 
 // Engine evaluates spec lists and spaces on a worker pool with
@@ -197,7 +198,7 @@ func putSpecs(s []Spec) {
 
 // groupScratch holds the per-group working slices of the batched
 // procs path, pooled so a steady stream of groups allocates nothing
-// beyond the cache slab per group.
+// for them.
 type groupScratch struct {
 	missIdx []int
 	procs   []int
@@ -270,9 +271,22 @@ func (e *Engine) evalResolved(cancel <-chan struct{}, s Spec, r resolved, rerr e
 		}
 		if hit {
 			e.hits.Add(1)
+			out = r.restore(out)
 		}
 		return out, hit
 	}
+}
+
+// restore puts back the problem and machine name of an allocation
+// answered from the cache, which keeps only its numbers. The cache key
+// holds n, the stencil, the shape and the canonical machine, so this
+// spec's resolution determines both. core.Optimize never answers with
+// zero processors, and the other ops carry no allocation.
+func (r resolved) restore(out outcome) outcome {
+	if out.alloc.Procs != 0 {
+		out.alloc.Problem, out.alloc.Arch = r.problem, r.arch.Name()
+	}
+	return out
 }
 
 // Evaluate answers a single spec, consulting and filling the cache.
@@ -548,11 +562,11 @@ func (e *Engine) streamBatched(ctx context.Context, batch batchFunc, groupLen in
 // chunk. It returns nil if the caller's cancel fired while probing or
 // computing; otherwise a chunk with one Result per member. Cache hits
 // are served individually; the misses share one batched computation
-// under a single semaphore slot and are inserted into the cache as one
-// slab (putBatch) so later sweeps hit. All per-group working slices
-// come from the scratch pool, so a steady stream of groups costs one
-// allocation per group — the cache slab — plus whatever the batch
-// evaluator builds internally.
+// under a single semaphore slot and are inserted into the cache
+// (putBatch) so later sweeps hit. All per-group working slices come
+// from the scratch pool, and a full cache reuses evicted slots, so a
+// steady stream of groups allocates only what the batch evaluator
+// builds internally.
 func (e *Engine) evalBatchGroup(cancel <-chan struct{}, batch batchFunc, specs []Spec, pre []preResolved, base int) *Chunk {
 	c := getChunk(len(specs))
 	rs := c.Results[:len(specs)]

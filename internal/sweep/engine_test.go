@@ -181,35 +181,48 @@ func TestCoalescedErrorNotAHit(t *testing.T) {
 
 func TestRunMatchesDirectOptimize(t *testing.T) {
 	e := New(Options{Workers: 4})
-	specs := testSpace().Expand()
-	results, err := e.Run(context.Background(), specs)
-	if err != nil {
-		t.Fatal(err)
+	sp := testSpace()
+	sp.Machines = []core.MachineSpec{
+		{Type: "sync-bus"}, {Type: "async-bus"}, {Type: "full-async-bus"},
+		{Type: "hypercube"}, {Type: "mesh"}, {Type: "banyan"},
 	}
-	if len(results) != len(specs) {
-		t.Fatalf("got %d results, want %d", len(results), len(specs))
-	}
-	for i, r := range results {
-		if r.Index != i {
-			t.Fatalf("result %d has index %d: ordering broken", i, r.Index)
-		}
-		if r.Err != nil {
-			t.Fatalf("spec %d: %v", i, r.Err)
-		}
-		p, err := r.Spec.Problem()
+	specs := sp.Expand()
+	// The first run computes every answer; the second is answered from
+	// the cache, which keeps only an allocation's numbers, so its
+	// problem and machine name must come back exactly as computed.
+	for run, wantHit := range []bool{false, true} {
+		results, err := e.Run(context.Background(), specs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		arch, err := r.Spec.Machine.Machine()
-		if err != nil {
-			t.Fatal(err)
+		if len(results) != len(specs) {
+			t.Fatalf("got %d results, want %d", len(results), len(specs))
 		}
-		want, err := core.Optimize(p, arch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(r.Alloc, want) {
-			t.Fatalf("spec %d: engine alloc %+v != direct %+v", i, r.Alloc, want)
+		for i, r := range results {
+			if r.Index != i {
+				t.Fatalf("result %d has index %d: ordering broken", i, r.Index)
+			}
+			if r.Err != nil {
+				t.Fatalf("spec %d: %v", i, r.Err)
+			}
+			if r.CacheHit != wantHit {
+				t.Fatalf("run %d, spec %d: cache_hit %t, want %t", run, i, r.CacheHit, wantHit)
+			}
+			p, err := r.Spec.Problem()
+			if err != nil {
+				t.Fatal(err)
+			}
+			arch, err := r.Spec.Machine.Machine()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := core.Optimize(p, arch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(r.Alloc, want) {
+				t.Fatalf("run %d, spec %d: engine alloc %+v != direct %+v", run, i, r.Alloc, want)
+			}
 		}
 	}
 }
