@@ -65,29 +65,9 @@ const (
 // Request is the work one dispatch call evaluates — the same
 // specs-or-space pair the jobs layer routes. Exactly one of the fields
 // should be set; a Space keeps its Cartesian structure so shards stay
-// sub-spaces.
-type Request struct {
-	Specs []sweep.Spec
-	Space *sweep.Space
-}
-
-// size returns the request's spec count (MaxInt for overflowing
-// spaces, which the engine rejects downstream).
-func (r Request) size() int {
-	if r.Space != nil {
-		return r.Space.Size()
-	}
-	return len(r.Specs)
-}
-
-// specAt returns the request's spec at index i, decoding a space
-// position rather than expanding the space.
-func (r Request) specAt(i int) sweep.Spec {
-	if r.Space != nil {
-		return r.Space.At(i)
-	}
-	return r.Specs[i]
-}
+// sub-spaces. Size is MaxInt for an overflowing space, which the engine
+// rejects downstream.
+type Request = sweep.Batch
 
 // ShardDone reports one shard's completion to the progress callback.
 type ShardDone struct {
@@ -377,7 +357,7 @@ func (d *Dispatcher) ShardSize() int { return d.shardSize }
 // shard is one unit of scatter work: a contiguous slice of the
 // request's spec order, as a sub-space or an explicit spec list. The
 // plan is the one source of which spec each shard-local index
-// answers: work.specAt names it for peer results and fallbacks alike.
+// answers: work.At names it for peer results and fallbacks alike.
 type shard struct {
 	index int // position in submission order
 	start int // global index of the shard's first spec
@@ -457,7 +437,7 @@ func (d *Dispatcher) scatterWidth() int {
 // shard (from the shard's own goroutine; implementations must be
 // thread-safe).
 func (d *Dispatcher) Open(ctx context.Context, req Request, onShard func(ShardDone)) (Opened, error) {
-	if !d.Distributed() || req.size() <= d.shardSize {
+	if !d.Distributed() || req.Size() <= d.shardSize {
 		return d.openLocal(ctx, req)
 	}
 	shards := d.plan(req)
@@ -514,7 +494,7 @@ func (d *Dispatcher) Open(ctx context.Context, req Request, onShard func(ShardDo
 			}
 		}
 	}()
-	return Opened{Chunks: out, Total: req.size(), Shards: len(shards)}, nil
+	return Opened{Chunks: out, Total: req.Size(), Shards: len(shards)}, nil
 }
 
 // emitChunks slices one shard's ordered results into pooled chunks and
@@ -799,7 +779,7 @@ func (d *Dispatcher) evalLocal(ctx context.Context, sh shard) ([]sweep.Result, e
 	if err != nil {
 		return nil, err
 	}
-	results, err := d.engine.Collect(ctx, opened.Chunks, opened.Total, sh.work.specAt)
+	results, err := d.engine.Collect(ctx, opened.Chunks, sh.work)
 	if err != nil {
 		return nil, err
 	}
@@ -897,5 +877,5 @@ func (d *Dispatcher) Run(ctx context.Context, req Request) ([]sweep.Result, erro
 	if err != nil {
 		return nil, err
 	}
-	return d.engine.Collect(ctx, opened.Chunks, opened.Total, req.specAt)
+	return d.engine.Collect(ctx, opened.Chunks, req)
 }

@@ -67,19 +67,18 @@ type wireLine struct {
 // on the coordinator reproduces the peer's bytes — the property the
 // distributed-equivalence golden test pins end to end.
 func resultFromWire(s sweep.Spec, w *wireResult) sweep.Result {
-	r := sweep.Result{
+	r := sweep.Result{Spec: s, Answer: sweep.Answer{
 		Index:    w.Index,
-		Spec:     s,
 		CacheHit: w.CacheHit,
 		Value:    w.Value,
 		Grid:     w.Grid,
-	}
+	}}
 	if w.Error != "" {
 		r.Err = errors.New(w.Error)
 		return r
 	}
 	if w.Procs > 0 {
-		r.Alloc = core.Allocation{
+		r.Alloc = sweep.Alloc{
 			Procs:     w.Procs,
 			Area:      w.Area,
 			CycleTime: w.CycleTime,
@@ -168,7 +167,7 @@ func (d *Dispatcher) fetchShard(ctx context.Context, peer *peerState, sh shard, 
 			if local < 0 || local >= sh.size {
 				return fmt.Errorf("dispatch: shard index %d out of range [0, %d)", local, sh.size)
 			}
-			r := resultFromWire(sh.work.specAt(local), &wire)
+			r := resultFromWire(sh.work.At(local), &wire)
 			r.Index += sh.start
 			// Duplicate deliveries are dropped here, not errored:
 			// first delivery wins and progress is counted once.

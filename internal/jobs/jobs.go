@@ -99,11 +99,12 @@ type Request struct {
 // Size is the request's estimated evaluation cost in specs — the
 // admission-control cost estimate (saturating for overflowing spaces,
 // which validation rejects upstream).
-func (r Request) Size() int {
-	if r.Space != nil {
-		return r.Space.Size()
-	}
-	return len(r.Specs)
+func (r Request) Size() int { return r.work().Size() }
+
+// work is the request's spec list or space, the batch every stored
+// answer's Index points into.
+func (r Request) work() sweep.Batch {
+	return sweep.Batch{Specs: r.Specs, Space: r.Space}
 }
 
 // Snapshot is a point-in-time copy of a job's externally visible state.
@@ -126,18 +127,22 @@ type Snapshot struct {
 	TraceID string
 }
 
-// SlabSize is the fixed capacity of one result slab. It equals
+// SlabSize is the capacity of one result slab. It equals
 // DefaultPageSize by construction, so a default-size cursor page is
 // exactly one slab subslice.
 const SlabSize = 256
 
 // Job is one tracked evaluation. All fields behind mu; results grow in
-// completion order into append-only fixed-size slabs: a million-result
-// job costs O(results/SlabSize) allocations instead of the amortized
-// doubling copies of one flat slice, cursor reads hand out subslices of
-// filled slab prefixes without copying (append-only means a handed-out
-// subslice is never rewritten), and eviction or TTL expiry frees whole
-// slabs at once with the job.
+// completion order into append-only slabs of SlabSize answers: a
+// million-result job costs O(results/SlabSize) allocations instead of
+// the amortized doubling copies of one flat slice, cursor reads hand out
+// subslices of filled slab prefixes without copying (append-only means a
+// handed-out subslice is never rewritten), and eviction or TTL expiry
+// frees whole slabs at once with the job. A slab holds answers only
+// (sweep.Answer, 128 bytes): each result's spec is the request's spec at
+// its Index, so the request the job retains names it. The last slab is
+// made no larger than the results still due (progress.Total minus
+// count), so a 128-result job holds 16 KB of slab, not 32.
 type Job struct {
 	id        string
 	kind      Kind
@@ -155,7 +160,7 @@ type Job struct {
 	finished        time.Time
 	expires         time.Time // zero until terminal
 	progress        Progress
-	slabs           [][]sweep.Result // each cap SlabSize; only the last is unfilled
+	slabs           [][]sweep.Answer // slab i holds results [i*SlabSize, (i+1)*SlabSize)
 	count           int              // total stored results
 	reason          string
 }
@@ -237,36 +242,51 @@ func (j *Job) shardDone(d dispatch.ShardDone) {
 	j.mu.Unlock()
 }
 
-// appendChunk copies one streamed chunk of results into the slabs and
-// updates the live counters under a single lock. The chunk's backing
-// buffer belongs to the engine's pool and is recycled by the caller
-// right after this returns, which is safe exactly because the results
-// are copied here — the slabs are the job's own storage.
+// appendChunk copies the answers of one streamed chunk of results into
+// the slabs and updates the live counters under a single lock. The
+// chunk's backing buffer belongs to the engine's pool and is recycled by
+// the caller right after this returns, which is safe exactly because
+// the answers are copied here — the slabs are the job's own storage.
 func (j *Job) appendChunk(rs []sweep.Result) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	for _, r := range rs {
-		j.progress.Completed++
-		switch {
-		case r.Err != nil:
-			j.progress.Errors++
-		case r.CacheHit:
-			j.progress.CacheHits++
-		}
+	for i := range rs {
+		j.add(&rs[i].Answer)
 	}
-	for len(rs) > 0 {
-		if len(j.slabs) == 0 || len(j.slabs[len(j.slabs)-1]) == SlabSize {
-			j.slabs = append(j.slabs, make([]sweep.Result, 0, SlabSize))
-		}
-		last := len(j.slabs) - 1
-		n := SlabSize - len(j.slabs[last])
-		if n > len(rs) {
-			n = len(rs)
-		}
-		j.slabs[last] = append(j.slabs[last], rs[:n]...)
-		rs = rs[n:]
-		j.count += n
+}
+
+// appendAnswers is appendChunk for answers replayed from the durable
+// store.
+func (j *Job) appendAnswers(as []sweep.Answer) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	for i := range as {
+		j.add(&as[i])
 	}
+}
+
+// add stores one answer and counts it. A result that starts a slab
+// makes the slab, sized to the results still due; should more arrive
+// than progress.Total promised, append grows the short slab, and the
+// pages already handed out keep the old array. Caller holds j.mu.
+func (j *Job) add(a *sweep.Answer) {
+	j.progress.Completed++
+	switch {
+	case a.Err != nil:
+		j.progress.Errors++
+	case a.CacheHit:
+		j.progress.CacheHits++
+	}
+	if j.count%SlabSize == 0 {
+		size := SlabSize
+		if due := j.progress.Total - j.count; due > 0 && due < size {
+			size = due
+		}
+		j.slabs = append(j.slabs, make([]sweep.Answer, 0, size))
+	}
+	last := len(j.slabs) - 1
+	j.slabs[last] = append(j.slabs[last], *a)
+	j.count++
 }
 
 // page returns the stored results in [cursor, cursor+limit). A page
@@ -278,7 +298,7 @@ func (j *Job) appendChunk(rs []sweep.Result) {
 // page). A larger limit spans slabs and is stitched into a fresh
 // slice, preserving the exact limit semantics pre-slab clients were
 // written against. Caller holds j.mu.
-func (j *Job) page(cursor, limit int) []sweep.Result {
+func (j *Job) page(cursor, limit int) []sweep.Answer {
 	end := cursor + limit
 	if end > j.count {
 		end = j.count
@@ -290,7 +310,7 @@ func (j *Job) page(cursor, limit int) []sweep.Result {
 	if boundary := (si + 1) * SlabSize; end <= boundary {
 		return j.slabs[si][off : off+(end-cursor)]
 	}
-	out := make([]sweep.Result, 0, end-cursor)
+	out := make([]sweep.Answer, 0, end-cursor)
 	for cursor < end {
 		si, off = cursor/SlabSize, cursor%SlabSize
 		stop := end - si*SlabSize

@@ -28,8 +28,9 @@ type PersistedJob struct {
 	// Request is the submitted work, retained so a job that was still
 	// pending at crash time can be re-dispatched through the engine.
 	Request Request
-	// Results are the stored results in completion order.
-	Results []sweep.Result
+	// Results are the stored answers in completion order; each names its
+	// spec by Index into Request.
+	Results []sweep.Answer
 }
 
 // Persister receives every job lifecycle transition as it is applied to
@@ -80,7 +81,7 @@ func (j *Job) persisted() PersistedJob {
 		Request:         j.req,
 	}
 	if j.count > 0 {
-		out := make([]sweep.Result, 0, j.count)
+		out := make([]sweep.Answer, 0, j.count)
 		for _, slab := range j.slabs {
 			out = append(out, slab...)
 		}

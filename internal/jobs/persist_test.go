@@ -106,9 +106,11 @@ func TestPersisterSeesFullLifecycle(t *testing.T) {
 // recovered, with its exact result sequence paged back.
 func TestRecoverTerminalJob(t *testing.T) {
 	now := time.Unix(1_000_000, 0)
-	results := make([]sweep.Result, 10)
+	specs := make([]sweep.Spec, 10)
+	results := make([]sweep.Answer, 10)
 	for i := range results {
-		results[i] = sweep.Result{Index: i, Spec: sweep.Spec{N: 64 + i, Stencil: "5-point", Shape: "square"}, Value: float64(i)}
+		specs[i] = sweep.Spec{N: 64 + i, Stencil: "5-point", Shape: "square"}
+		results[i] = sweep.Answer{Index: i, Value: float64(i)}
 	}
 	st := newTestStore(t, Options{
 		TTL:        time.Hour,
@@ -117,7 +119,8 @@ func TestRecoverTerminalJob(t *testing.T) {
 		Recovered: []PersistedJob{{
 			ID: "term1", Kind: KindSweep, State: StateSucceeded,
 			Created: now.Add(-3 * time.Minute), Started: now.Add(-2 * time.Minute),
-			Finished: now.Add(-time.Minute), Total: 10, Results: results,
+			Finished: now.Add(-time.Minute), Total: 10,
+			Request: Request{Kind: KindSweep, Specs: specs}, Results: results,
 		}},
 	})
 	snap, err := st.Get("term1")
@@ -138,8 +141,8 @@ func TestRecoverTerminalJob(t *testing.T) {
 		t.Fatalf("recovered page: %d results, done %v", len(page.Results), page.Done)
 	}
 	for i, r := range page.Results {
-		if r.Index != i || r.Value != float64(i) {
-			t.Fatalf("result %d: %+v", i, r)
+		if r.Index != i || r.Value != float64(i) || page.Work.At(r.Index) != specs[i] {
+			t.Fatalf("result %d: %+v, spec %+v", i, r, page.Work.At(r.Index))
 		}
 	}
 }
@@ -169,7 +172,8 @@ func TestRecoverExpiredTerminalDropped(t *testing.T) {
 func TestRecoverMidFlightJob(t *testing.T) {
 	now := time.Unix(1_000_000, 0)
 	p := newRecordingPersister()
-	partial := []sweep.Result{{Index: 0, Spec: sweep.Spec{N: 64, Stencil: "5-point", Shape: "strip"}, Value: 2}}
+	req := Request{Kind: KindSweep, Space: smallSpace()}
+	partial := []sweep.Answer{{Index: 1, Value: 2}}
 	st := newTestStore(t, Options{
 		TTL:              time.Hour,
 		GCInterval:       time.Hour,
@@ -178,7 +182,8 @@ func TestRecoverMidFlightJob(t *testing.T) {
 		SnapshotInterval: -1,
 		Recovered: []PersistedJob{
 			{ID: "flight", Kind: KindSweep, State: StateRunning,
-				Created: now.Add(-time.Minute), Started: now.Add(-time.Minute), Total: 50, Results: partial},
+				Created: now.Add(-time.Minute), Started: now.Add(-time.Minute), Total: 50,
+				Request: req, Results: partial},
 			{ID: "flightcx", Kind: KindSweep, State: StateRunning, CancelRequested: true,
 				Created: now.Add(-time.Minute), Started: now.Add(-time.Minute), Total: 50},
 		},
@@ -194,7 +199,7 @@ func TestRecoverMidFlightJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(page.Results) != 1 || page.Results[0].Value != 2 {
+	if len(page.Results) != 1 || page.Results[0].Value != 2 || page.Work.At(1) != req.Space.At(1) {
 		t.Fatalf("partial results lost: %+v", page.Results)
 	}
 	// A cancel requested before the crash wins over the restart failure.
@@ -347,7 +352,7 @@ func TestPagesSurviveRelease(t *testing.T) {
 		t.Fatalf("held page changed length after eviction: %d -> %d", wantLen, len(held))
 	}
 	for i, r := range held {
-		if r.Spec.Stencil == "" {
+		if r.Value == 0 {
 			t.Fatalf("held page result %d zeroed after eviction: %+v", i, r)
 		}
 	}

@@ -3,6 +3,7 @@ package jobs
 import (
 	"testing"
 	"time"
+	"unsafe"
 
 	"optspeed/internal/core"
 	"optspeed/internal/sweep"
@@ -18,15 +19,14 @@ func TestSlabAppendAllocBudget(t *testing.T) {
 	chunk := make([]sweep.Result, 64)
 	for i := range chunk {
 		chunk[i] = sweep.Result{
-			Index: i,
 			Spec: sweep.Spec{N: 256, Stencil: "5-point", Shape: "square",
 				Machine: core.MachineSpec{Type: "sync-bus"}},
-			Value: float64(i),
+			Answer: sweep.Answer{Index: i, Value: float64(i)},
 		}
 	}
 	// Each run appends SlabSize results in engine-sized chunks; the
 	// budget is 2: the slab, plus the occasional doubling of the outer
-	// [][]Result index.
+	// [][]Answer index.
 	allocs := testing.AllocsPerRun(64, func() {
 		for k := 0; k < SlabSize/len(chunk); k++ {
 			j.appendChunk(chunk)
@@ -44,11 +44,7 @@ func TestSlabAppendAllocBudget(t *testing.T) {
 func TestSlabPagesAreSubslices(t *testing.T) {
 	j := newJob(KindSweep, time.Unix(0, 0), func() {})
 	j.start(time.Unix(0, 0), 1000)
-	rs := make([]sweep.Result, 1000)
-	for i := range rs {
-		rs[i] = sweep.Result{Index: i, Value: float64(i)}
-	}
-	j.appendChunk(rs)
+	j.appendAnswers(answers(0, 1000))
 
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -102,11 +98,7 @@ func TestSlabPagesAreSubslices(t *testing.T) {
 func TestPageStableUnderConcurrentAppend(t *testing.T) {
 	j := newJob(KindSweep, time.Unix(0, 0), func() {})
 	j.start(time.Unix(0, 0), 2*SlabSize)
-	first := make([]sweep.Result, 100)
-	for i := range first {
-		first[i] = sweep.Result{Index: i, Value: float64(i)}
-	}
-	j.appendChunk(first)
+	j.appendAnswers(answers(0, 100))
 	j.mu.Lock()
 	page := j.page(0, 100)
 	j.mu.Unlock()
@@ -114,11 +106,11 @@ func TestPageStableUnderConcurrentAppend(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		rest := make([]sweep.Result, SlabSize)
+		rest := answers(100, SlabSize)
 		for i := range rest {
-			rest[i] = sweep.Result{Index: 100 + i, Value: -1}
+			rest[i].Value = -1
 		}
-		j.appendChunk(rest)
+		j.appendAnswers(rest)
 	}()
 	for i, r := range page {
 		if r.Index != i || r.Value != float64(i) {
@@ -129,6 +121,90 @@ func TestPageStableUnderConcurrentAppend(t *testing.T) {
 	for i, r := range page {
 		if r.Index != i || r.Value != float64(i) {
 			t.Fatalf("page mutated after append at %d: %+v", i, r)
+		}
+	}
+}
+
+// answers returns n answers with indices from..from+n-1, each valued
+// at its index.
+func answers(from, n int) []sweep.Answer {
+	out := make([]sweep.Answer, n)
+	for i := range out {
+		out[i] = sweep.Answer{Index: from + i, Value: float64(from + i)}
+	}
+	return out
+}
+
+// TestJobResultFootprint pins what a stored result costs: an answer
+// fits in 128 bytes, and a job's last slab is sized to the results
+// still due, so a completed 128-result job holds 128 answers of slab
+// (16 KB), not a full SlabSize slab (32 KB).
+func TestJobResultFootprint(t *testing.T) {
+	if size := unsafe.Sizeof(sweep.Answer{}); size > 128 {
+		t.Errorf("sweep.Answer is %d bytes, budget is 128", size)
+	}
+	slabBytes := func(j *Job) int {
+		j.mu.Lock()
+		defer j.mu.Unlock()
+		n := 0
+		for _, slab := range j.slabs {
+			n += cap(slab) * int(unsafe.Sizeof(sweep.Answer{}))
+		}
+		return n
+	}
+	j := newJob(KindSweep, time.Unix(0, 0), func() {})
+	j.start(time.Unix(0, 0), 128)
+	for from := 0; from < 128; from += 64 {
+		chunk := make([]sweep.Result, 64)
+		for i := range chunk {
+			chunk[i].Answer = sweep.Answer{Index: from + i}
+		}
+		j.appendChunk(chunk)
+	}
+	if got := slabBytes(j); got > 17<<10 {
+		t.Errorf("a completed 128-result job holds %d B of slab, budget is %d", got, 17<<10)
+	}
+	// A job of SlabSize+3 results makes one full slab and a 3-answer
+	// one; the page math is unchanged.
+	j = newJob(KindSweep, time.Unix(0, 0), func() {})
+	j.start(time.Unix(0, 0), SlabSize+3)
+	j.appendAnswers(answers(0, SlabSize+3))
+	j.mu.Lock()
+	caps := []int{cap(j.slabs[0]), cap(j.slabs[1])}
+	p := j.page(SlabSize-1, 4)
+	j.mu.Unlock()
+	if caps[0] != SlabSize || caps[1] != 3 {
+		t.Errorf("slab capacities %v, want [%d 3]", caps, SlabSize)
+	}
+	if len(p) != 4 || p[0].Index != SlabSize-1 || p[3].Index != SlabSize+2 {
+		t.Errorf("page across the short slab = %+v", p)
+	}
+}
+
+// TestSlabOverflowingTotal: a job that receives more results than its
+// progress total promised (the last slab was cut to the total) still
+// stores and pages every one, and a page handed out before the overflow
+// keeps its contents.
+func TestSlabOverflowingTotal(t *testing.T) {
+	j := newJob(KindSweep, time.Unix(0, 0), func() {})
+	j.start(time.Unix(0, 0), 10)
+	j.appendAnswers(answers(0, 10))
+	j.mu.Lock()
+	held := j.page(0, 10)
+	j.mu.Unlock()
+	j.appendAnswers(answers(10, SlabSize+5))
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	for cursor := 0; cursor < j.count; cursor += 7 {
+		for k, r := range j.page(cursor, 7) {
+			if r.Index != cursor+k {
+				t.Fatalf("page at %d holds index %d at offset %d", cursor, r.Index, k)
+			}
+		}
+	}
+	for i, r := range held {
+		if r.Index != i || r.Value != float64(i) {
+			t.Fatalf("held page changed at %d: %+v", i, r)
 		}
 	}
 }

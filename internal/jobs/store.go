@@ -231,10 +231,11 @@ func (s *Store) recover(recovered []PersistedJob) {
 			done:      make(chan struct{}),
 			state:     StatePending,
 			created:   pj.Created,
+			// Total before the answers, so they get right-sized slabs.
+			progress: Progress{Total: pj.Total},
 		}
-		j.appendChunk(pj.Results)
+		j.appendAnswers(pj.Results)
 		j.mu.Lock()
-		j.progress.Total = pj.Total
 		j.started = pj.Started
 		j.cancelRequested = pj.CancelRequested
 		j.mu.Unlock()
@@ -492,7 +493,7 @@ func (s *Store) Open(ctx context.Context, req Request) (<-chan *sweep.Chunk, int
 // open is Open with the per-shard progress hook the job runner feeds
 // its shard counters from.
 func (s *Store) open(ctx context.Context, req Request, onShard func(dispatch.ShardDone)) (dispatch.Opened, error) {
-	return s.dispatcher.Open(ctx, dispatch.Request{Specs: req.Specs, Space: req.Space}, onShard)
+	return s.dispatcher.Open(ctx, req.work(), onShard)
 }
 
 // RunSync runs one request synchronously, bound to the caller's
@@ -505,7 +506,7 @@ func (s *Store) open(ctx context.Context, req Request, onShard func(dispatch.Sha
 // error means the context died (or, for a space, that its axis product
 // overflowed).
 func (s *Store) RunSync(ctx context.Context, req Request) ([]sweep.Result, error) {
-	return s.dispatcher.Run(ctx, dispatch.Request{Specs: req.Specs, Space: req.Space})
+	return s.dispatcher.Run(ctx, req.work())
 }
 
 // Get returns a job's snapshot.
@@ -571,11 +572,12 @@ func (s *Store) Wait(ctx context.Context, id string) (Snapshot, error) {
 	}
 }
 
-// Page is one cursor read of a job's results. Results are in completion
-// order (each carries its submission Index); the sequence is append-only,
-// so NextCursor from one page is always a valid cursor for the next.
-// Done reports that the job is terminal and the cursor has reached the
-// end — no further results will ever appear.
+// Page is one cursor read of a job's results. Results are answers in
+// completion order, each carrying its submission Index; Work is the
+// job's request, and Work.At(Index) names an answer's spec. The
+// sequence is append-only, so NextCursor from one page is always a
+// valid cursor for the next. Done reports that the job is terminal and
+// the cursor has reached the end — no further results will ever appear.
 //
 // Results that fit inside one storage slab — every default-limit read
 // — are a zero-copy subslice of it, valid after the lock is released
@@ -585,7 +587,8 @@ func (s *Store) Wait(ctx context.Context, id string) (Snapshot, error) {
 // slice, so the limit semantics are unchanged from the flat-slice
 // store.
 type Page struct {
-	Results    []sweep.Result
+	Work       sweep.Batch
+	Results    []sweep.Answer
 	NextCursor int
 	State      State
 	Done       bool
@@ -613,6 +616,7 @@ func (s *Store) Results(id string, cursor, limit int) (Page, error) {
 	}
 	page := j.page(cursor, limit)
 	return Page{
+		Work:       j.req.work(),
 		Results:    page,
 		NextCursor: cursor + len(page),
 		State:      j.state,

@@ -397,7 +397,7 @@ func TestTerminalForCancelAfterCompletion(t *testing.T) {
 	cancel() // the race: context died, but every spec already completed
 	j := newJob(KindSweep, time.Unix(0, 0), func() {})
 	j.start(time.Unix(0, 0), 2)
-	j.appendChunk([]sweep.Result{{Index: 0}, {Index: 1, CacheHit: true}})
+	j.appendAnswers([]sweep.Answer{{Index: 0}, {Index: 1, CacheHit: true}})
 	state, reason := terminalFor(j, ctx, 2)
 	if state != StateSucceeded || reason != "" {
 		t.Fatalf("complete-but-cancelled job judged %q (%q), want succeeded", state, reason)
@@ -405,7 +405,7 @@ func TestTerminalForCancelAfterCompletion(t *testing.T) {
 	// Short delivery with a dead context is a genuine cancellation...
 	j2 := newJob(KindSweep, time.Unix(0, 0), func() {})
 	j2.start(time.Unix(0, 0), 2)
-	j2.appendChunk([]sweep.Result{{Index: 0}})
+	j2.appendAnswers([]sweep.Answer{{Index: 0}})
 	if state, _ := terminalFor(j2, ctx, 2); state != StateCancelled {
 		t.Fatalf("partial cancelled job judged %q", state)
 	}

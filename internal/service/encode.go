@@ -294,18 +294,20 @@ func appendSweepResponse(dst []byte, results []sweep.Result, st *SweepStats) []b
 }
 
 // appendJobResultsPage appends the full GET /v2/jobs/{id}/results body
-// — the JobResultsResponse shape — straight from a zero-copy slab page.
-func appendJobResultsPage(dst []byte, jobID, state string, results []sweep.Result, nextCursor int, done bool) []byte {
+// — the JobResultsResponse shape — straight from a zero-copy slab page
+// of answers, naming each answer's spec from the job's request.
+func appendJobResultsPage(dst []byte, jobID, state string, work sweep.Batch, answers []sweep.Answer, nextCursor int, done bool) []byte {
 	dst = append(dst, `{"job_id":`...)
 	dst = appendJSONString(dst, jobID)
 	dst = append(dst, `,"state":`...)
 	dst = appendJSONString(dst, state)
 	dst = append(dst, `,"results":[`...)
-	for i := range results {
+	for i := range answers {
 		if i > 0 {
 			dst = append(dst, ',')
 		}
-		jr := sweepResultJSON(results[i])
+		a := &answers[i]
+		jr := sweepResultJSON(sweep.Result{Spec: work.At(a.Index), Answer: *a})
 		dst = appendSweepResult(dst, &jr)
 	}
 	dst = append(dst, `],"next_cursor":"`...)

@@ -157,23 +157,37 @@ func TestAppendStreamLinesMatchEncodingJSON(t *testing.T) {
 // panic-redaction path.
 func engineResults() []sweep.Result {
 	return []sweep.Result{
-		{Index: 0, Spec: sweep.Spec{N: 64, Stencil: "5-point", Shape: "strip",
+		{Spec: sweep.Spec{N: 64, Stencil: "5-point", Shape: "strip",
 			Machine: core.MachineSpec{Type: "sync-bus"}},
-			Alloc: core.Allocation{Arch: "sync-bus", Procs: 9, Area: 455.11,
-				CycleTime: 4.25e-6, Speedup: 8.31}, Value: 8.31},
-		{Index: 1, Spec: sweep.Spec{Op: sweep.OpSpeedup, N: 128, Stencil: "9-point", Shape: "square",
+			Answer: sweep.Answer{Index: 0, Alloc: sweep.Alloc{Procs: 9, Area: 455.11,
+				CycleTime: 4.25e-6, Speedup: 8.31}, Value: 8.31}},
+		{Spec: sweep.Spec{Op: sweep.OpSpeedup, N: 128, Stencil: "9-point", Shape: "square",
 			Machine: core.MachineSpec{Type: "mesh"}, Procs: 16},
-			CacheHit: true, Value: 14.9},
-		{Index: 2, Spec: sweep.Spec{Op: sweep.OpScaled, N: 512, Stencil: "5-point", Shape: "square",
+			Answer: sweep.Answer{Index: 1, CacheHit: true, Value: 14.9}},
+		{Spec: sweep.Spec{Op: sweep.OpScaled, N: 512, Stencil: "5-point", Shape: "square",
 			Machine: core.MachineSpec{Type: "hypercube"}, PointsPerProc: 32},
-			Scaled: core.ScaledPoint{Procs: 8192.5, CycleTime: 2e-7, Speedup: 1.25e3}, Value: 1.25e3},
-		{Index: 3, Spec: sweep.Spec{N: 32, Stencil: "nope", Shape: "square",
+			Answer: sweep.Answer{Index: 2,
+				Scaled: core.ScaledPoint{Procs: 8192.5, CycleTime: 2e-7, Speedup: 1.25e3}, Value: 1.25e3}},
+		{Spec: sweep.Spec{N: 32, Stencil: "nope", Shape: "square",
 			Machine: core.MachineSpec{Type: "sync-bus"}},
-			Err: errors.New(`sweep: unknown stencil "nope"`)},
-		{Index: 4, Spec: sweep.Spec{N: 96, Stencil: "5-point", Shape: "strip",
+			Answer: sweep.Answer{Index: 3, Err: errors.New(`sweep: unknown stencil "nope"`)}},
+		{Spec: sweep.Spec{N: 96, Stencil: "5-point", Shape: "strip",
 			Machine: core.MachineSpec{Type: "banyan"}},
-			Err: fmt.Errorf("%w: boom", sweep.ErrEvaluationPanic)},
+			Answer: sweep.Answer{Index: 4, Err: fmt.Errorf("%w: boom", sweep.ErrEvaluationPanic)}},
 	}
+}
+
+// engineAnswers splits engineResults into the request a job keeps and
+// the answers its slabs hold, in reverse (completion) order.
+func engineAnswers() (sweep.Batch, []sweep.Answer) {
+	results := engineResults()
+	work := sweep.Batch{Specs: make([]sweep.Spec, len(results))}
+	answers := make([]sweep.Answer, len(results))
+	for i, r := range results {
+		work.Specs[r.Index] = r.Spec
+		answers[len(results)-1-i] = r.Answer
+	}
+	return work, answers
 }
 
 func TestAppendSweepResponseMatchesEncodingJSON(t *testing.T) {
@@ -200,19 +214,19 @@ func TestAppendSweepResponseMatchesEncodingJSON(t *testing.T) {
 }
 
 func TestAppendJobResultsPageMatchesEncodingJSON(t *testing.T) {
-	results := engineResults()
+	work, answers := engineAnswers()
 	resp := JobResultsResponse{
 		JobID:      "a1b2c3d4e5f60718",
 		State:      "running",
-		Results:    make([]SweepResultJSON, len(results)),
+		Results:    make([]SweepResultJSON, len(answers)),
 		NextCursor: "261",
 		Done:       false,
 	}
-	for i := range results {
-		resp.Results[i] = sweepResultJSON(results[i])
+	for i, a := range answers {
+		resp.Results[i] = sweepResultJSON(sweep.Result{Spec: work.At(a.Index), Answer: a})
 	}
 	want := encodeJSONLine(t, resp)
-	got := appendJobResultsPage(nil, "a1b2c3d4e5f60718", "running", results, 261, false)
+	got := appendJobResultsPage(nil, "a1b2c3d4e5f60718", "running", work, answers, 261, false)
 	if !bytes.Equal(got, want) {
 		t.Errorf("results page:\n got: %s\nwant: %s", got, want)
 	}
@@ -220,7 +234,7 @@ func TestAppendJobResultsPageMatchesEncodingJSON(t *testing.T) {
 	want = encodeJSONLine(t, JobResultsResponse{
 		JobID: "x", State: "succeeded", Results: []SweepResultJSON{}, NextCursor: "0", Done: true,
 	})
-	got = appendJobResultsPage(nil, "x", "succeeded", nil, 0, true)
+	got = appendJobResultsPage(nil, "x", "succeeded", sweep.Batch{}, nil, 0, true)
 	if !bytes.Equal(got, want) {
 		t.Errorf("empty page:\n got: %s\nwant: %s", got, want)
 	}
@@ -243,8 +257,9 @@ func TestWireEncoderAllocBudget(t *testing.T) {
 	if allocs > 0 {
 		t.Fatalf("appendSweepResponse allocates %.1f/op over %d results, budget is 0", allocs, len(results))
 	}
+	work, answers := engineAnswers()
 	allocs = testing.AllocsPerRun(200, func() {
-		buf = appendJobResultsPage(buf[:0], "a1b2c3d4e5f60718", "running", results, 5, false)
+		buf = appendJobResultsPage(buf[:0], "a1b2c3d4e5f60718", "running", work, answers, 5, false)
 	})
 	if allocs > 0 {
 		t.Fatalf("appendJobResultsPage allocates %.1f/op, budget is 0", allocs)

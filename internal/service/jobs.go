@@ -277,7 +277,7 @@ func (s *Server) handleJobResults(w http.ResponseWriter, r *http.Request) {
 	// a results read allocates nothing per result end to end.
 	buf := getBuf()
 	*buf = appendJobResultsPage(*buf, r.PathValue("id"), string(page.State),
-		page.Results, page.NextCursor, page.Done)
+		page.Work, page.Results, page.NextCursor, page.Done)
 	s.writeRaw(w, r, http.StatusOK, *buf)
 	putBuf(buf)
 }

@@ -69,11 +69,18 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, http.StatusBadRequest, "%v", res.Err)
 		return
 	}
+	// The spec evaluated, so its machine resolves; the answer keeps only
+	// numbers, and the machine names itself.
+	arch, err := req.Machine.Machine()
+	if err != nil {
+		s.writeError(w, r, http.StatusBadRequest, "%v", err)
+		return
+	}
 	s.writeJSON(w, r, http.StatusOK, OptimizeResponse{
 		N:         req.N,
 		Stencil:   req.Stencil,
 		Shape:     req.Shape,
-		Arch:      res.Alloc.Arch,
+		Arch:      arch.Name(),
 		Procs:     res.Alloc.Procs,
 		Area:      res.Alloc.Area,
 		CycleTime: res.Alloc.CycleTime,

@@ -20,7 +20,7 @@ func fuzzSeedStream(tb testing.TB) []byte {
 	}{
 		{recSubmit, encodeJob(job)},
 		{recStart, startJSON{ID: "j1", Total: 2}},
-		{recChunk, chunkJSON{ID: "j1", Results: encodeResults(testResults(2, 0))}},
+		{recChunk, chunkJSON{ID: "j1", Results: encodeResults(testAnswers(2, 0))}},
 		{recFinish, finishJSON{ID: "j1", State: jobs.StateSucceeded}},
 		{recCancel, idJSON{ID: "j1"}},
 		{recRemove, idJSON{ID: "j1"}},

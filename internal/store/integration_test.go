@@ -3,7 +3,6 @@ package store
 import (
 	"context"
 	"errors"
-	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -12,92 +11,6 @@ import (
 	"optspeed/internal/jobs"
 	"optspeed/internal/sweep"
 )
-
-// TestJobsRecoveryEndToEnd runs a real sweep through a persisted jobs
-// store, "crashes" (drops the stores without a clean job-store Close),
-// reopens the directory, and checks the recovered job serves the exact
-// same result pages.
-func TestJobsRecoveryEndToEnd(t *testing.T) {
-	dir := t.TempDir()
-	ps, recovered, err := Open(Options{Dir: dir, Fsync: FsyncAlways})
-	if err != nil {
-		t.Fatal(err)
-	}
-	js := jobs.NewStore(jobs.Options{Persister: ps, Recovered: recovered, SnapshotInterval: -1})
-
-	space := &sweep.Space{
-		Ns:       []int{64, 128},
-		Stencils: []string{"5-point"},
-		Shapes:   []string{"strip", "square"},
-		Machines: []core.MachineSpec{{Type: "sync-bus"}, {Type: "hypercube"}},
-	}
-	snap, err := js.Submit(jobs.Request{Kind: jobs.KindSweep, Space: space})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fin, err := js.Wait(context.Background(), snap.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fin.State != jobs.StateSucceeded {
-		t.Fatalf("job finished %q: %s", fin.State, fin.Reason)
-	}
-	before, err := js.Results(snap.ID, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Crash: close only the WAL (fsync=always has everything durable);
-	// the jobs store is abandoned mid-life exactly like a killed
-	// process. Runners have finished, so no goroutines leak.
-	if err := ps.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	ps2, recovered2, err := Open(Options{Dir: dir, Fsync: FsyncAlways})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ps2.Close()
-	if len(recovered2) != 1 || recovered2[0].ID != snap.ID {
-		t.Fatalf("recovered %+v, want job %s", recovered2, snap.ID)
-	}
-	js2 := jobs.NewStore(jobs.Options{Persister: ps2, Recovered: recovered2, SnapshotInterval: -1})
-	defer js2.Close()
-
-	got, err := js2.Get(snap.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.State != jobs.StateSucceeded || !got.Recovered {
-		t.Fatalf("recovered job: state %q recovered %v", got.State, got.Recovered)
-	}
-	if got.Progress != fin.Progress {
-		t.Fatalf("progress diverged: %+v vs %+v", got.Progress, fin.Progress)
-	}
-	after, err := js2.Results(snap.ID, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(after.Results) != len(before.Results) || after.NextCursor != before.NextCursor || after.Done != before.Done {
-		t.Fatalf("page shape diverged: %d/%d results, cursor %d/%d",
-			len(after.Results), len(before.Results), after.NextCursor, before.NextCursor)
-	}
-	for i := range before.Results {
-		if !resultsEquivalent(before.Results[i], after.Results[i]) {
-			t.Fatalf("result %d diverged across recovery:\n  before %+v\n  after  %+v",
-				i, before.Results[i], after.Results[i])
-		}
-	}
-	// The re-ingest compacted the log: generation advanced and the
-	// recovered-job counter reports the replay.
-	if ps2.Stats().RecoveredJobs != 1 {
-		t.Fatalf("RecoveredJobs = %d", ps2.Stats().RecoveredJobs)
-	}
-	if ps2.Stats().Snapshots == 0 {
-		t.Fatal("recovery did not compact the replayed log")
-	}
-}
 
 // TestJobsSucceedThroughWriteFaults runs sweep jobs on a jobs store
 // whose WAL fails every other append. A failed append is the store's
@@ -146,26 +59,6 @@ func TestJobsSucceedThroughWriteFaults(t *testing.T) {
 	if ps.Stats().WriteErrors == 0 {
 		t.Fatal("no append failed; the write faults were not exercised")
 	}
-}
-
-// resultsEquivalent compares everything the wire encoder reads.
-// Alloc.Problem deliberately does not survive persistence (the encoder
-// never reads it), so it is excluded.
-func resultsEquivalent(a, b sweep.Result) bool {
-	a.Alloc.Problem, b.Alloc.Problem = core.Problem{}, core.Problem{}
-	aerr, berr := a.Err, b.Err
-	a.Err, b.Err = nil, nil
-	if !reflect.DeepEqual(a, b) {
-		return false
-	}
-	switch {
-	case aerr == nil && berr == nil:
-		return true
-	case aerr == nil || berr == nil:
-		return false
-	}
-	return aerr.Error() == berr.Error() &&
-		errors.Is(aerr, sweep.ErrEvaluationPanic) == errors.Is(berr, sweep.ErrEvaluationPanic)
 }
 
 // TestPersistedCancelSurvivesRestart cancels a long sweep, crashes, and

@@ -39,12 +39,17 @@ import (
 )
 
 // Format identity. Version bumps whenever the record framing or any
-// JSON payload changes incompatibly; old data directories are refused,
-// not silently misread.
+// JSON payload changes; versions this binary cannot read are refused,
+// not silently misread. Version 2 dropped each result's spec ("s") and
+// machine name ("ar"), which the job's request determines. A version 1
+// body decodes into the same structs (the dropped fields are ignored),
+// so version 1 files are still read; the store compacts a version 1
+// generation to version 2 on Open, so no file mixes the two.
 const (
 	walMagic      = "OSWL"
 	snapMagic     = "OSNP"
-	formatVersion = 1
+	formatVersion = 2
+	oldestVersion = 1
 
 	headerSize = 8 // magic + version
 	frameSize  = 8 // length + crc
@@ -85,15 +90,17 @@ func header(magic string) []byte {
 }
 
 // checkHeader validates a file's first bytes against the expected
-// magic and the supported version.
-func checkHeader(h []byte, magic string) error {
+// magic and the supported versions, and returns the file's version.
+func checkHeader(h []byte, magic string) (uint32, error) {
 	if len(h) < headerSize || string(h[:4]) != magic {
-		return fmt.Errorf("%w: bad magic (want %q)", ErrVersionMismatch, magic)
+		return 0, fmt.Errorf("%w: bad magic (want %q)", ErrVersionMismatch, magic)
 	}
-	if v := binary.LittleEndian.Uint32(h[4:]); v != formatVersion {
-		return fmt.Errorf("%w: file version %d, this binary reads %d", ErrVersionMismatch, v, formatVersion)
+	v := binary.LittleEndian.Uint32(h[4:])
+	if v < oldestVersion || v > formatVersion {
+		return 0, fmt.Errorf("%w: file version %d, this binary reads %d to %d",
+			ErrVersionMismatch, v, oldestVersion, formatVersion)
 	}
-	return nil
+	return v, nil
 }
 
 // appendFrame frames one payload onto buf: length, CRC32, payload.
@@ -125,8 +132,9 @@ func nextFrame(data []byte) (payload, rest []byte, err error) {
 }
 
 // Wire payloads. Short keys keep chunk records — the hot write — small;
-// every field the service's result encoder reads is round-tripped so a
-// recovered page re-encodes byte-identically.
+// every answer field the service's result encoder reads is round-tripped
+// so a recovered page re-encodes byte-identically (the encoder names
+// each result's spec from the job's request, "rq").
 
 type reqJSON struct {
 	Kind  jobs.Kind    `json:"k,omitempty"`
@@ -135,7 +143,6 @@ type reqJSON struct {
 }
 
 type allocJSON struct {
-	Arch           string  `json:"ar,omitempty"`
 	Procs          int     `json:"p"`
 	Area           float64 `json:"a,omitempty"`
 	CycleTime      float64 `json:"ct,omitempty"`
@@ -155,7 +162,6 @@ type scaledJSON struct {
 
 type resultJSON struct {
 	Index    int         `json:"i"`
-	Spec     sweep.Spec  `json:"s"`
 	CacheHit bool        `json:"c,omitempty"`
 	Value    float64     `json:"v,omitempty"`
 	Grid     int         `json:"g,omitempty"`
@@ -213,34 +219,20 @@ type panicError struct{ msg string }
 func (e panicError) Error() string { return e.msg }
 func (e panicError) Unwrap() error { return sweep.ErrEvaluationPanic }
 
-func encodeResult(r sweep.Result) resultJSON {
+func encodeResult(r *sweep.Answer) resultJSON {
 	out := resultJSON{
 		Index:    r.Index,
-		Spec:     r.Spec,
 		CacheHit: r.CacheHit,
 		Value:    r.Value,
 		Grid:     r.Grid,
 	}
 	if r.Alloc.Procs > 0 {
-		out.Alloc = &allocJSON{
-			Arch:           r.Alloc.Arch,
-			Procs:          r.Alloc.Procs,
-			Area:           r.Alloc.Area,
-			CycleTime:      r.Alloc.CycleTime,
-			Speedup:        r.Alloc.Speedup,
-			UsedAll:        r.Alloc.UsedAll,
-			Single:         r.Alloc.Single,
-			Interior:       r.Alloc.Interior,
-			ContinuousArea: r.Alloc.ContinuousArea,
-		}
+		a := allocJSON(r.Alloc)
+		out.Alloc = &a
 	}
 	if r.Scaled != (core.ScaledPoint{}) {
-		out.Scaled = &scaledJSON{
-			N:         r.Scaled.N,
-			Procs:     r.Scaled.Procs,
-			CycleTime: r.Scaled.CycleTime,
-			Speedup:   r.Scaled.Speedup,
-		}
+		z := scaledJSON(r.Scaled)
+		out.Scaled = &z
 	}
 	if r.Err != nil {
 		out.Err = r.Err.Error()
@@ -249,34 +241,18 @@ func encodeResult(r sweep.Result) resultJSON {
 	return out
 }
 
-func decodeResult(in resultJSON) sweep.Result {
-	r := sweep.Result{
+func decodeResult(in *resultJSON) sweep.Answer {
+	r := sweep.Answer{
 		Index:    in.Index,
-		Spec:     in.Spec,
 		CacheHit: in.CacheHit,
 		Value:    in.Value,
 		Grid:     in.Grid,
 	}
 	if in.Alloc != nil {
-		r.Alloc = core.Allocation{
-			Arch:           in.Alloc.Arch,
-			Procs:          in.Alloc.Procs,
-			Area:           in.Alloc.Area,
-			CycleTime:      in.Alloc.CycleTime,
-			Speedup:        in.Alloc.Speedup,
-			UsedAll:        in.Alloc.UsedAll,
-			Single:         in.Alloc.Single,
-			Interior:       in.Alloc.Interior,
-			ContinuousArea: in.Alloc.ContinuousArea,
-		}
+		r.Alloc = sweep.Alloc(*in.Alloc)
 	}
 	if in.Scaled != nil {
-		r.Scaled = core.ScaledPoint{
-			N:         in.Scaled.N,
-			Procs:     in.Scaled.Procs,
-			CycleTime: in.Scaled.CycleTime,
-			Speedup:   in.Scaled.Speedup,
-		}
+		r.Scaled = core.ScaledPoint(*in.Scaled)
 	}
 	switch {
 	case in.Panic:
@@ -287,24 +263,34 @@ func decodeResult(in resultJSON) sweep.Result {
 	return r
 }
 
-func encodeResults(rs []sweep.Result) []resultJSON {
-	if len(rs) == 0 {
-		return nil
-	}
+// encodeChunk encodes the answers of one streamed chunk; the specs stay
+// with the job's request.
+func encodeChunk(rs []sweep.Result) []resultJSON {
 	out := make([]resultJSON, len(rs))
-	for i, r := range rs {
-		out[i] = encodeResult(r)
+	for i := range rs {
+		out[i] = encodeResult(&rs[i].Answer)
 	}
 	return out
 }
 
-func decodeResults(rs []resultJSON) []sweep.Result {
+func encodeResults(rs []sweep.Answer) []resultJSON {
 	if len(rs) == 0 {
 		return nil
 	}
-	out := make([]sweep.Result, len(rs))
-	for i, r := range rs {
-		out[i] = decodeResult(r)
+	out := make([]resultJSON, len(rs))
+	for i := range rs {
+		out[i] = encodeResult(&rs[i])
+	}
+	return out
+}
+
+func decodeResults(rs []resultJSON) []sweep.Answer {
+	if len(rs) == 0 {
+		return nil
+	}
+	out := make([]sweep.Answer, len(rs))
+	for i := range rs {
+		out[i] = decodeResult(&rs[i])
 	}
 	return out
 }

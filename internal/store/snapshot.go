@@ -13,6 +13,7 @@ import (
 // (header included), and how many trailing bytes were dropped as
 // torn or corrupt.
 type fileRecords struct {
+	version   uint32
 	records   []typedRecord
 	validLen  int64
 	truncated int64
@@ -33,10 +34,11 @@ func readRecords(path, magic string) (fileRecords, error) {
 	if err != nil {
 		return fileRecords{}, err
 	}
-	if err := checkHeader(data, magic); err != nil {
+	version, err := checkHeader(data, magic)
+	if err != nil {
 		return fileRecords{}, fmt.Errorf("%s: %w", path, err)
 	}
-	out := fileRecords{validLen: headerSize}
+	out := fileRecords{version: version, validLen: headerSize}
 	rest := data[headerSize:]
 	for len(rest) > 0 {
 		payload, next, err := nextFrame(rest)

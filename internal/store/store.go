@@ -134,11 +134,13 @@ func (s *Store) recover() ([]jobs.PersistedJob, error) {
 		gen = snaps[len(snaps)-1]
 	}
 	state := newReplayState()
+	old := false // the live generation holds an older format's file
 	if len(snaps) > 0 {
 		snap, err := readRecords(snapName(s.dir, gen), snapMagic)
 		if err != nil {
 			return nil, err
 		}
+		old = snap.version < formatVersion
 		for _, r := range snap.records {
 			state.apply(r.typ, r.body)
 		}
@@ -150,6 +152,7 @@ func (s *Store) recover() ([]jobs.PersistedJob, error) {
 		if err != nil {
 			return nil, err
 		}
+		old = old || wal.version < formatVersion
 		for _, r := range wal.records {
 			state.apply(r.typ, r.body)
 		}
@@ -183,6 +186,16 @@ func (s *Store) recover() ([]jobs.PersistedJob, error) {
 		}
 	}
 	replayed := state.jobsInOrder()
+	if old {
+		// Appending current-format records to an older format's WAL
+		// would leave a file whose header misnames its records, so the
+		// replayed state becomes the next generation, written in the
+		// current format, before anything is appended.
+		if err := s.rotate(replayed); err != nil {
+			s.wal.close()
+			return nil, err
+		}
+	}
 	out := make([]jobs.PersistedJob, len(replayed))
 	for i, j := range replayed {
 		out[i] = decodeJob(j)
@@ -282,10 +295,12 @@ func (s *Store) Started(id string, at time.Time, total int) {
 	s.append(recStart, startJSON{ID: id, At: at, Total: total})
 }
 
-// Chunk implements jobs.Persister. The pooled results are encoded to
-// JSON synchronously — nothing of the buffer is retained past the call.
+// Chunk implements jobs.Persister. The pooled results' answers are
+// encoded to JSON synchronously — nothing of the buffer is retained past
+// the call — and their specs are not written: the job's submit record
+// holds the request that names them.
 func (s *Store) Chunk(id string, rs []sweep.Result) {
-	s.append(recChunk, chunkJSON{ID: id, Results: encodeResults(rs)})
+	s.append(recChunk, chunkJSON{ID: id, Results: encodeChunk(rs)})
 }
 
 // Finished implements jobs.Persister.
@@ -318,6 +333,13 @@ func (s *Store) Snapshot(dump []jobs.PersistedJob) error {
 	if s.closed {
 		return fmt.Errorf("store: snapshot after Close")
 	}
+	return s.rotate(encoded)
+}
+
+// rotate writes encoded as the next generation's snapshot, starts that
+// generation's WAL, and deletes the current generation. Caller holds
+// s.mu, or is Open before the store is shared.
+func (s *Store) rotate(encoded []jobJSON) error {
 	next := s.gen + 1
 	if err := writeSnapshot(s.dir, next, encoded); err != nil {
 		return err

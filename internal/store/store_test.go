@@ -22,13 +22,23 @@ func openTest(t *testing.T, dir string) (*Store, []jobs.PersistedJob) {
 	return s, recovered
 }
 
+// testAnswers returns n answers with indices from..from+n-1.
+func testAnswers(n, from int) []sweep.Answer {
+	out := make([]sweep.Answer, n)
+	for i := range out {
+		out[i] = sweep.Answer{Index: from + i, Value: float64(from+i) * 1.5}
+	}
+	return out
+}
+
+// testResults is testAnswers as the engine streams them, each with its
+// spec; the store keeps the answers only.
 func testResults(n, from int) []sweep.Result {
 	out := make([]sweep.Result, n)
-	for i := range out {
+	for i, a := range testAnswers(n, from) {
 		out[i] = sweep.Result{
-			Index: from + i,
-			Spec:  sweep.Spec{N: 64 + from + i, Stencil: "5-point", Shape: "square"},
-			Value: float64(from+i) * 1.5,
+			Spec:   sweep.Spec{N: 64 + a.Index, Stencil: "5-point", Shape: "square"},
+			Answer: a,
 		}
 	}
 	return out
@@ -67,7 +77,7 @@ func TestWALRoundTrip(t *testing.T) {
 	if len(j.Request.Specs) != 1 || j.Request.Specs[0].N != 64 {
 		t.Fatalf("request did not round-trip: %+v", j.Request)
 	}
-	want := testResults(5, 0)
+	want := testAnswers(5, 0)
 	if len(j.Results) != len(want) {
 		t.Fatalf("recovered %d results, want %d", len(j.Results), len(want))
 	}
@@ -81,10 +91,11 @@ func TestWALRoundTrip(t *testing.T) {
 func TestErrorResultsRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := openTest(t, dir)
+	spec := sweep.Spec{N: 64, Stencil: "5-point", Shape: "square"}
 	rs := []sweep.Result{
-		{Index: 0, Spec: sweep.Spec{N: 64, Stencil: "5-point", Shape: "square"}, Err: errors.New("sweep: unknown stencil \"bogus\"")},
-		{Index: 1, Spec: sweep.Spec{N: 64, Stencil: "5-point", Shape: "square"},
-			Err: errorWrapping(sweep.ErrEvaluationPanic, "sweep: evaluation panicked: boom")},
+		{Spec: spec, Answer: sweep.Answer{Index: 0, Err: errors.New("sweep: unknown stencil \"bogus\"")}},
+		{Spec: spec, Answer: sweep.Answer{Index: 1,
+			Err: errorWrapping(sweep.ErrEvaluationPanic, "sweep: evaluation panicked: boom")}},
 	}
 	s.Submitted(jobs.PersistedJob{ID: "e", State: jobs.StatePending, Created: time.Unix(1, 0)})
 	s.Started("e", time.Unix(2, 0), 2)
@@ -202,15 +213,18 @@ func TestReplayStopsAtBitFlip(t *testing.T) {
 }
 
 func TestVersionMismatchRefused(t *testing.T) {
-	dir := t.TempDir()
-	h := header(walMagic)
-	h[4] = 99 // future version
-	if err := os.WriteFile(walName(dir, 0), h, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, _, err := Open(Options{Dir: dir, Fsync: FsyncOff})
-	if !errors.Is(err, ErrVersionMismatch) {
-		t.Fatalf("Open = %v, want ErrVersionMismatch", err)
+	var err error
+	for _, v := range []byte{99, 0} { // a future version, and one before format 1
+		dir := t.TempDir()
+		h := header(walMagic)
+		h[4] = v
+		if err := os.WriteFile(walName(dir, 0), h, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, _, err = Open(Options{Dir: dir, Fsync: FsyncOff})
+		if !errors.Is(err, ErrVersionMismatch) {
+			t.Fatalf("Open of version %d = %v, want ErrVersionMismatch", v, err)
+		}
 	}
 	// Foreign magic is refused the same way, not silently overwritten.
 	dir2 := t.TempDir()
@@ -234,7 +248,7 @@ func TestSnapshotRotation(t *testing.T) {
 	s.Chunk("a", testResults(2, 0))
 	dump := []jobs.PersistedJob{{
 		ID: "a", State: jobs.StateRunning, Created: time.Unix(1, 0),
-		Started: time.Unix(2, 0), Total: 4, Results: testResults(2, 0),
+		Started: time.Unix(2, 0), Total: 4, Results: testAnswers(2, 0),
 	}}
 	if err := s.Snapshot(dump); err != nil {
 		t.Fatal(err)
@@ -258,7 +272,7 @@ func TestSnapshotRotation(t *testing.T) {
 	if j.State != jobs.StateSucceeded || len(j.Results) != 4 {
 		t.Fatalf("snapshot + WAL replay: state %q, %d results", j.State, len(j.Results))
 	}
-	for i, r := range testResults(4, 0) {
+	for i, r := range testAnswers(4, 0) {
 		if !reflect.DeepEqual(j.Results[i], r) {
 			t.Fatalf("result %d diverged across compaction: %+v", i, j.Results[i])
 		}

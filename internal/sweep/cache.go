@@ -94,43 +94,23 @@ type centry struct {
 	pending    bool
 }
 
-// answer is the cached part of an outcome: its numbers. It holds no
-// problem, no machine name and no error; failures are never cached, and
-// the engine restores an allocation's problem and machine name from the
-// spec's own resolution (resolved.restore), which the cache key
-// determines.
+// answer is the cached part of an outcome: all of it but the error.
+// Failures are never cached.
 type answer struct {
-	procs                     int
-	area, cycleTime, speedup  float64
-	usedAll, single, interior bool
-	contArea                  float64
-	value                     float64
-	grid                      int
-	scaled                    core.ScaledPoint
+	alloc  Alloc
+	scaled core.ScaledPoint
+	value  float64
+	grid   int
 }
 
 // answerOf keeps the numbers of a successful outcome.
 func answerOf(o outcome) answer {
-	a := o.alloc
-	return answer{
-		procs: a.Procs, area: a.Area, cycleTime: a.CycleTime, speedup: a.Speedup,
-		usedAll: a.UsedAll, single: a.Single, interior: a.Interior,
-		contArea: a.ContinuousArea,
-		value:    o.value, grid: o.grid, scaled: o.scaled,
-	}
+	return answer{alloc: o.alloc, scaled: o.scaled, value: o.value, grid: o.grid}
 }
 
-// outcome rebuilds the outcome an answer was kept from, less the
-// allocation's problem and machine name.
+// outcome rebuilds the outcome an answer was kept from.
 func (a answer) outcome() outcome {
-	return outcome{
-		alloc: core.Allocation{
-			Procs: a.procs, Area: a.area, CycleTime: a.cycleTime, Speedup: a.speedup,
-			UsedAll: a.usedAll, Single: a.single, Interior: a.interior,
-			ContinuousArea: a.contArea,
-		},
-		value: a.value, grid: a.grid, scaled: a.scaled,
-	}
+	return outcome{alloc: a.alloc, scaled: a.scaled, value: a.value, grid: a.grid}
 }
 
 // waiter is the rendezvous for the goroutines waiting on one in-flight
@@ -360,12 +340,10 @@ func await(cancel <-chan struct{}, w *waiter) outcome {
 // getOrCompute returns the outcome for key, computing it with fn on a
 // miss. The bool reports whether the value came from the cache — either
 // an already-complete entry (a hit) or an in-flight computation by
-// another goroutine (coalesced); both avoid recomputation. A hit's
-// allocation lacks its problem and machine name (resolved.restore puts
-// them back). A waiter whose cancel channel closes before the in-flight
-// computation finishes gets ErrWaitCancelled instead of blocking past
-// its context; fn itself must not block on cancel (it is pure model
-// evaluation).
+// another goroutine (coalesced); both avoid recomputation. A waiter
+// whose cancel channel closes before the in-flight computation
+// finishes gets ErrWaitCancelled instead of blocking past its context;
+// fn itself must not block on cancel (it is pure model evaluation).
 func (c *cache) getOrCompute(cancel <-chan struct{}, key specKey, fn func() outcome) (outcome, bool) {
 	h := key.hash()
 	return c.shardFor(h).getOrCompute(cancel, h, key, fn)

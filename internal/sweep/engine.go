@@ -154,8 +154,7 @@ func getChunk(capHint int) *Chunk {
 // StreamSpaceChunks to the buffer pool. The chunk's Results slice must
 // not be used afterwards; results that need to outlive the chunk must
 // be copied out first (they are plain values — a copy shares only
-// immutable strings and the immutable stencil definition its problem
-// points at).
+// immutable strings).
 func (e *Engine) Recycle(c *Chunk) {
 	if c == nil {
 		return
@@ -271,22 +270,9 @@ func (e *Engine) evalResolved(cancel <-chan struct{}, s Spec, r resolved, rerr e
 		}
 		if hit {
 			e.hits.Add(1)
-			out = r.restore(out)
 		}
 		return out, hit
 	}
-}
-
-// restore puts back the problem and machine name of an allocation
-// answered from the cache, which keeps only its numbers. The cache key
-// holds n, the stencil, the shape and the canonical machine, so this
-// spec's resolution determines both. core.Optimize never answers with
-// zero processors, and the other ops carry no allocation.
-func (r resolved) restore(out outcome) outcome {
-	if out.alloc.Procs != 0 {
-		out.alloc.Problem, out.alloc.Arch = r.problem, r.arch.Name()
-	}
-	return out
 }
 
 // Evaluate answers a single spec, consulting and filling the cache.
@@ -299,16 +285,15 @@ func (e *Engine) Evaluate(ctx context.Context, s Spec) (Result, error) {
 }
 
 func result(i int, s Spec, out outcome, hit bool) Result {
-	return Result{
+	return Result{Spec: s, Answer: Answer{
 		Index:    i,
-		Spec:     s,
 		CacheHit: hit,
 		Alloc:    out.alloc,
 		Value:    out.value,
 		Grid:     out.grid,
 		Scaled:   out.scaled,
 		Err:      out.err,
-	}
+	}}
 }
 
 // StreamChunks evaluates the specs on the worker pool and streams the
@@ -430,18 +415,18 @@ func (e *Engine) streamChunks(ctx context.Context, specs []Spec, pre []preResolv
 // hold only the completed entries (unevaluated ones keep their
 // submitted Spec and an Err of ctx.Err()).
 func (e *Engine) Run(ctx context.Context, specs []Spec) ([]Result, error) {
-	return e.Collect(ctx, e.streamChunks(ctx, specs, nil, nil), len(specs),
-		func(i int) Spec { return specs[i] })
+	return e.Collect(ctx, e.streamChunks(ctx, specs, nil, nil), Batch{Specs: specs})
 }
 
-// Collect drains a chunked stream of total results (one from
+// Collect drains a chunked stream of work's results (one from
 // StreamChunks, StreamSpaceChunks, or a stream honouring their
 // contract) into submission (Index) order, recycling each chunk as it
 // lands. On a dead context the unfinished entries keep their submitted
 // Spec and an Err of ctx.Err(), and the context error is returned;
-// specAt names the submitted spec at an index and is called only for
-// those entries, so a caller holding a space never expands it.
-func (e *Engine) Collect(ctx context.Context, ch <-chan *Chunk, total int, specAt func(int) Spec) ([]Result, error) {
+// work.At names the submitted spec of those entries only, so a caller
+// holding a space never expands it.
+func (e *Engine) Collect(ctx context.Context, ch <-chan *Chunk, work Batch) ([]Result, error) {
+	total := work.Size()
 	results := make([]Result, total)
 	done := make([]bool, total)
 	for c := range ch {
@@ -455,7 +440,7 @@ func (e *Engine) Collect(ctx context.Context, ch <-chan *Chunk, total int, specA
 	if err := ctx.Err(); err != nil {
 		for i := range results {
 			if !done[i] {
-				results[i] = Result{Index: i, Spec: specAt(i), Err: err}
+				results[i] = Result{Spec: work.At(i), Answer: Answer{Index: i, Err: err}}
 			}
 		}
 		return results, err
@@ -472,11 +457,11 @@ func (e *Engine) Collect(ctx context.Context, ch <-chan *Chunk, total int, specA
 // overflows (Size() saturated) cannot be materialized and is rejected
 // up front.
 func (e *Engine) RunSpace(ctx context.Context, sp Space) ([]Result, error) {
-	ch, total, err := e.StreamSpaceChunks(ctx, sp)
+	ch, _, err := e.StreamSpaceChunks(ctx, sp)
 	if err != nil {
 		return nil, err
 	}
-	return e.Collect(ctx, ch, total, sp.At)
+	return e.Collect(ctx, ch, Batch{Space: &sp})
 }
 
 // StreamSpaceChunks expands a Cartesian space and streams its results

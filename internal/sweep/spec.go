@@ -118,7 +118,7 @@ var opTable = [...]opDef{
 // optimizeOp evaluates the optimal allocation.
 func optimizeOp(_ Spec, r resolved) outcome {
 	alloc, err := core.Optimize(r.problem, r.arch)
-	return outcome{alloc: alloc, value: alloc.Speedup, err: err}
+	return outcome{alloc: allocOf(alloc), value: alloc.Speedup, err: err}
 }
 
 // procsOp adapts a speedup at the spec's Procs to an op evaluator.
@@ -461,9 +461,36 @@ func (sp Space) appendSpecs(out []Spec) []Spec {
 	return out
 }
 
-// outcome is the cached value of one evaluation.
+// Batch is the work of one sweep request: a flat spec list or a
+// Cartesian space. Exactly one of the fields should be set. A result
+// names its spec by index into the batch, so the request is the one
+// place a result's spec is kept.
+type Batch struct {
+	Specs []Spec
+	Space *Space
+}
+
+// Size returns the batch's spec count (math.MaxInt for a space whose
+// axis product overflows).
+func (b Batch) Size() int {
+	if b.Space != nil {
+		return b.Space.Size()
+	}
+	return len(b.Specs)
+}
+
+// At returns the batch's spec at index i, decoding a space position
+// rather than expanding the space.
+func (b Batch) At(i int) Spec {
+	if b.Space != nil {
+		return b.Space.At(i)
+	}
+	return b.Specs[i]
+}
+
+// outcome is the value of one evaluation.
 type outcome struct {
-	alloc  core.Allocation
+	alloc  Alloc
 	scaled core.ScaledPoint
 	value  float64
 	grid   int
@@ -482,16 +509,50 @@ func evaluate(s Spec, r resolved) outcome {
 	return d.eval(s, r)
 }
 
-// Result is one evaluated spec. Index is the spec's position in the
-// submitted list; collected results are ordered by it. Exactly one of
-// the payload fields is meaningful, per the spec's op.
-type Result struct {
+// Alloc is an optimal allocation's numbers: core.Allocation without
+// its problem and machine name, which the spec it answers already
+// determines.
+type Alloc struct {
+	Procs     int     // optimal number of processors
+	Area      float64 // n²/Procs, the (idealized equal) partition area
+	CycleTime float64 // optimized per-iteration time (seconds)
+	Speedup   float64 // SerialTime / CycleTime
+
+	UsedAll  bool // Procs equals the admissible maximum
+	Single   bool // the whole grid is best kept on one processor
+	Interior bool // optimum strictly between 1 and the maximum (bus regime)
+
+	ContinuousArea float64 // closed-form Â/ŝ² when available, else Area
+}
+
+// allocOf keeps the numbers of a core allocation.
+func allocOf(a core.Allocation) Alloc {
+	return Alloc{
+		Procs: a.Procs, Area: a.Area, CycleTime: a.CycleTime, Speedup: a.Speedup,
+		UsedAll: a.UsedAll, Single: a.Single, Interior: a.Interior,
+		ContinuousArea: a.ContinuousArea,
+	}
+}
+
+// SerialFraction is the Karp-Flatt effective serial fraction at this
+// optimal allocation (core.Allocation.SerialFraction).
+func (a Alloc) SerialFraction() float64 {
+	return core.Allocation{Procs: a.Procs, Speedup: a.Speedup}.SerialFraction()
+}
+
+// Answer is one evaluated spec without the spec: the spec's index in
+// its request, whether the cache answered it, and the payload. Exactly
+// one of the payload fields is meaningful, per the spec's op. Stored
+// results (job slabs, the write-ahead log) keep answers only and name
+// each spec from the request (Batch.At).
+type Answer struct {
+	// Index is the spec's position in the submitted request; collected
+	// results are ordered by it.
 	Index    int  `json:"index"`
-	Spec     Spec `json:"spec"`
 	CacheHit bool `json:"cache_hit"`
 
 	// Alloc holds the allocation for the optimize ops.
-	Alloc core.Allocation `json:"-"`
+	Alloc Alloc `json:"-"`
 	// Value is the headline scalar: optimal or evaluated speedup.
 	Value float64 `json:"value,omitempty"`
 	// Grid is the found grid size for the grid-search ops.
@@ -500,4 +561,10 @@ type Result struct {
 	Scaled core.ScaledPoint `json:"-"`
 
 	Err error `json:"-"`
+}
+
+// Result is one evaluated spec: the spec and its answer.
+type Result struct {
+	Spec Spec `json:"spec"`
+	Answer
 }

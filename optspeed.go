@@ -377,6 +377,11 @@ type SweepSpace = sweep.Space
 // and whether it was answered from the cache.
 type SweepResult = sweep.Result
 
+// SweepAlloc is a sweep result's optimal allocation: the numbers of an
+// Allocation, without the problem and machine name its spec already
+// gives.
+type SweepAlloc = sweep.Alloc
+
 // Sweep operations.
 const (
 	SweepOptimize = sweep.OpOptimize
