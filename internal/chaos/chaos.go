@@ -11,9 +11,11 @@
 // a pure function of how many decisions each site has drawn — not of
 // goroutine interleaving across sites. Re-running a drill with the
 // same seed and the same per-site request counts replays the identical
-// schedule, which is what lets the go test checks listed in
-// docs/cluster.md (TestChaosFaultEquivalence and friends) assert their
-// own reproducibility and lets an operator replay a failure by its seed.
+// schedule, which is what lets the differential harness
+// (TestDifferential in internal/dispatch, see docs/cluster.md) check
+// that the faults it fired are the seed's pure schedule, replay a seed
+// with go test -run 'TestDifferential/seed=N', and lets an operator
+// replay a failure by its seed.
 //
 // The plane is dormant unless explicitly constructed (optspeedd
 // -chaos, or a test); production builds never pay for it.

@@ -1,7 +1,6 @@
 package dispatch_test
 
 import (
-	"cmp"
 	"context"
 	"net/http"
 	"net/http/httptest"
@@ -38,88 +37,6 @@ var chaosSpace = &sweep.Space{
 	Stencils: []string{"5-point", "9-point"},
 	Shapes:   []string{"strip", "square"},
 	Machines: []core.MachineSpec{{Type: "sync-bus"}, {Type: "mesh"}, {Type: "hypercube"}},
-}
-
-// newChaosCoordinator starts a coordinator over the given peers whose
-// dispatch transport draws faults from the plane.
-func newChaosCoordinator(t *testing.T, plane *chaos.Plane, peers []string, shardSize int) string {
-	t.Helper()
-	eng := sweep.New(sweep.Options{})
-	d := dispatch.New(dispatch.Options{
-		Engine:     eng,
-		Peers:      peers,
-		ShardSize:  shardSize,
-		HTTPClient: &http.Client{Transport: plane.Transport(nil)},
-	})
-	srv := service.New(service.Config{Engine: eng, Dispatcher: d})
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(func() {
-		ts.Close()
-		srv.Close()
-	})
-	return ts.URL
-}
-
-// TestChaosFaultEquivalence is the PR 5 byte-identity contract
-// exercised through the fault-injection plane: a coordinator whose
-// workers serve 5xx, dropped connections, truncated streams, garbage
-// lines, and injected latency — and whose own peer transport drops and
-// delays round trips — must return /v1/sweep responses byte-identical
-// to a clean single node's (and to the committed goldens, which the
-// equivalence corpus pins separately).
-func TestChaosFaultEquivalence(t *testing.T) {
-	plane := chaos.New(chaos.Config{
-		Seed:    77,
-		Latency: 0.15, LatencyAmount: 5 * time.Millisecond,
-		Drop: 0.1, Truncate: 0.1, Garbage: 0.1, HTTP500: 0.1,
-	})
-	peers := []string{
-		newChaosWorker(t, plane, "w0"),
-		newChaosWorker(t, plane, "w1"),
-		newChaosWorker(t, plane, "w2"),
-	}
-	coord := newChaosCoordinator(t, plane, peers, 8)
-	single := newWorker(t)
-	for _, tc := range equivalenceBodies {
-		wantStatus, want := postSweep(t, single, tc.body)
-		gotStatus, got := postSweep(t, coord, tc.body)
-		if wantStatus != 200 || gotStatus != 200 {
-			t.Fatalf("%s: status single=%d chaos=%d", tc.name, wantStatus, gotStatus)
-		}
-		if string(got) != string(want) {
-			t.Fatalf("%s: chaos response diverges from single-node (%d vs %d bytes)",
-				tc.name, len(got), len(want))
-		}
-	}
-	if plane.Counts().Injected() == 0 {
-		t.Fatal("plane injected nothing; the equivalence was not exercised")
-	}
-
-	// The faults that fired must replay from the seed alone: at every
-	// site, the recorded injections are exactly the non-none decisions
-	// of the pure schedule over the same number of draws. The workers'
-	// sites are HTTP sites; the coordinator's are "transport " sites.
-	rep := plane.Report()
-	if rep.Counts.Injected() >= 4096 {
-		t.Fatalf("%d injections overflow the recorded schedule", rep.Counts.Injected())
-	}
-	for site, seq := range rep.SiteSeqs {
-		kind := chaos.SiteHTTP
-		if strings.HasPrefix(site, "transport ") {
-			kind = chaos.SiteTransport
-		}
-		var want []chaos.Decision
-		for _, d := range plane.Preview(kind, site, int(seq)) {
-			if d.Fault != chaos.FaultNone {
-				want = append(want, d)
-			}
-		}
-		got := plane.ScheduleFor(site)
-		slices.SortFunc(got, func(a, b chaos.Decision) int { return cmp.Compare(a.Seq, b.Seq) })
-		if !slices.Equal(got, want) {
-			t.Errorf("site %q: fired schedule diverges from its replay:\n  fired  %v\n  replay %v", site, got, want)
-		}
-	}
 }
 
 // TestHedgedDispatchIndexIntegrity is the property test for the

@@ -159,10 +159,6 @@ type peerState struct {
 	removed     bool
 	inflight    map[uint64]*attemptHandle
 	nextAttempt uint64
-	// registered marks the peer's metric series as created; series
-	// registration must happen exactly once per URL for the registry's
-	// duplicate-series panic to stay impossible across remove/re-add.
-	registered bool
 }
 
 // ok records a successful attempt and clears any suspect strike.
@@ -201,11 +197,10 @@ type Dispatcher struct {
 	suspectWindow time.Duration
 	ewmaBits      atomic.Uint64 // float64 bits of the shard-time EWMA, seconds
 
-	// pmu guards the mutable roster, the all-time peer ledger, and the
-	// lazily bound metric registry.
+	// pmu guards the mutable roster and the lazily bound metric
+	// registry.
 	pmu     sync.Mutex
 	members []*peerState
-	ledger  map[string]*peerState
 	reg     *telemetry.Registry
 
 	mu                sync.Mutex
@@ -274,7 +269,6 @@ func New(opts Options) *Dispatcher {
 		hedgeMin:      hedgeMin,
 		hedgeMax:      hedgeMax,
 		suspectWindow: suspectWindow,
-		ledger:        make(map[string]*peerState),
 	}
 	for _, u := range opts.Peers {
 		url, err := normalizePeerURL(u)
@@ -284,12 +278,9 @@ func New(opts Options) *Dispatcher {
 			// than silently dropping a fleet member.
 			url = u
 		}
-		if _, dup := d.ledger[url]; dup {
-			continue
+		if d.memberIndex(url) < 0 {
+			d.members = append(d.members, d.newPeerState(url))
 		}
-		p := d.newPeerState(url)
-		d.ledger[url] = p
-		d.members = append(d.members, p)
 	}
 	return d
 }

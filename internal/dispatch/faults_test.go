@@ -7,7 +7,6 @@ import (
 
 	"optspeed/internal/core"
 	"optspeed/internal/dispatch"
-	"optspeed/internal/jobs"
 	"optspeed/internal/sweep"
 )
 
@@ -120,80 +119,6 @@ func TestSlowPeerPreservesOrder(t *testing.T) {
 	}
 	if next != opened.Total {
 		t.Fatalf("stream delivered %d of %d results", next, opened.Total)
-	}
-}
-
-// TestDistributedJobProgress runs a distributed job through the jobs
-// store and checks the per-shard progress counters land: Shards set
-// from the plan, ShardsDone equal at completion, Completed == Total.
-func TestDistributedJobProgress(t *testing.T) {
-	peers := []string{newWorker(t), newWorker(t)}
-	eng := sweep.New(sweep.Options{})
-	d := dispatch.New(dispatch.Options{Engine: eng, Peers: peers, ShardSize: 4})
-	store := jobs.NewStore(jobs.Options{Engine: eng, Dispatcher: d})
-	defer store.Close()
-
-	snap, err := store.Submit(jobs.Request{Kind: jobs.KindSweep, Space: testSpace(16, 24, 32, 48)})
-	if err != nil {
-		t.Fatalf("Submit: %v", err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	fin, err := store.Wait(ctx, snap.ID)
-	if err != nil {
-		t.Fatalf("Wait: %v", err)
-	}
-	if fin.State != jobs.StateSucceeded {
-		t.Fatalf("job %s: %s (%s)", fin.ID, fin.State, fin.Reason)
-	}
-	p := fin.Progress
-	if p.Completed != p.Total || p.Total != 16 {
-		t.Fatalf("progress %+v: want completed == total == 16", p)
-	}
-	if p.Shards != 4 || p.ShardsDone != p.Shards {
-		t.Fatalf("progress %+v: want 4 shards, all done", p)
-	}
-}
-
-// TestDuplicateDeliveryDoesNotInflateProgress submits a job whose
-// peers deliver every result twice: the job's Completed counter must
-// equal Total exactly — dedupe happens before the chunk pipeline, so
-// progress can never double-count.
-func TestDuplicateDeliveryDoesNotInflateProgress(t *testing.T) {
-	peers := []string{newFaultPeer(t, "duplicate-lines", -1), newFaultPeer(t, "duplicate-lines", -1)}
-	eng := sweep.New(sweep.Options{})
-	d := dispatch.New(dispatch.Options{Engine: eng, Peers: peers, ShardSize: 4})
-	store := jobs.NewStore(jobs.Options{Engine: eng, Dispatcher: d})
-	defer store.Close()
-
-	snap, err := store.Submit(jobs.Request{Kind: jobs.KindSweep, Space: testSpace(16, 24, 32, 48)})
-	if err != nil {
-		t.Fatalf("Submit: %v", err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	fin, err := store.Wait(ctx, snap.ID)
-	if err != nil {
-		t.Fatalf("Wait: %v", err)
-	}
-	if fin.State != jobs.StateSucceeded {
-		t.Fatalf("job %s: %s (%s)", fin.ID, fin.State, fin.Reason)
-	}
-	if fin.Progress.Completed != fin.Progress.Total {
-		t.Fatalf("progress %+v: duplicate deliveries inflated the counters", fin.Progress)
-	}
-	// Every stored result must be present exactly once, in order.
-	page, err := store.Results(fin.ID, 0, fin.Progress.Total+10)
-	if err != nil {
-		t.Fatalf("Results: %v", err)
-	}
-	if len(page.Results) != fin.Progress.Total {
-		t.Fatalf("stored %d results, want %d", len(page.Results), fin.Progress.Total)
-	}
-	for i, r := range page.Results {
-		if r.Index != i {
-			t.Fatalf("stored result %d has index %d", i, r.Index)
-		}
 	}
 }
 

@@ -67,15 +67,17 @@ func postSweep(t *testing.T, base, body string) (int, []byte) {
 type faultPeer struct {
 	t     *testing.T
 	inner http.Handler
-	mode  string // "kill-mid-stream" | "http-500" | "garbage" | "duplicate-lines" | "truncate-no-done" | "wrong-spec"
-	failN int64  // requests to sabotage; -1 = all
+	chaos http.Handler // serves mode "chaos": inner behind a chaos plane
+	mode  atomic.Value // string, swappable while serving; "" passes through
+	failN int64        // requests to sabotage; -1 = all
 	seen  atomic.Int64
 }
 
 func newFaultPeer(t *testing.T, mode string, failN int64) string {
 	t.Helper()
 	srv := service.New(service.Config{Engine: sweep.New(sweep.Options{})})
-	fp := &faultPeer{t: t, inner: srv.Handler(), mode: mode, failN: failN}
+	fp := &faultPeer{t: t, inner: srv.Handler(), failN: failN}
+	fp.mode.Store(mode)
 	ts := httptest.NewServer(fp)
 	t.Cleanup(func() {
 		ts.Close()
@@ -86,14 +88,15 @@ func newFaultPeer(t *testing.T, mode string, failN int64) string {
 
 func (fp *faultPeer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	n := fp.seen.Add(1)
-	sabotage := fp.failN < 0 || n <= fp.failN
+	mode, _ := fp.mode.Load().(string)
+	sabotage := mode != "" && (fp.failN < 0 || n <= fp.failN)
 	// Health probes always pass through: the faults under test are
 	// shard-serving faults, not liveness ones.
 	if !sabotage || r.URL.Path == "/healthz" {
 		fp.inner.ServeHTTP(w, r)
 		return
 	}
-	switch fp.mode {
+	switch mode {
 	case "slow":
 		// Not a fault: a healthy peer that answers late, for ordering
 		// tests where shard completion order inverts submission order.
@@ -111,15 +114,17 @@ func (fp *faultPeer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			f.Flush()
 		}
 		<-r.Context().Done()
+	case "chaos":
+		fp.chaos.ServeHTTP(w, r)
 	case "http-500":
 		http.Error(w, "worker exploded", http.StatusInternalServerError)
 	case "garbage":
 		w.Header().Set("Content-Type", "application/x-ndjson")
 		io.WriteString(w, "this is not json\n{\"result\": [broken\n")
 	case "kill-mid-stream", "duplicate-lines", "truncate-no-done", "wrong-spec":
-		fp.replay(w, r)
+		fp.replay(w, r, mode)
 	default:
-		fp.t.Errorf("unknown fault mode %q", fp.mode)
+		fp.t.Errorf("unknown fault mode %q", mode)
 	}
 }
 
@@ -127,13 +132,13 @@ func (fp *faultPeer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // with the configured corruption: killed connection mid-body,
 // duplicated result lines, a truncated stream with the done line
 // dropped, or every echoed spec replaced by a different valid one.
-func (fp *faultPeer) replay(w http.ResponseWriter, r *http.Request) {
+func (fp *faultPeer) replay(w http.ResponseWriter, r *http.Request, mode string) {
 	rec := httptest.NewRecorder()
 	fp.inner.ServeHTTP(rec, r)
 	body := rec.Body.Bytes()
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(rec.Code)
-	switch fp.mode {
+	switch mode {
 	case "kill-mid-stream":
 		// Deliver roughly half the stream, flush it so the coordinator
 		// really receives it, then abort the connection — net/http

@@ -20,10 +20,10 @@
 //
 // The roster itself is runtime-mutable: AddPeer/RemovePeer back the
 // service's POST/DELETE /v2/cluster/peers, with -peers reduced to the
-// seed list. Removing a peer reclaims its outstanding attempts;
-// re-adding a previously removed URL revives its ledger and breaker
-// (and its metric series, registered exactly once per URL) rather than
-// forgetting its history.
+// seed list. Removing a peer reclaims its outstanding attempts and
+// forgets it: its ledger, breaker and metric series go, so roster
+// churn cannot grow the dispatcher or /metrics. Re-adding the URL
+// starts it fresh.
 package dispatch
 
 import (
@@ -162,67 +162,63 @@ func normalizePeerURL(raw string) (string, error) {
 	return raw, nil
 }
 
-// AddPeer admits a worker into the roster at runtime. A URL seen
-// before (removed earlier) revives its existing ledger, breaker
-// history, and metric series; a brand-new URL starts fresh. Returns
-// ErrPeerExists when the peer is already a member.
+// AddPeer admits a worker into the roster at runtime with a fresh
+// ledger, breaker, and metric series. Returns ErrPeerExists when the
+// peer is already a member.
 func (d *Dispatcher) AddPeer(rawURL string) error {
 	u, err := normalizePeerURL(rawURL)
 	if err != nil {
 		return err
 	}
 	d.pmu.Lock()
-	p, known := d.ledger[u]
-	if known {
-		for _, m := range d.members {
-			if m == p {
-				d.pmu.Unlock()
-				return ErrPeerExists
-			}
-		}
-	} else {
-		p = d.newPeerState(u)
-		d.ledger[u] = p
+	if d.memberIndex(u) >= 0 {
+		d.pmu.Unlock()
+		return ErrPeerExists
 	}
-	p.mu.Lock()
-	p.removed = false
-	p.suspect = false
-	p.mu.Unlock()
+	p := d.newPeerState(u)
 	d.members = append(d.members, p)
-	if d.reg != nil && !p.registered {
+	if d.reg != nil {
 		d.registerPeerSeries(p)
 	}
 	d.pmu.Unlock()
 	d.countMembership("added")
 	if d.logger != nil {
-		d.logger.Info("peer joined", "peer", u, "known", known)
+		d.logger.Info("peer joined", "peer", u)
 	}
 	return nil
 }
 
+// memberIndex returns the roster position of url, or -1. Caller holds
+// d.pmu.
+func (d *Dispatcher) memberIndex(url string) int {
+	for i, m := range d.members {
+		if m.url == url {
+			return i
+		}
+	}
+	return -1
+}
+
 // RemovePeer evicts a worker from the roster: it stops receiving
-// shards immediately and its outstanding attempts are reclaimed and
-// reassigned. The peer's ledger and breaker survive for a later
-// re-add. Returns ErrPeerUnknown when the URL is not a member.
+// shards immediately, its outstanding attempts are reclaimed and
+// reassigned, and its ledger, breaker and metric series are dropped.
+// Returns ErrPeerUnknown when the URL is not a member.
 func (d *Dispatcher) RemovePeer(rawURL string) error {
 	u, err := normalizePeerURL(rawURL)
 	if err != nil {
 		return err
 	}
 	d.pmu.Lock()
-	idx := -1
-	var p *peerState
-	for i, m := range d.members {
-		if m.url == u {
-			idx, p = i, m
-			break
-		}
-	}
+	idx := d.memberIndex(u)
 	if idx < 0 {
 		d.pmu.Unlock()
 		return ErrPeerUnknown
 	}
+	p := d.members[idx]
 	d.members = append(d.members[:idx], d.members[idx+1:]...)
+	if d.reg != nil {
+		d.unregisterPeerSeries(p)
+	}
 	d.pmu.Unlock()
 	var handles []*attemptHandle
 	p.mu.Lock()

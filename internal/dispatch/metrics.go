@@ -14,10 +14,9 @@ var membershipEventNames = []string{"added", "removed", "suspected", "down", "re
 
 // RegisterMetrics exports the dispatcher's shard, hedge, membership,
 // and per-peer counters as scrape-time reads. The roster is mutable,
-// so per-peer series are registered lazily: every current member now,
-// and each later AddPeer of a never-seen URL at admit time — exactly
-// once per URL, so a remove/re-add cycle cannot collide with the
-// registry's duplicate-series check.
+// so per-peer series follow it: every current member's now, each
+// later AddPeer's at admit time, and RemovePeer unregisters them, so
+// the per-peer series count stays three per member.
 func (d *Dispatcher) RegisterMetrics(r *telemetry.Registry) {
 	r.NewCounterFunc("optspeed_dispatch_shards_planned_total",
 		"Shards handed to the scatter loop.",
@@ -64,19 +63,14 @@ func (d *Dispatcher) RegisterMetrics(r *telemetry.Registry) {
 	d.pmu.Lock()
 	d.reg = r
 	for _, p := range d.members {
-		if !p.registered {
-			d.registerPeerSeries(p)
-		}
+		d.registerPeerSeries(p)
 	}
 	d.pmu.Unlock()
 }
 
-// registerPeerSeries creates one peer's labelled series. Caller holds
-// d.pmu; the series read the peer ledger at scrape time, so they keep
-// reporting (frozen counters, open breaker history) while the peer is
-// out of the roster.
+// registerPeerSeries creates one member's labelled series, read from
+// its ledger at scrape time. Caller holds d.pmu.
 func (d *Dispatcher) registerPeerSeries(p *peerState) {
-	p.registered = true
 	const shardHelp = "Shard attempts against one peer, by outcome."
 	lbl := telemetry.L("peer", p.url)
 	d.reg.NewCounterFunc("optspeed_dispatch_peer_shards_total", shardHelp,
@@ -103,4 +97,13 @@ func (d *Dispatcher) registerPeerSeries(p *peerState) {
 				return 0
 			}
 		}, lbl)
+}
+
+// unregisterPeerSeries drops the series registerPeerSeries made for a
+// peer leaving the roster. Caller holds d.pmu.
+func (d *Dispatcher) unregisterPeerSeries(p *peerState) {
+	lbl := telemetry.L("peer", p.url)
+	d.reg.Unregister("optspeed_dispatch_peer_shards_total", lbl, telemetry.L("outcome", "ok"))
+	d.reg.Unregister("optspeed_dispatch_peer_shards_total", lbl, telemetry.L("outcome", "error"))
+	d.reg.Unregister("optspeed_dispatch_peer_breaker_open", lbl)
 }

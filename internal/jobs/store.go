@@ -234,7 +234,11 @@ func (s *Store) recover(recovered []PersistedJob) {
 			// Total before the answers, so they get right-sized slabs.
 			progress: Progress{Total: pj.Total},
 		}
-		j.appendAnswers(pj.Results)
+		if pj.State != StatePending {
+			// A pending job runs again from the start. It has answers
+			// only if its start record failed to append.
+			j.appendAnswers(pj.Results)
+		}
 		j.mu.Lock()
 		j.started = pj.Started
 		j.cancelRequested = pj.CancelRequested
@@ -269,6 +273,10 @@ func (s *Store) recover(recovered []PersistedJob) {
 		}
 		s.jobs[j.id] = j
 	}
+	// Jobs whose Removed records failed to append are back: evict to
+	// capacity again.
+	for len(s.jobs) > s.capacity && s.evictOneLocked() {
+	}
 	// Compact before the requeued jobs emit fresh Started records: the
 	// new log generation starts from a snapshot in which they are
 	// pending. (Correct even if this fails — replay resets a job's
@@ -289,9 +297,6 @@ func (s *Store) recover(recovered []PersistedJob) {
 
 // Engine returns the store's evaluation engine.
 func (s *Store) Engine() *sweep.Engine { return s.engine }
-
-// Dispatcher returns the store's evaluation router.
-func (s *Store) Dispatcher() *dispatch.Dispatcher { return s.dispatcher }
 
 // Persistent reports whether the store writes a durable log.
 func (s *Store) Persistent() bool { return s.persister != nil }

@@ -33,8 +33,8 @@ type PeerChangeResponse struct {
 
 // handlePeerAdd admits a worker into the live roster
 // (POST /v2/cluster/peers). The -peers flag is only the seed list; the
-// roster is owned by the dispatcher from then on. Adding a URL that was
-// removed earlier revives its ledger and breaker history. 409 when the
+// roster is owned by the dispatcher from then on. A URL that was
+// removed earlier starts with a fresh ledger and breaker. 409 when the
 // peer is already a member.
 func (s *Server) handlePeerAdd(w http.ResponseWriter, r *http.Request) {
 	var req PeerRequest
@@ -56,8 +56,8 @@ func (s *Server) handlePeerAdd(w http.ResponseWriter, r *http.Request) {
 // handlePeerRemove evicts a worker from the live roster
 // (DELETE /v2/cluster/peers?url=... or with the same JSON body as the
 // add). The peer's outstanding shard attempts are reclaimed and
-// reassigned immediately; its ledger survives for a later re-add. 404
-// when the URL is not a member.
+// reassigned immediately, and its ledger and metric series are
+// dropped. 404 when the URL is not a member.
 func (s *Server) handlePeerRemove(w http.ResponseWriter, r *http.Request) {
 	var req PeerRequest
 	if req.URL = r.URL.Query().Get("url"); req.URL == "" {

@@ -103,13 +103,19 @@ func checkHeader(h []byte, magic string) (uint32, error) {
 	return v, nil
 }
 
-// appendFrame frames one payload onto buf: length, CRC32, payload.
-func appendFrame(buf, payload []byte) []byte {
-	var hdr [frameSize]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(payload))
-	buf = append(buf, hdr[:]...)
-	return append(buf, payload...)
+// appendFrame frames one payload, given in parts, onto buf: length,
+// CRC32, payload. The parts are copied straight into buf and the CRC is
+// taken there, so a record's type byte and JSON body are never joined
+// in a copy of their own.
+func appendFrame(buf []byte, payload ...[]byte) []byte {
+	start := len(buf)
+	buf = append(buf, make([]byte, frameSize)...)
+	for _, p := range payload {
+		buf = append(buf, p...)
+	}
+	binary.LittleEndian.PutUint32(buf[start:], uint32(len(buf)-start-frameSize))
+	binary.LittleEndian.PutUint32(buf[start+4:], crc32.ChecksumIEEE(buf[start+frameSize:]))
+	return buf
 }
 
 // nextFrame splits the first framed payload off data, returning the
@@ -337,14 +343,20 @@ func decodeJob(in jobJSON) jobs.PersistedJob {
 
 // encodeRecord frames one typed record onto buf.
 func encodeRecord(buf []byte, typ byte, body any) ([]byte, error) {
+	js, err := marshalRecord(typ, body)
+	if err != nil {
+		return buf, err
+	}
+	return appendFrame(buf, []byte{typ}, js), nil
+}
+
+// marshalRecord encodes one record body.
+func marshalRecord(typ byte, body any) ([]byte, error) {
 	js, err := json.Marshal(body)
 	if err != nil {
-		return buf, fmt.Errorf("store: encode record type %d: %w", typ, err)
+		return nil, fmt.Errorf("store: encode record type %d: %w", typ, err)
 	}
-	payload := make([]byte, 0, 1+len(js))
-	payload = append(payload, typ)
-	payload = append(payload, js...)
-	return appendFrame(buf, payload), nil
+	return js, nil
 }
 
 // decodeRecord parses one record payload (type byte + JSON body) into

@@ -203,11 +203,18 @@ func (s *Store) recover() ([]jobs.PersistedJob, error) {
 	return out, nil
 }
 
-// append writes one record under the policy's durability. Persister
-// hooks cannot return errors (the in-memory transition has already
-// happened); a failing append is counted, logged, and the store keeps
-// accepting writes — degraded durability beats taking the service down.
+// append writes one record under the policy's durability. The body is
+// encoded before the lock is taken, so concurrent jobs serialize only
+// on framing and the write. Persister hooks cannot return errors (the
+// in-memory transition has already happened); a failing append is
+// counted, logged, and the store keeps accepting writes — degraded
+// durability beats taking the service down.
 func (s *Store) append(typ byte, body any) {
+	js, err := marshalRecord(typ, body)
+	if err != nil {
+		s.writeFailed("store: wal append failed", err)
+		return
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -215,42 +222,34 @@ func (s *Store) append(typ byte, body any) {
 	}
 	if s.writeFault != nil {
 		if err := s.writeFault(); err != nil {
-			s.writeErrors.Add(1)
-			if s.logger != nil {
-				s.logger.Error("store: wal append failed", "error", err)
-			}
+			s.writeFailed("store: wal append failed", err)
 			return
 		}
 	}
-	n, err := s.wal.append(typ, body, s.policy != FsyncInterval)
-	if err != nil {
-		s.writeErrors.Add(1)
-		if s.logger != nil {
-			s.logger.Error("store: wal append failed", "error", err)
-		}
-		return
-	}
-	s.walBytes.Add(int64(n))
+	s.walBytes.Add(int64(s.wal.append(typ, js)))
 	s.walRecords.Add(1)
 	switch {
 	case s.policy == FsyncAlways:
 		if synced, err := s.wal.sync(); err != nil {
-			s.writeErrors.Add(1)
-			if s.logger != nil {
-				s.logger.Error("store: wal fsync failed", "error", err)
-			}
+			s.writeFailed("store: wal fsync failed", err)
 		} else if synced {
 			s.fsyncs.Add(1)
 		}
-	case len(s.wal.pending) >= flushThreshold:
-		// Don't let a burst between flush ticks grow the in-memory
-		// buffer without bound; the loss window stays one interval.
+	case s.policy == FsyncOff || len(s.wal.pending) >= flushThreshold:
+		// Off writes each record through. Interval writes a burst out
+		// once it fills the buffer, so the buffer stays bounded and the
+		// loss window stays one interval.
 		if err := s.wal.flush(); err != nil {
-			s.writeErrors.Add(1)
-			if s.logger != nil {
-				s.logger.Error("store: wal flush failed", "error", err)
-			}
+			s.writeFailed("store: wal flush failed", err)
 		}
+	}
+}
+
+// writeFailed counts and logs one failed write.
+func (s *Store) writeFailed(msg string, err error) {
+	s.writeErrors.Add(1)
+	if s.logger != nil {
+		s.logger.Error(msg, "error", err)
 	}
 }
 
@@ -274,10 +273,7 @@ func (s *Store) flushLoop(every time.Duration) {
 			synced, err := s.wal.sync()
 			s.mu.Unlock()
 			if err != nil {
-				s.writeErrors.Add(1)
-				if s.logger != nil {
-					s.logger.Error("store: wal flush failed", "error", err)
-				}
+				s.writeFailed("store: wal flush failed", err)
 			} else if synced {
 				s.fsyncs.Add(1)
 			}

@@ -36,17 +36,15 @@ func ParseFsyncPolicy(s string) (FsyncPolicy, error) {
 	}
 }
 
-// walFile is one open log generation. In write-through mode each
-// record is framed into a reusable buffer and written with a single
-// write syscall — no bufio layer, so a crash can tear at most the
-// record being written, never interleave two. Buffered mode
-// (FsyncInterval) instead accumulates whole frames in pending and
-// writes them in one syscall at each flush; frames are still never
-// split across writes.
+// walFile is one open log generation. Every append frames its record
+// into pending; a flush writes all pending frames with one write
+// syscall — no bufio layer, so a crash can tear at most the bytes of
+// one flush, and frames are never split across writes. FsyncOff and
+// FsyncAlways flush after each record; FsyncInterval lets frames
+// accumulate until the next timer flush.
 type walFile struct {
 	f       *os.File
-	scratch []byte // reusable encode buffer for write-through appends
-	pending []byte // frames awaiting flush (buffered appends)
+	pending []byte // frames awaiting flush
 	dirty   bool   // file written since last sync
 }
 
@@ -100,42 +98,29 @@ func openWAL(dir string, gen uint64, offset int64) (*walFile, error) {
 	return &walFile{f: f}, nil
 }
 
-// append frames one record. With through set the frame is written to
-// the file immediately; otherwise it accumulates in pending until the
-// next flush. The caller decides about syncing (policy-dependent).
-// Returns the framed size in bytes.
-func (w *walFile) append(typ byte, body any, through bool) (int, error) {
-	if !through {
-		before := len(w.pending)
-		buf, err := encodeRecord(w.pending, typ, body)
-		if err != nil {
-			return 0, err
-		}
-		w.pending = buf
-		return len(buf) - before, nil
-	}
-	buf, err := encodeRecord(w.scratch[:0], typ, body)
-	if err != nil {
-		return 0, err
-	}
-	w.scratch = buf[:0] // retain capacity for the next record
-	if _, err := w.f.Write(buf); err != nil {
-		return 0, fmt.Errorf("store: wal append: %w", err)
-	}
-	w.dirty = true
-	return len(buf), nil
+// append frames one record (type byte and JSON body) onto pending and
+// returns the framed size. The caller decides about flushing and
+// syncing (policy-dependent).
+func (w *walFile) append(typ byte, js []byte) int {
+	before := len(w.pending)
+	w.pending = appendFrame(w.pending, []byte{typ}, js)
+	return len(w.pending) - before
 }
 
-// flush writes every pending frame to the file in one syscall.
+// flush writes every pending frame to the file in one syscall. The
+// frames are dropped even when the write fails: retrying them after a
+// partial write would put them behind a torn frame, where replay never
+// reads.
 func (w *walFile) flush() error {
 	if len(w.pending) == 0 {
 		return nil
 	}
-	if _, err := w.f.Write(w.pending); err != nil {
-		return fmt.Errorf("store: wal flush: %w", err)
-	}
+	_, err := w.f.Write(w.pending)
 	w.pending = w.pending[:0]
 	w.dirty = true
+	if err != nil {
+		return fmt.Errorf("store: wal flush: %w", err)
+	}
 	return nil
 }
 

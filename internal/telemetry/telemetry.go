@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -242,11 +243,13 @@ func sortLabels(labels []Label) []Label {
 	return out
 }
 
-// register validates and returns the (family, series slot) for one
-// instrument. Misuse — bad names, redefining a family with a different
-// type or help, registering the same series twice — panics: these are
-// programming errors at construction time, not runtime conditions.
-func (r *Registry) register(name, help string, kind metricKind, buckets []float64, labels []Label) *child {
+// register validates one instrument and publishes c, whose value field
+// is already set, as its series: a concurrent scrape may render it at
+// once. Misuse — bad names, redefining a family with a different type,
+// help or bucket layout, registering the same series twice — panics:
+// these are programming errors at construction time, not runtime
+// conditions.
+func (r *Registry) register(name, help string, kind metricKind, buckets []float64, labels []Label, c *child) {
 	if !validMetricName(name) {
 		panic(fmt.Sprintf("telemetry: invalid metric name %q", name))
 	}
@@ -294,28 +297,30 @@ func (r *Registry) register(name, help string, kind metricKind, buckets []float6
 	if f.help != help {
 		panic(fmt.Sprintf("telemetry: metric %s redefined with different help", name))
 	}
+	if !slices.Equal(f.buckets, buckets) {
+		panic(fmt.Sprintf("telemetry: histogram %s: series registered with different bucket layout", name))
+	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	sig := signature(labels)
 	if _, dup := f.children[sig]; dup {
 		panic(fmt.Sprintf("telemetry: duplicate series %s%s", name, renderLabels(nil, labels, "")))
 	}
-	c := &child{labels: labels}
+	c.labels = labels
 	f.children[sig] = c
-	return c
 }
 
 // NewCounter registers a counter series and returns its handle.
 func (r *Registry) NewCounter(name, help string, labels ...Label) *Counter {
-	c := r.register(name, help, kindCounter, nil, labels)
-	c.counter = &Counter{}
+	c := &child{counter: &Counter{}}
+	r.register(name, help, kindCounter, nil, labels, c)
 	return c.counter
 }
 
 // NewGauge registers a gauge series and returns its handle.
 func (r *Registry) NewGauge(name, help string, labels ...Label) *Gauge {
-	c := r.register(name, help, kindGauge, nil, labels)
-	c.gauge = &Gauge{}
+	c := &child{gauge: &Gauge{}}
+	r.register(name, help, kindGauge, nil, labels, c)
 	return c.gauge
 }
 
@@ -324,23 +329,12 @@ func (r *Registry) NewGauge(name, help string, labels ...Label) *Gauge {
 // are compared against observations to the nanosecond. Series of the
 // same family must be registered with identical bounds.
 func (r *Registry) NewHistogram(name, help string, buckets []float64, labels ...Label) *Histogram {
-	c := r.register(name, help, kindHistogram, buckets, labels)
-	r.mu.Lock()
-	fam := r.families[name]
-	r.mu.Unlock()
-	if len(fam.buckets) != len(buckets) {
-		panic(fmt.Sprintf("telemetry: histogram %s: series registered with different bucket layout", name))
-	}
-	for i := range buckets {
-		if fam.buckets[i] != buckets[i] {
-			panic(fmt.Sprintf("telemetry: histogram %s: series registered with different bucket layout", name))
-		}
-	}
 	limits := make([]time.Duration, len(buckets))
 	for i, b := range buckets {
 		limits[i] = time.Duration(math.Round(b * float64(time.Second)))
 	}
-	c.hist = &Histogram{limits: limits, counts: make([]atomic.Uint64, len(buckets)+1)}
+	c := &child{hist: &Histogram{limits: limits, counts: make([]atomic.Uint64, len(buckets)+1)}}
+	r.register(name, help, kindHistogram, buckets, labels, c)
 	return c.hist
 }
 
@@ -348,14 +342,27 @@ func (r *Registry) NewHistogram(name, help string, buckets []float64, labels ...
 // at scrape time — the bridge for subsystems that already maintain
 // their own monotone counters. fn must be safe for concurrent use.
 func (r *Registry) NewCounterFunc(name, help string, fn func() float64, labels ...Label) {
-	c := r.register(name, help, kindCounter, nil, labels)
-	c.fn = fn
+	r.register(name, help, kindCounter, nil, labels, &child{fn: fn})
 }
 
 // NewGaugeFunc registers a gauge series read from fn at scrape time.
 func (r *Registry) NewGaugeFunc(name, help string, fn func() float64, labels ...Label) {
-	c := r.register(name, help, kindGauge, nil, labels)
-	c.fn = fn
+	r.register(name, help, kindGauge, nil, labels, &child{fn: fn})
+}
+
+// Unregister removes one series, so a source that goes away stops
+// being scraped and the same series may be registered again later. A
+// family left with no series renders nothing; a handle to the removed
+// series stays usable but is no longer read.
+func (r *Registry) Unregister(name string, labels ...Label) {
+	r.mu.Lock()
+	f := r.families[name]
+	r.mu.Unlock()
+	if f != nil {
+		f.mu.Lock()
+		delete(f.children, signature(sortLabels(labels)))
+		f.mu.Unlock()
+	}
 }
 
 // appendEscaped appends s with the exposition escapes: backslash and

@@ -101,6 +101,24 @@ func TestFuncCollectors(t *testing.T) {
 	}
 }
 
+// TestUnregister removes a series: an emptied family leaves nothing on
+// a valid page, and the series may be registered again.
+func TestUnregister(t *testing.T) {
+	r := NewRegistry()
+	one := func() float64 { return 1 }
+	r.NewGaugeFunc("optspeed_peer_up", "Peer up.", one, L("peer", "a"))
+	r.NewCounterFunc("optspeed_other_total", "Other.", one)
+	r.Unregister("optspeed_peer_up", L("peer", "a"))
+	r.Unregister("optspeed_missing")
+	if out := render(t, r); strings.Contains(string(out), "optspeed_peer_up") || CheckExposition(out) != nil {
+		t.Fatalf("page after removal:\n%s", out)
+	}
+	r.NewGaugeFunc("optspeed_peer_up", "Peer up.", one, L("peer", "a"))
+	if out := string(render(t, r)); !strings.Contains(out, `optspeed_peer_up{peer="a"} 1`) {
+		t.Fatalf("re-registered series missing:\n%s", out)
+	}
+}
+
 func TestRegistrationPanics(t *testing.T) {
 	cases := map[string]func(r *Registry){
 		"bad name":        func(r *Registry) { r.NewCounter("9bad", "h") },
@@ -234,8 +252,11 @@ func TestConcurrentInstruments(t *testing.T) {
 				h.Observe(time.Second)
 				g.Add(1)
 				if i%64 == 0 {
+					// Scrapes and lazy registrations (an endpoint's first
+					// request) must be safe together.
+					r.NewCounter("conc_lazy_total", "h", L("at", strconv.Itoa(w*per+i)))
 					var buf bytes.Buffer
-					_ = r.WritePrometheus(&buf) // concurrent scrapes must be safe
+					_ = r.WritePrometheus(&buf)
 				}
 			}
 		}(w)
