@@ -336,7 +336,6 @@ type harness struct {
 	urls       []string
 	front      *httptest.Server
 	jobs       map[string]string // every job submitted: id -> body
-	lossy      map[string]bool   // jobs a crash recovered after a failed store append
 
 	live   atomic.Pointer[service.Server]
 	ps     *store.Store
@@ -353,7 +352,7 @@ func newHarness(t *testing.T, cfg chaos.Config, peers int, cover map[string]int)
 		fsync: []store.FsyncPolicy{store.FsyncOff, store.FsyncAlways, store.FsyncInterval}[cfg.Seed%3],
 		plane: chaos.New(cfg),
 		ref:   service.New(service.Config{}),
-		want:  make(map[string][]wire), jobs: make(map[string]string), lossy: make(map[string]bool),
+		want:  make(map[string][]wire), jobs: make(map[string]string),
 	}
 	// Cleanups run last first: this one after the topology closed.
 	t.Cleanup(func() {
@@ -499,7 +498,8 @@ func (h *harness) stream(s step) {
 
 // restart restarts the coordinator on its data directory. Every job
 // it then serves must be one submitted, marked recovered and holding
-// only answers the reference agrees with; one terminal before keeps
+// only answers the reference agrees with, every one of them if it
+// succeeded (after a lost append too); one terminal before keeps
 // its status and byte-identical pages, unless a crash followed a
 // failed store append, which loses records by design.
 func (h *harness) restart(s step) {
@@ -523,10 +523,9 @@ func (h *harness) restart(s step) {
 		if !ok || !j.Recovered {
 			h.t.Fatalf("after restart: job %+v was never submitted or is not marked recovered", j)
 		}
-		h.lossy[j.ID] = h.lossy[j.ID] || !exact
 		j = h.wait(j.ID)
 		raw, got := h.pages(j.ID, s.n)
-		h.agree("recovered job "+j.ID, body, got, !h.lossy[j.ID] && j.State == jobs.StateSucceeded, false)
+		h.agree("recovered job "+j.ID, body, got, j.State == jobs.StateSucceeded, false)
 		if crash && j.ID == inflight && strings.HasPrefix(j.Reason, "restart:") {
 			h.cover["crash-mid-flight"]++
 		}

@@ -93,11 +93,12 @@ type ShardDone struct {
 	Reclaims int
 }
 
-// Opened is a started scatter–gather stream. Chunks delivers pooled
-// result chunks in deterministic spec order (globally ascending
-// Result.Index); the consumer returns each chunk via Engine.Recycle.
-// The channel closes when the sweep completes or the context dies —
-// exactly the engine's own chunk-stream contract.
+// Opened is a started scatter–gather stream. Chunks delivers result
+// chunks in deterministic spec order (globally ascending Result.Index),
+// one per shard when the request was scattered; the consumer returns
+// each chunk via Engine.Recycle. The channel closes when the sweep
+// completes or the context dies — exactly the engine's own chunk-stream
+// contract.
 type Opened struct {
 	Chunks <-chan *sweep.Chunk
 	// Total is the spec count (the progress denominator).
@@ -388,22 +389,6 @@ func (d *Dispatcher) plan(req Request) []shard {
 	return shards
 }
 
-// openLocal is the no-peer path and the shard fallback: the engine's
-// own chunk streams, untouched — byte-for-byte the single-node
-// pipeline. It is the dispatcher's one choice between the space and
-// spec-list paths.
-func (d *Dispatcher) openLocal(ctx context.Context, req Request) (Opened, error) {
-	if req.Space != nil {
-		ch, total, err := d.engine.StreamSpaceChunks(ctx, *req.Space)
-		if err != nil {
-			return Opened{}, err
-		}
-		return Opened{Chunks: ch, Total: total}, nil
-	}
-	ch := d.engine.StreamChunks(ctx, req.Specs)
-	return Opened{Chunks: ch, Total: len(req.Specs)}, nil
-}
-
 // scatterWidth is the concurrent-shard bound for one scatter: the
 // configured MaxInFlight, or the per-peer default scaled by the live
 // roster size.
@@ -423,17 +408,22 @@ func (d *Dispatcher) scatterWidth() int {
 
 // Open starts the request's evaluation and returns its ordered chunk
 // stream. Requests that fit in a single shard — and every request when
-// the roster is empty — run on the local engine; larger requests are
-// scattered. onShard, when non-nil, is called once per completed
-// shard (from the shard's own goroutine; implementations must be
+// the roster is empty — run on the local engine's own stream, untouched:
+// byte-for-byte the single-node pipeline, with no shard plan. Larger
+// requests are scattered, and each gathered shard is handed on as one
+// chunk. onShard, when non-nil, is called once per completed shard
+// (from the shard's own goroutine; implementations must be
 // thread-safe).
 func (d *Dispatcher) Open(ctx context.Context, req Request, onShard func(ShardDone)) (Opened, error) {
-	if !d.Distributed() || req.Size() <= d.shardSize {
-		return d.openLocal(ctx, req)
+	var shards []shard
+	if d.Distributed() && req.Size() > d.shardSize {
+		shards = d.plan(req)
 	}
-	shards := d.plan(req)
 	if len(shards) <= 1 {
-		return d.openLocal(ctx, req)
+		// Also an overflowing space, which plans no shards: the engine
+		// rejects it.
+		ch, total, err := d.engine.Open(ctx, req)
+		return Opened{Chunks: ch, Total: total}, err
 	}
 	d.mu.Lock()
 	d.shardsPlanned += len(shards)
@@ -441,9 +431,9 @@ func (d *Dispatcher) Open(ctx context.Context, req Request, onShard func(ShardDo
 
 	width := d.scatterWidth()
 	out := make(chan *sweep.Chunk, width)
-	gathered := make([]chan []sweep.Result, len(shards))
+	gathered := make([]chan *sweep.Chunk, len(shards))
 	for i := range gathered {
-		gathered[i] = make(chan []sweep.Result, 1)
+		gathered[i] = make(chan *sweep.Chunk, 1)
 	}
 	// Scatter: a bounded pool of shard runners claims shards in order.
 	sem := make(chan struct{}, width)
@@ -465,49 +455,31 @@ func (d *Dispatcher) Open(ctx context.Context, req Request, onShard func(ShardDo
 			}(shards[i])
 		}
 	}()
-	// Gather: emit shard results strictly in submission order, so the
-	// merged stream is globally Index-ordered — the deterministic spec
-	// order the single-node collectors produce.
+	// Gather: hand each shard's chunk on strictly in submission order,
+	// so the merged stream is globally Index-ordered — the deterministic
+	// spec order the single-node collectors produce.
 	go func() {
 		defer close(out)
 		for i := range shards {
-			var results []sweep.Result
+			var c *sweep.Chunk
 			select {
-			case results = <-gathered[i]:
+			case c = <-gathered[i]:
 			case <-ctx.Done():
 				return
 			}
-			if results == nil {
+			if c == nil {
 				return // cancelled mid-shard
 			}
-			if !d.emitChunks(ctx, out, results) {
+			select {
+			case out <- c:
+			case <-ctx.Done():
+				// The consumer is gone; hand the buffer straight back.
+				d.engine.Recycle(c)
 				return
 			}
 		}
 	}()
 	return Opened{Chunks: out, Total: req.Size(), Shards: len(shards)}, nil
-}
-
-// emitChunks slices one shard's ordered results into pooled chunks and
-// sends them, reporting false when the context dies.
-func (d *Dispatcher) emitChunks(ctx context.Context, out chan<- *sweep.Chunk, results []sweep.Result) bool {
-	for len(results) > 0 {
-		c := sweep.AcquireChunk()
-		n := cap(c.Results)
-		if n > len(results) {
-			n = len(results)
-		}
-		c.Results = append(c.Results, results[:n]...)
-		results = results[n:]
-		select {
-		case out <- c:
-		case <-ctx.Done():
-			// The consumer is gone; hand the buffer straight back.
-			d.engine.Recycle(c)
-			return false
-		}
-	}
-	return true
 }
 
 // attemptOutcome is one shard attempt's terminal report back to its
@@ -526,12 +498,12 @@ type attemptOutcome struct {
 // attempt is outstanding past the hedge budget, the shard is launched
 // on a second peer and the loser is cancelled; when every peer has
 // been consumed with results still missing, the local engine finishes
-// the remainder. It returns the shard's results in local index order,
-// or nil if the context died first. Results accepted from a failed,
-// reclaimed, or hedged-out attempt are kept — they are valid
-// evaluations — and later deliveries of the same indices are dropped
-// by the accumulator, so overlap costs nothing.
-func (d *Dispatcher) runShard(ctx context.Context, sh shard, onShard func(ShardDone)) []sweep.Result {
+// the remainder. It returns the shard's results in local index order
+// as one chunk, or nil if the context died first. Results accepted
+// from a failed, reclaimed, or hedged-out attempt are kept — they are
+// valid evaluations — and later deliveries of the same indices are
+// dropped by the accumulator, so overlap costs nothing.
+func (d *Dispatcher) runShard(ctx context.Context, sh shard, onShard func(ShardDone)) *sweep.Chunk {
 	// The shard span nests under the job span when the submitting
 	// request carried a trace; with tracing off StartSpan returns a nil
 	// span and every call below is a no-op.
@@ -726,12 +698,21 @@ func (d *Dispatcher) runShard(ctx context.Context, sh shard, onShard func(ShardD
 			d.logger.Warn("shard falling back to local engine",
 				"shard", sh.index, "missing", acc.missing(), "attempts", attempts)
 		}
-		results, err := d.evalLocal(ctx, sh)
+		ch, _, err := d.engine.Open(ctx, sh.work)
 		if err != nil {
-			return nil // only the context kills a local evaluation
+			return nil // a planned shard never overflows
 		}
-		for i := range results {
-			acc.accept(results[i].Index-sh.start, results[i])
+		for c := range ch {
+			for k := range c.Results {
+				r := c.Results[k]
+				local := r.Index
+				r.Index += sh.start
+				acc.accept(local, r)
+			}
+			d.engine.Recycle(c)
+		}
+		if ctx.Err() != nil {
+			return nil // only the context cuts a local evaluation short
 		}
 		if attempts > 0 {
 			retried = true
@@ -760,24 +741,7 @@ func (d *Dispatcher) runShard(ctx context.Context, sh shard, onShard func(ShardD
 			Reclaims: reclaims,
 		})
 	}
-	return acc.results
-}
-
-// evalLocal evaluates one shard on the coordinator's engine, in
-// submission order, with global indices restored.
-func (d *Dispatcher) evalLocal(ctx context.Context, sh shard) ([]sweep.Result, error) {
-	opened, err := d.openLocal(ctx, sh.work)
-	if err != nil {
-		return nil, err
-	}
-	results, err := d.engine.Collect(ctx, opened.Chunks, sh.work)
-	if err != nil {
-		return nil, err
-	}
-	for i := range results {
-		results[i].Index += sh.start
-	}
-	return results, nil
+	return &sweep.Chunk{Results: acc.results}
 }
 
 // shardAccumulator collects one shard's results with first-delivery-

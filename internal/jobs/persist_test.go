@@ -91,6 +91,35 @@ func TestPersisterSeesFullLifecycle(t *testing.T) {
 	}
 }
 
+// slowFinishPersister takes its time over finish records, as a WAL
+// append with an fsync does.
+type slowFinishPersister struct{ *recordingPersister }
+
+func (p slowFinishPersister) Finished(id string, state State, reason string, at time.Time) {
+	time.Sleep(20 * time.Millisecond)
+	p.recordingPersister.Finished(id, state, reason, at)
+}
+
+// TestWaitReturnsAfterFinishRecorded checks a job is logged finished
+// before Wait sees it finish: a crash right after Wait returned must
+// not recover it as mid-flight.
+func TestWaitReturnsAfterFinishRecorded(t *testing.T) {
+	p := slowFinishPersister{newRecordingPersister()}
+	st := newTestStore(t, Options{Persister: p, SnapshotInterval: -1})
+	snap, err := st.Submit(Request{Kind: KindSweep, Space: smallSpace()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Wait(context.Background(), snap.ID); err != nil {
+		t.Fatal(err)
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.finishes[snap.ID] != StateSucceeded {
+		t.Fatalf("Wait returned before the finish record: persisted state %q", p.finishes[snap.ID])
+	}
+}
+
 // TestRecoverTerminalJob restores a succeeded job as-is, flagged
 // recovered, with its exact result sequence paged back.
 func TestRecoverTerminalJob(t *testing.T) {
@@ -235,6 +264,48 @@ func TestRecoverPendingJobRequeues(t *testing.T) {
 	}
 	if page, err := st.Results("queued", 0, 0); err != nil || fin.Progress.Completed != want || len(page.Results) != want {
 		t.Fatalf("requeued job completed %d and holds %d of %d results (%v)", fin.Progress.Completed, len(page.Results), want, err)
+	}
+}
+
+// TestRecoverIncompleteSucceededJobReruns recovers a succeeded job
+// whose log lost some chunk records: a succeeded record promises every
+// answer, so the job must run again from its request rather than read
+// succeeded with 5 of its 8 results.
+func TestRecoverIncompleteSucceededJobReruns(t *testing.T) {
+	now := time.Now()
+	stale := make([]sweep.Answer, 5)
+	for i := range stale {
+		stale[i].Index = i
+	}
+	st := newTestStore(t, Options{Recovered: []PersistedJob{{
+		ID: "short", Kind: KindSweep, State: StateSucceeded, Total: smallSpace().Size(),
+		Created: now.Add(-time.Minute), Started: now.Add(-time.Minute), Finished: now.Add(-time.Second),
+		Request: Request{Kind: KindSweep, Space: smallSpace()}, Results: stale,
+	}}})
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	fin, err := st.Wait(ctx, "short")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fin.State != StateSucceeded || !fin.Recovered {
+		t.Fatalf("recovered job: %+v", fin)
+	}
+	page, err := st.Results("short", 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := make([]int, smallSpace().Size())
+	for _, a := range page.Results {
+		if a.Index < 0 || a.Index >= len(seen) || a.Value <= 0 {
+			t.Fatalf("answer %+v: out of range or never evaluated", a)
+		}
+		seen[a.Index]++
+	}
+	for i, n := range seen {
+		if n != 1 {
+			t.Fatalf("index %d held %d times in %d results", i, n, len(page.Results))
+		}
 	}
 }
 

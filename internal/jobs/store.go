@@ -223,34 +223,33 @@ func (s *Store) recover(recovered []PersistedJob) {
 		}
 		ctx, cancel := context.WithCancel(context.Background())
 		j := &Job{
-			id:        pj.ID,
-			kind:      pj.Kind,
-			recovered: true,
-			req:       pj.Request,
-			cancel:    cancel,
-			done:      make(chan struct{}),
-			state:     StatePending,
-			created:   pj.Created,
+			id:              pj.ID,
+			kind:            pj.Kind,
+			recovered:       true,
+			req:             pj.Request,
+			cancel:          cancel,
+			done:            make(chan struct{}),
+			state:           StatePending,
+			cancelRequested: pj.CancelRequested,
+			created:         pj.Created,
 			// Total before the answers, so they get right-sized slabs.
 			progress: Progress{Total: pj.Total},
 		}
-		if pj.State != StatePending {
-			// A pending job runs again from the start. It has answers
-			// only if its start record failed to append.
-			j.appendAnswers(pj.Results)
+		s.jobs[j.id] = j
+		// A pending job runs again from the start, re-entering the queue
+		// below. It has answers only if its start record failed to
+		// append. A succeeded record promises every answer, so a job
+		// whose chunk records failed to append runs again the same way.
+		if pj.State == StatePending || pj.State == StateSucceeded && len(pj.Results) < pj.Total {
+			requeue = append(requeue, requeued{job: j, ctx: ctx})
+			continue
 		}
-		j.mu.Lock()
 		j.started = pj.Started
-		j.cancelRequested = pj.CancelRequested
-		j.mu.Unlock()
-		switch {
-		case pj.State.Terminal():
-			j.mu.Lock()
-			j.state = StateRunning // finish() requires a non-terminal state
-			j.mu.Unlock()
+		j.appendAnswers(pj.Results)
+		j.state = StateRunning // finish() requires a non-terminal state
+		if pj.State.Terminal() {
 			j.finish(pj.Finished, s.ttl, pj.State, pj.Reason)
-			cancel()
-		case pj.State == StateRunning:
+		} else {
 			// Mid-flight at crash time: deterministically terminal, with
 			// the partial results retained and a reason that names the
 			// restart. A cancel that was already requested wins.
@@ -260,18 +259,11 @@ func (s *Store) recover(recovered []PersistedJob) {
 			if pj.CancelRequested {
 				state, reason = StateCancelled, "restart: cancel requested before the server stopped"
 			}
-			j.mu.Lock()
-			j.state = StateRunning
-			j.mu.Unlock()
 			j.finish(now, s.ttl, state, reason)
 			s.record(func(p Persister) { p.Finished(j.id, state, reason, now) })
 			s.countTerminal(state)
-			cancel()
-		default:
-			// Still pending: re-enters the queue below.
-			requeue = append(requeue, requeued{job: j, ctx: ctx})
 		}
-		s.jobs[j.id] = j
+		cancel()
 	}
 	// Jobs whose Removed records failed to append are back: evict to
 	// capacity again.
@@ -406,32 +398,14 @@ func (s *Store) run(ctx context.Context, j *Job, req Request) {
 		release, err := s.gate.AcquirePatient(ctx, req.Size())
 		if err != nil {
 			// Cancelled (or the store closed) while still queued.
-			now := s.now()
-			s.withPersist(func() {
-				j.start(now, 0)
-				j.finish(now, s.ttl, StateCancelled, "cancelled before evaluation started")
-				s.record(func(p Persister) {
-					p.Started(j.id, now, 0)
-					p.Finished(j.id, StateCancelled, "cancelled before evaluation started", now)
-				})
-			})
-			s.countTerminal(StateCancelled)
+			s.endUnevaluated(j, StateCancelled, "cancelled before evaluation started")
 			return
 		}
 		defer release()
 	}
-	opened, err := s.open(ctx, req, j.shardDone)
+	opened, err := s.dispatcher.Open(ctx, req.work(), j.shardDone)
 	if err != nil {
-		now := s.now()
-		s.withPersist(func() {
-			j.start(now, 0)
-			j.finish(now, s.ttl, StateFailed, err.Error())
-			s.record(func(p Persister) {
-				p.Started(j.id, now, 0)
-				p.Finished(j.id, StateFailed, err.Error(), now)
-			})
-		})
-		s.countTerminal(StateFailed)
+		s.endUnevaluated(j, StateFailed, err.Error())
 		return
 	}
 	started := s.now()
@@ -449,9 +423,26 @@ func (s *Store) run(ctx context.Context, j *Job, req Request) {
 	}
 	state, reason := terminalFor(j, ctx, opened.Total)
 	finished := s.now()
+	// The finish record goes first: finish releases Wait, and a job a
+	// waiter saw finish must recover finished.
 	s.withPersist(func() {
-		j.finish(finished, s.ttl, state, reason)
 		s.record(func(p Persister) { p.Finished(j.id, state, reason, finished) })
+		j.finish(finished, s.ttl, state, reason)
+	})
+	s.countTerminal(state)
+}
+
+// endUnevaluated ends a job that never reached evaluation: it starts
+// with total 0 and finishes at once.
+func (s *Store) endUnevaluated(j *Job, state State, reason string) {
+	now := s.now()
+	s.withPersist(func() {
+		s.record(func(p Persister) {
+			p.Started(j.id, now, 0)
+			p.Finished(j.id, state, reason, now)
+		})
+		j.start(now, 0)
+		j.finish(now, s.ttl, state, reason)
 	})
 	s.countTerminal(state)
 }
@@ -488,17 +479,8 @@ func terminalFor(j *Job, ctx context.Context, total int) (State, string) {
 // that the consumer returns via Engine.Recycle. The int is the total
 // spec count (the progress denominator).
 func (s *Store) Open(ctx context.Context, req Request) (<-chan *sweep.Chunk, int, error) {
-	opened, err := s.open(ctx, req, nil)
-	if err != nil {
-		return nil, 0, err
-	}
-	return opened.Chunks, opened.Total, nil
-}
-
-// open is Open with the per-shard progress hook the job runner feeds
-// its shard counters from.
-func (s *Store) open(ctx context.Context, req Request, onShard func(dispatch.ShardDone)) (dispatch.Opened, error) {
-	return s.dispatcher.Open(ctx, req.work(), onShard)
+	opened, err := s.dispatcher.Open(ctx, req.work(), nil)
+	return opened.Chunks, opened.Total, err
 }
 
 // RunSync runs one request synchronously, bound to the caller's

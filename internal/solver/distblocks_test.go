@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"optspeed/internal/grid"
+	"optspeed/internal/partition"
 	"optspeed/internal/stencil"
 )
 
@@ -205,5 +206,64 @@ func TestDistBlocksValidation(t *testing.T) {
 	}
 	if res.PartitionsY > 16 || res.PartitionsX > 16 {
 		t.Errorf("clamping failed: %+v", res)
+	}
+}
+
+// TestDistBlocksWordsVersusModel states exactly how the message-passing
+// solver's WordsSent differs from the model's communication volume,
+// partition.BoundaryWords × partitions × iterations, for every built-in
+// stencil on strips (py×1) and square blocks. Two terms make up the
+// difference, each k words deep (k perimeters):
+//   - the model charges every partition a full set of cut sides, also
+//     the sides on the domain boundary, where the solver ships nothing;
+//   - the model leaves out corner words (§6.1 footnote), while every
+//     solver message spans the partition side plus a halo width on each
+//     end, 2·Halo words per perimeter more than the side.
+func TestDistBlocksWordsVersusModel(t *testing.T) {
+	const n, iters = 36, 3
+	cases := []struct {
+		shape  partition.Shape
+		py, px int
+		sides  int // cut sides the model charges each partition
+		perK   int // the difference per perimeter, in words
+	}{
+		// 2 of 12 strip sides lie on the boundary: -2·36 words per
+		// iteration; 10 messages carry 4 corner words each: +40.
+		{partition.Strip, 6, 1, 2, iters * (-2*n + 10*2*grid.DefaultHalo)},
+		// 16 of 64 block sides (9 words each) lie on the boundary:
+		// -144 per iteration; 48 messages carry 4 corner words each: +192.
+		{partition.Square, 4, 4, 4, iters * (-16*9 + 48*2*grid.DefaultHalo)},
+	}
+	for _, st := range stencil.Builtins() {
+		for _, c := range cases {
+			k := c.shape.Perimeters(st)
+			if st.RowRadius() != k || st.ColRadius() != k {
+				t.Fatalf("%s: radii %d/%d differ from the %d perimeters the model counts", st.Name(), st.RowRadius(), st.ColRadius(), k)
+			}
+			u := grid.MustNew(n)
+			u.SetConstantBoundary(1)
+			res, err := DistributedSolveBlocks(u, grid.Averaging(st), nil, c.py, c.px, iters)
+			if err != nil {
+				t.Fatal(err)
+			}
+			parts := c.py * c.px
+			side := n / c.py // the square's side; strips ignore it
+			model := int64(c.shape.BoundaryWords(st, n, side) * parts * iters)
+
+			sideLen := n
+			if c.shape == partition.Square {
+				sideLen = side
+			}
+			messages := 2 * ((c.py-1)*c.px + c.py*(c.px-1)) // each cut edge, both ways
+			boundary := c.sides*parts - messages
+			diff := int64(iters * k * (messages*2*u.Halo - boundary*sideLen))
+			if diff != int64(k*c.perK) {
+				t.Fatalf("%s %v: difference formula %d, stated %d", st.Name(), c.shape, diff, k*c.perK)
+			}
+			if got := res.WordsSent - model; got != diff {
+				t.Errorf("%s %v %dx%d: WordsSent %d, model %d: difference %d, want %d",
+					st.Name(), c.shape, c.py, c.px, res.WordsSent, model, got, diff)
+			}
+		}
 	}
 }

@@ -70,7 +70,7 @@ func TestChunkStreamRecycleRoundTrip(t *testing.T) {
 		Shapes:   []string{"strip", "square"},
 		Machines: []core.MachineSpec{{Type: "sync-bus"}, {Type: "mesh"}},
 	}
-	ch, total, err := eng.StreamSpaceChunks(context.Background(), sp)
+	ch, total, err := eng.Open(context.Background(), Batch{Space: &sp})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestChunkStreamBatchedMatchesRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := New(Options{})
-	ch, total, err := eng.StreamSpaceChunks(context.Background(), sp)
+	ch, total, err := eng.Open(context.Background(), Batch{Space: &sp})
 	if err != nil {
 		t.Fatal(err)
 	}

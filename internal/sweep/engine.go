@@ -111,10 +111,10 @@ type preResolved struct {
 // --- zero-copy result pipeline: pooled chunks and scratch ---
 
 // Chunk is one reusable batch of streamed results. Chunks flow out of
-// the chunked streaming APIs in place of one channel send per Result;
-// a consumer that has copied or encoded a chunk's Results hands the
-// buffer back via Engine.Recycle, after which the slice must not be
-// touched — the backing array is reused for a later chunk.
+// Open in place of one channel send per Result; a consumer that has
+// copied or encoded a chunk's Results hands the buffer back via
+// Engine.Recycle, after which the slice must not be touched — the
+// backing array is reused for a later chunk.
 type Chunk struct {
 	Results []Result
 }
@@ -150,11 +150,11 @@ func getChunk(capHint int) *Chunk {
 	return &Chunk{Results: make([]Result, 0, capHint)}
 }
 
-// Recycle returns a chunk received from StreamChunks or
-// StreamSpaceChunks to the buffer pool. The chunk's Results slice must
-// not be used afterwards; results that need to outlive the chunk must
-// be copied out first (they are plain values — a copy shares only
-// immutable strings).
+// Recycle returns a chunk received from Open, or from a stream
+// honouring its contract, to the buffer pool. The chunk's Results
+// slice must not be used afterwards; results that need to outlive the
+// chunk must be copied out first (they are plain values — a copy
+// shares only immutable strings).
 func (e *Engine) Recycle(c *Chunk) {
 	if c == nil {
 		return
@@ -296,20 +296,6 @@ func result(i int, s Spec, out outcome, hit bool) Result {
 	}}
 }
 
-// StreamChunks evaluates the specs on the worker pool and streams the
-// results in reusable batches as they complete. Arrival order is
-// nondeterministic; Result.Index ties each result to its spec. A
-// consumer receives a *Chunk, reads or copies its Results, and hands
-// the buffer back via Recycle. When the consumer keeps up, chunks stay
-// small (the workers flush opportunistically per result); under
-// backpressure they grow toward chunkCap, amortizing channel sends and
-// downstream locking exactly when throughput matters. The channel is
-// closed when all specs are done or the context is cancelled; on
-// cancellation the remaining specs are skipped, not errored.
-func (e *Engine) StreamChunks(ctx context.Context, specs []Spec) <-chan *Chunk {
-	return e.streamChunks(ctx, specs, nil, nil)
-}
-
 // fanOut runs worker on up to e.workers goroutines over units work
 // items. The workers share one claim cursor: next hands each the next
 // unclaimed unit, or -1 once the units run out or ctx dies. Experiment
@@ -415,16 +401,30 @@ func (e *Engine) streamChunks(ctx context.Context, specs []Spec, pre []preResolv
 // hold only the completed entries (unevaluated ones keep their
 // submitted Spec and an Err of ctx.Err()).
 func (e *Engine) Run(ctx context.Context, specs []Spec) ([]Result, error) {
-	return e.Collect(ctx, e.streamChunks(ctx, specs, nil, nil), Batch{Specs: specs})
+	return e.run(ctx, Batch{Specs: specs})
 }
 
-// Collect drains a chunked stream of work's results (one from
-// StreamChunks, StreamSpaceChunks, or a stream honouring their
-// contract) into submission (Index) order, recycling each chunk as it
-// lands. On a dead context the unfinished entries keep their submitted
-// Spec and an Err of ctx.Err(), and the context error is returned;
-// work.At names the submitted spec of those entries only, so a caller
-// holding a space never expands it.
+// RunSpace is Run for a Cartesian space, with Open's space-aware
+// evaluation. A space whose axis product overflows is rejected up
+// front.
+func (e *Engine) RunSpace(ctx context.Context, sp Space) ([]Result, error) {
+	return e.run(ctx, Batch{Space: &sp})
+}
+
+func (e *Engine) run(ctx context.Context, b Batch) ([]Result, error) {
+	ch, _, err := e.Open(ctx, b)
+	if err != nil {
+		return nil, err
+	}
+	return e.Collect(ctx, ch, b)
+}
+
+// Collect drains a chunked stream of work's results (one from Open, or
+// a stream honouring its contract) into submission (Index) order,
+// recycling each chunk as it lands. On a dead context the unfinished
+// entries keep their submitted Spec and an Err of ctx.Err(), and the
+// context error is returned; work.At names the submitted spec of those
+// entries only, so a caller holding a space never expands it.
 func (e *Engine) Collect(ctx context.Context, ch <-chan *Chunk, work Batch) ([]Result, error) {
 	total := work.Size()
 	results := make([]Result, total)
@@ -448,31 +448,29 @@ func (e *Engine) Collect(ctx context.Context, ch <-chan *Chunk, work Batch) ([]R
 	return results, nil
 }
 
-// RunSpace expands a Cartesian space and runs it with space-aware
-// evaluation: each machine is resolved once per space and each problem
-// once per (n, stencil, shape) instead of once per spec, and a space of
-// an op with a batch evaluator and a processor axis takes a batched
-// fast path that computes the shared (problem, machine) work once per
-// group and fans the per-procs results out. A space whose axis product
-// overflows (Size() saturated) cannot be materialized and is rejected
+// Open starts evaluating the batch on the worker pool and streams its
+// results in reusable chunks as they complete; it is the engine's one
+// way in. Arrival order is nondeterministic and Result.Index ties each
+// result to its spec. A consumer reads or copies each chunk's Results
+// and hands the buffer back via Recycle. The int is the spec count, the
+// progress denominator for callers tracking completion. The channel
+// closes when every spec is done or the context dies; on cancellation
+// the remaining specs are skipped, not errored.
+//
+// A spec list resolves each spec on its worker, and chunks stay small
+// while the consumer keeps up (workers flush opportunistically per
+// result) but grow toward chunkCap under backpressure. A space is
+// evaluated space-aware: each machine is resolved once per space and
+// each problem once per (n, stencil, shape), and a space of an op with
+// a batch evaluator and a processor axis computes the shared (problem,
+// machine) work once per procs group, one chunk per group. A space
+// whose axis product overflows cannot be materialized and is rejected
 // up front.
-func (e *Engine) RunSpace(ctx context.Context, sp Space) ([]Result, error) {
-	ch, _, err := e.StreamSpaceChunks(ctx, sp)
-	if err != nil {
-		return nil, err
+func (e *Engine) Open(ctx context.Context, b Batch) (<-chan *Chunk, int, error) {
+	if b.Space == nil {
+		return e.streamChunks(ctx, b.Specs, nil, nil), len(b.Specs), nil
 	}
-	return e.Collect(ctx, ch, Batch{Space: &sp})
-}
-
-// StreamSpaceChunks expands a Cartesian space and streams its results
-// in reusable batches as they complete, with the same space-aware
-// evaluation as RunSpace; the batched fast path emits one chunk per
-// procs group. Consumers read or copy each chunk's Results and return
-// the buffer via Recycle. It returns the expanded spec count alongside
-// the channel — the progress denominator for callers tracking
-// completion, such as the jobs subsystem. A space whose axis product
-// overflows is rejected up front.
-func (e *Engine) StreamSpaceChunks(ctx context.Context, sp Space) (<-chan *Chunk, int, error) {
+	sp := *b.Space
 	if sp.Size() == math.MaxInt {
 		return nil, 0, fmt.Errorf("sweep: space axis product overflows; refusing to expand")
 	}

@@ -395,7 +395,7 @@ func TestCancellation(t *testing.T) {
 	specs := sp.Expand()
 	ctx, cancel := context.WithCancel(context.Background())
 
-	ch := e.StreamChunks(ctx, specs)
+	ch, _, _ := e.Open(ctx, Batch{Specs: specs})
 	first, ok := <-ch
 	if !ok {
 		t.Fatal("stream closed before any result")
@@ -661,12 +661,12 @@ func TestStreamSpaceMatchesRunSpace(t *testing.T) {
 			t.Fatal(err)
 		}
 		e := New(Options{})
-		ch, total, err := e.StreamSpaceChunks(context.Background(), sp)
+		ch, total, err := e.Open(context.Background(), Batch{Space: &sp})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if total != sp.Size() {
-			t.Fatalf("StreamSpaceChunks total %d, want %d", total, sp.Size())
+			t.Fatalf("Open total %d, want %d", total, sp.Size())
 		}
 		got := make([]Result, total)
 		seen := 0
@@ -694,8 +694,8 @@ func TestStreamSpaceOverflowRejected(t *testing.T) {
 	names := make([]string, 1<<13)
 	machines := make([]core.MachineSpec, 1<<13)
 	sp := Space{Ns: axis, Stencils: names, Shapes: names, Machines: machines, Procs: axis}
-	if _, _, err := New(Options{}).StreamSpaceChunks(context.Background(), sp); err == nil {
-		t.Fatal("StreamSpaceChunks expanded an overflowing space")
+	if _, _, err := New(Options{}).Open(context.Background(), Batch{Space: &sp}); err == nil {
+		t.Fatal("Open expanded an overflowing space")
 	}
 }
 
@@ -708,7 +708,7 @@ func TestStreamSpaceCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	e := New(Options{Workers: 2})
-	ch, total, err := e.StreamSpaceChunks(ctx, sp)
+	ch, total, err := e.Open(ctx, Batch{Space: &sp})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -120,11 +120,3 @@ func subSpace(sp Space, split int, pos [5]int, lo, hi int) Space {
 	}
 	return sub
 }
-
-// AcquireChunk returns a pooled result chunk for producers outside the
-// engine — the distributed dispatch coordinator feeds peer results back
-// into the same chunked pipeline the engine's own streams use.
-// Consumers hand it back through Engine.Recycle as usual.
-func AcquireChunk() *Chunk {
-	return getChunk(chunkCap)
-}
