@@ -47,7 +47,7 @@ func TestDifferential(t *testing.T) {
 	}
 	// Every step kind, and the outcomes that hang on timing, are
 	// required of the seeds together.
-	for _, ev := range append([]string{"cancelled", "cancelled-restart", "crash-mid-flight", "store-fault", "chaos"}, stepKinds...) {
+	for _, ev := range append([]string{"cancelled", "cancelled-restart", "crash-mid-flight", "store-fault", "chaos", "spec-list"}, stepKinds...) {
 		if ran == len(diffSeeds) && cover[ev] == 0 {
 			t.Errorf("no seed produced %q", ev)
 		}
@@ -136,8 +136,9 @@ func plan(seed uint64) (int, []step) {
 }
 
 // planBody draws one sweep request: a small one over a few grid sizes
-// (so caches hit and evict) in one of the wire shapes, or a big one of
-// 48 to 576 cold specs that a cancel or a restart lands inside.
+// (so caches hit and evict) in one of the wire shapes, as a space or as
+// a spec list mixing the optimize, speedup and scaled shapes, or a big
+// one of 48 to 576 cold specs that a cancel or a restart lands inside.
 func planBody(r *rand.Rand, big bool) string {
 	stencils := []string{"5-point", "9-point", "9-star", "13-point"}
 	sp := sweep.Space{Stencils: subset(r, stencils), Shapes: subset(r, []string{"strip", "square"})}
@@ -154,16 +155,37 @@ func planBody(r *rand.Rand, big bool) string {
 		if r.IntN(5) == 0 {
 			sp.Stencils = append(sp.Stencils, "bogus")
 		}
-		switch r.IntN(4) {
+		switch r.IntN(5) {
 		case 1:
 			sp.Op, sp.Procs = sweep.OpSpeedup, subset(r, []int{1, 2, 4, 8, 16})
 		case 2:
 			sp.Op, sp.Procs = sweep.OpAmdahl, subset(r, []int{1, 2, 4, 8, 16})
 		case 3:
 			sp.Op, sp.PointsPerProc = sweep.OpScaled, 64
+		case 4:
+			return planSpecs(r, &sp)
 		}
 	}
 	b, _ := json.Marshal(service.SweepRequest{Space: &sp})
+	return string(b)
+}
+
+// planSpecs draws a spec list of 4 to 19 specs over sp's axes, each an
+// optimize, speedup or scaled spec.
+func planSpecs(r *rand.Rand, sp *sweep.Space) string {
+	specs := make([]sweep.Spec, 4+r.IntN(16))
+	for i := range specs {
+		s := sweep.Spec{N: sp.Ns[r.IntN(len(sp.Ns))], Stencil: sp.Stencils[r.IntN(len(sp.Stencils))],
+			Shape: sp.Shapes[r.IntN(len(sp.Shapes))], Machine: sp.Machines[r.IntN(len(sp.Machines))]}
+		switch r.IntN(3) {
+		case 1:
+			s.Op, s.Procs = sweep.OpSpeedup, 1<<r.IntN(5)
+		case 2:
+			s.Op, s.PointsPerProc = sweep.OpScaled, 64
+		}
+		specs[i] = s
+	}
+	b, _ := json.Marshal(service.SweepRequest{Specs: specs})
 	return string(b)
 }
 
@@ -201,6 +223,9 @@ func runSeed(t *testing.T, seed uint64, cover map[string]int) {
 	for i, s := range steps {
 		log = append(log, fmt.Sprintf("%02d %+v", i, s))
 		cover[s.kind]++
+		if strings.HasPrefix(s.body, `{"specs"`) {
+			cover["spec-list"]++
+		}
 		h.run(s)
 		h.bounds()
 	}
@@ -254,10 +279,10 @@ func goldenCoordinator(t *testing.T, mode string, byBody bool) {
 		}
 	}
 	// Only a lost result forces a retry (a truncated stream lost only
-	// its done line; echoed specs and duplicate lines are ignored), and
-	// only all peers down a local fallback.
+	// its done record; duplicate records are dropped; an old worker's
+	// NDJSON delivers nothing), and only all peers down a local fallback.
 	s, down := disp.Stats(), mode == "all-down"
-	retry := mode == "kill-mid-stream" || mode == "http-500" || mode == "garbage"
+	retry := mode == "kill-mid-stream" || mode == "http-500" || mode == "garbage" || mode == "wrong-spec"
 	if s.ShardsPlanned == 0 || down != (s.ShardsFallback > 0) || !down && retry != (s.ShardsRetried > 0) {
 		t.Errorf("stats %+v: want a scatter, retries %v, and a fallback only with every peer down", s, retry)
 	}

@@ -1,8 +1,8 @@
 // Package dispatch is the scatter–gather distribution layer: it
 // partitions a sweep into contiguous shards, fans the shards out to
-// peer optspeedd workers over the v2 NDJSON streaming API, and merges
-// the shard streams back into the engine's pooled-chunk result
-// pipeline in deterministic spec order.
+// peer optspeedd workers over the v2 streaming API in its answer-record
+// format (record.go), and merges the shard streams back into the
+// engine's pooled-chunk result pipeline in deterministic spec order.
 //
 // The layer is deliberately conservative about equivalence: a
 // distributed sweep must be indistinguishable from a single-node one.

@@ -25,9 +25,10 @@ func TestDistributedEquivalence(t *testing.T) {
 }
 
 // TestDistributedEquivalenceUnderFaults requires the golden bytes from
-// coordinators with one peer killed mid-stream, serving 5xx or garbage
-// NDJSON, truncating before its done line, or echoing wrong specs:
-// shard reassignment must be invisible in the output.
+// coordinators with one peer killed mid-stream, serving 5xx or garbage,
+// truncating before its done record, or answering NDJSON with wrong
+// specs like a worker that predates answer records: shard reassignment
+// must be invisible in the output.
 func TestDistributedEquivalenceUnderFaults(t *testing.T) {
 	for _, mode := range faultModes {
 		if mode != "duplicate-lines" { // TestDuplicateDeliveryDedupes
@@ -43,8 +44,8 @@ func TestAllPeersDownFallsBackLocally(t *testing.T) {
 	goldenCoordinator(t, "all-down", false)
 }
 
-// TestDuplicateDeliveryDedupes drives a peer that sends every result
-// line twice: the output is still the golden bytes, and duplicates are
+// TestDuplicateDeliveryDedupes drives a peer that sends every answer
+// record twice: the output is still the golden bytes, and duplicates are
 // dropped, neither retried nor fallen back from.
 func TestDuplicateDeliveryDedupes(t *testing.T) {
 	goldenCoordinator(t, "duplicate-lines", false)

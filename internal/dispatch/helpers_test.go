@@ -63,7 +63,7 @@ func postSweep(t *testing.T, base, body string) (int, []byte) {
 // faultPeer wraps a real worker behind a fault-injecting front: mode
 // selects the failure, and failN bounds how many requests fail before
 // the peer turns healthy (-1 = always). The inner worker is a complete
-// service instance, so successful passes produce real NDJSON.
+// service instance, so successful passes produce real answer records.
 type faultPeer struct {
 	t     *testing.T
 	inner http.Handler
@@ -109,6 +109,7 @@ func (fp *faultPeer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	case "stall":
 		// Accepts the request and never answers: the canonical hung
 		// peer for cancellation tests.
+		w.Header().Set("Content-Type", dispatch.AnswersContentType)
 		w.WriteHeader(http.StatusOK)
 		if f, ok := w.(http.Flusher); ok {
 			f.Flush()
@@ -130,13 +131,18 @@ func (fp *faultPeer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 // replay records the real worker's full response, then re-serves it
 // with the configured corruption: killed connection mid-body,
-// duplicated result lines, a truncated stream with the done line
-// dropped, or every echoed spec replaced by a different valid one.
+// duplicated answer records, a stream with only its done record
+// dropped, or an old worker's reply — NDJSON, as if the answers format
+// were unknown to it, with every echoed spec replaced by a different
+// valid one.
 func (fp *faultPeer) replay(w http.ResponseWriter, r *http.Request, mode string) {
+	if mode == "wrong-spec" {
+		r.Header.Del(dispatch.StreamFormatHeader)
+	}
 	rec := httptest.NewRecorder()
 	fp.inner.ServeHTTP(rec, r)
 	body := rec.Body.Bytes()
-	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.Header().Set("Content-Type", rec.Header().Get("Content-Type"))
 	w.WriteHeader(rec.Code)
 	switch mode {
 	case "kill-mid-stream":
@@ -150,23 +156,22 @@ func (fp *faultPeer) replay(w http.ResponseWriter, r *http.Request, mode string)
 		}
 		panic(http.ErrAbortHandler)
 	case "duplicate-lines":
-		sc := bufio.NewScanner(bytes.NewReader(body))
-		sc.Buffer(make([]byte, 64<<10), 1<<20)
-		for sc.Scan() {
-			line := sc.Bytes()
-			w.Write(line)
-			w.Write([]byte{'\n'})
-			if bytes.Contains(line, []byte(`"result"`)) {
-				// Every result delivered twice; the coordinator must
-				// keep exactly one.
-				w.Write(line)
-				w.Write([]byte{'\n'})
+		// Every answer delivered twice; the coordinator must keep
+		// exactly one. A record re-encodes to its own bytes.
+		br := bufio.NewReader(bytes.NewReader(body))
+		var a sweep.Answer
+		for {
+			done, err := dispatch.ReadAnswerRecord(br, &a)
+			if err != nil || done {
+				w.Write(dispatch.AppendDoneRecord(nil))
+				return
 			}
+			one := dispatch.AppendAnswerRecord(nil, &a)
+			w.Write(append(one, one...))
 		}
 	case "truncate-no-done":
-		if i := bytes.LastIndexByte(bytes.TrimRight(body, "\n"), '\n'); i >= 0 {
-			w.Write(body[:i+1]) // all result lines, done line dropped
-		}
+		// A cancelled attempt's recording may hold no done record.
+		w.Write(body[:max(0, len(body)-len(dispatch.AppendDoneRecord(nil)))])
 	case "wrong-spec":
 		w.Write(rewriteSpecs(body))
 	}

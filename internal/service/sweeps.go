@@ -1,10 +1,10 @@
 package service
 
 import (
-	"errors"
 	"net/http"
 	"time"
 
+	"optspeed/internal/dispatch"
 	"optspeed/internal/sweep"
 )
 
@@ -62,13 +62,7 @@ func sweepResultJSON(res sweep.Result) SweepResultJSON {
 		jr.CycleTime = res.Scaled.CycleTime
 		jr.Speedup = res.Scaled.Speedup
 	}
-	if res.Err != nil {
-		if errors.Is(res.Err, sweep.ErrEvaluationPanic) {
-			jr.Error = "internal evaluation error"
-		} else {
-			jr.Error = res.Err.Error()
-		}
-	}
+	jr.Error = res.ErrText()
 	return jr
 }
 
@@ -157,11 +151,13 @@ type StreamLine struct {
 // connection's write deadline for its own duration, exempting long
 // streams from the daemon's blanket WriteTimeout.
 //
-// A client that wants throughput rather than per-result latency — the
-// distributed shard coordinator — sends "X-Stream-Flush: batch": the
-// per-chunk flush is skipped and net/http's own write buffering
-// coalesces lines into full TCP frames, cutting a fast sweep's
-// syscalls per result to syscalls per response buffer.
+// A client that wants throughput rather than per-result latency sends
+// "X-Stream-Flush: batch": the per-chunk flush is skipped and
+// net/http's own write buffering coalesces lines into full TCP frames,
+// cutting a fast sweep's syscalls per result to syscalls per response
+// buffer. The distributed shard coordinator sends "X-Stream-Format:
+// answers" instead and gets dispatch's answer records, batch-flushed:
+// no echoed spec and no float text.
 func (s *Server) handleSweepStream(w http.ResponseWriter, r *http.Request) {
 	if _, ok := s.admitRequest(w, r); !ok {
 		return
@@ -198,8 +194,13 @@ func (s *Server) handleSweepStream(w http.ResponseWriter, r *http.Request) {
 	// only (ignored by writers that don't support deadlines, such as
 	// httptest recorders).
 	_ = rc.SetWriteDeadline(time.Time{})
-	flushPerChunk := r.Header.Get("X-Stream-Flush") != "batch"
-	w.Header().Set("Content-Type", "application/x-ndjson")
+	answers := r.Header.Get(dispatch.StreamFormatHeader) == dispatch.StreamFormatAnswers
+	flushPerChunk := !answers && r.Header.Get("X-Stream-Flush") != "batch"
+	if answers {
+		w.Header().Set("Content-Type", dispatch.AnswersContentType)
+	} else {
+		w.Header().Set("Content-Type", "application/x-ndjson")
+	}
 	w.WriteHeader(http.StatusOK)
 	buf := getBuf()
 	defer putBuf(buf)
@@ -208,6 +209,10 @@ func (s *Server) handleSweepStream(w http.ResponseWriter, r *http.Request) {
 	for c := range ch {
 		*buf = (*buf)[:0]
 		for i := range c.Results {
+			if answers {
+				*buf = dispatch.AppendAnswerRecord(*buf, &c.Results[i].Answer)
+				continue
+			}
 			stats.observe(&c.Results[i])
 			jr := sweepResultJSON(c.Results[i])
 			*buf = appendStreamResultLine(*buf, &jr)
@@ -223,7 +228,11 @@ func (s *Server) handleSweepStream(w http.ResponseWriter, r *http.Request) {
 	if r.Context().Err() != nil {
 		return
 	}
-	*buf = appendStreamDoneLine((*buf)[:0], &stats)
+	if answers {
+		*buf = dispatch.AppendDoneRecord((*buf)[:0])
+	} else {
+		*buf = appendStreamDoneLine((*buf)[:0], &stats)
+	}
 	if _, err := w.Write(*buf); err != nil {
 		s.logEncodeError(r, err)
 		return

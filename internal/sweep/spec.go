@@ -9,6 +9,7 @@
 package sweep
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -561,6 +562,19 @@ type Answer struct {
 	Scaled core.ScaledPoint `json:"-"`
 
 	Err error `json:"-"`
+}
+
+// ErrText is the answer's error as the wire shows it: empty for none,
+// and a recovered evaluation panic masked, so panic text never leaves
+// the node.
+func (a *Answer) ErrText() string {
+	switch {
+	case a.Err == nil:
+		return ""
+	case errors.Is(a.Err, ErrEvaluationPanic):
+		return "internal evaluation error"
+	}
+	return a.Err.Error()
 }
 
 // Result is one evaluated spec: the spec and its answer.
