@@ -123,9 +123,6 @@ type Options struct {
 	// MaxInFlight bounds concurrently outstanding shards; 0 means
 	// DefaultMaxInFlightPerPeer × the roster size at scatter time.
 	MaxInFlight int
-	// ShardTimeout bounds one shard attempt; 0 means
-	// DefaultShardTimeout.
-	ShardTimeout time.Duration
 	// HTTPClient is the transport for peer calls; nil builds one with
 	// sane connection pooling.
 	HTTPClient *http.Client
@@ -139,9 +136,6 @@ type Options struct {
 	// Hedge tunes hedged shard requests (zero value: enabled with
 	// defaults; Disable turns hedging off).
 	Hedge HedgeConfig
-	// SuspectWindow is how long one strike deprioritizes a peer;
-	// 0 means DefaultSuspectWindow.
-	SuspectWindow time.Duration
 }
 
 // peerState is one peer's rolling health ledger, its circuit breaker,
@@ -183,20 +177,17 @@ func (p *peerState) fail(err error, now time.Time) {
 // in-flight bound is per call, so the jobs store can run many
 // distributed jobs at once.
 type Dispatcher struct {
-	engine       *sweep.Engine
-	shardSize    int
-	maxInFlight  int // configured bound; 0 derives from roster size
-	shardTimeout time.Duration
-	hc           *http.Client
-	logger       *slog.Logger
-	breakerCfg   admit.BreakerConfig
+	engine      *sweep.Engine
+	shardSize   int
+	maxInFlight int // configured bound; 0 derives from roster size
+	hc          *http.Client
+	logger      *slog.Logger
+	breakerCfg  admit.BreakerConfig
 
-	hedgeOff      bool
-	hedgeMult     float64
-	hedgeMin      time.Duration
-	hedgeMax      time.Duration
-	suspectWindow time.Duration
-	ewmaBits      atomic.Uint64 // float64 bits of the shard-time EWMA, seconds
+	hedgeOff  bool
+	hedgeMult float64
+	hedgeMin  time.Duration
+	ewmaBits  atomic.Uint64 // float64 bits of the shard-time EWMA, seconds
 
 	// pmu guards the mutable roster and the lazily bound metric
 	// registry.
@@ -225,10 +216,6 @@ func New(opts Options) *Dispatcher {
 	if shardSize <= 0 {
 		shardSize = DefaultShardSize
 	}
-	shardTimeout := opts.ShardTimeout
-	if shardTimeout <= 0 {
-		shardTimeout = DefaultShardTimeout
-	}
 	hc := opts.HTTPClient
 	if hc == nil {
 		// The pool must hold the full in-flight shard fan-out per peer,
@@ -249,27 +236,16 @@ func New(opts Options) *Dispatcher {
 	if hedgeMin <= 0 {
 		hedgeMin = DefaultHedgeMinDelay
 	}
-	hedgeMax := opts.Hedge.Max
-	if hedgeMax <= 0 {
-		hedgeMax = DefaultHedgeMaxDelay
-	}
-	suspectWindow := opts.SuspectWindow
-	if suspectWindow <= 0 {
-		suspectWindow = DefaultSuspectWindow
-	}
 	d := &Dispatcher{
-		engine:        opts.Engine,
-		shardSize:     shardSize,
-		maxInFlight:   opts.MaxInFlight,
-		shardTimeout:  shardTimeout,
-		hc:            hc,
-		logger:        opts.Logger,
-		breakerCfg:    opts.Breaker,
-		hedgeOff:      opts.Hedge.Disable,
-		hedgeMult:     hedgeMult,
-		hedgeMin:      hedgeMin,
-		hedgeMax:      hedgeMax,
-		suspectWindow: suspectWindow,
+		engine:      opts.Engine,
+		shardSize:   shardSize,
+		maxInFlight: opts.MaxInFlight,
+		hc:          hc,
+		logger:      opts.Logger,
+		breakerCfg:  opts.Breaker,
+		hedgeOff:    opts.Hedge.Disable,
+		hedgeMult:   hedgeMult,
+		hedgeMin:    hedgeMin,
 	}
 	for _, u := range opts.Peers {
 		url, err := normalizePeerURL(u)

@@ -11,7 +11,7 @@
 //	         closed. A suspect peer's outstanding shard attempts are
 //	         reclaimed (cancelled and reassigned) immediately, and new
 //	         shards prefer any healthy peer first. Suspicion decays
-//	         after SuspectWindow (the peer re-enters normal rotation)
+//	         after DefaultSuspectWindow (the peer re-enters normal rotation)
 //	         and clears on any successful attempt or probe.
 //	down     the breaker opened (consecutive-failure threshold). The
 //	         peer receives no shards until the cooldown elapses.
@@ -89,9 +89,9 @@ type HedgeConfig struct {
 	// Multiplier scales the shard-time EWMA into the hedge delay;
 	// 0 means DefaultHedgeMultiplier.
 	Multiplier float64
-	// Min and Max clamp the hedge delay; 0 means the defaults.
+	// Min floors the hedge delay; 0 means DefaultHedgeMinDelay. The
+	// delay is capped at DefaultHedgeMaxDelay.
 	Min time.Duration
-	Max time.Duration
 }
 
 // Membership errors, surfaced by the service as 409/404.
@@ -320,7 +320,7 @@ func (d *Dispatcher) nextPeer(shardIdx int, tried map[string]bool, consume bool)
 		}
 		p.mu.Lock()
 		removed := p.removed
-		fresh := p.suspect && now.Sub(p.suspectAt) <= d.suspectWindow
+		fresh := p.suspect && now.Sub(p.suspectAt) <= DefaultSuspectWindow
 		p.mu.Unlock()
 		if removed {
 			continue
@@ -388,8 +388,8 @@ func (d *Dispatcher) hedgeDelay() (time.Duration, bool) {
 	if delay < d.hedgeMin {
 		delay = d.hedgeMin
 	}
-	if delay > d.hedgeMax {
-		delay = d.hedgeMax
+	if delay > DefaultHedgeMaxDelay {
+		delay = DefaultHedgeMaxDelay
 	}
 	return delay, true
 }

@@ -45,7 +45,7 @@ var readerPool = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, 409
 // whatever valid answers arrived first stay accepted for the next
 // attempt to top up.
 func (d *Dispatcher) fetchShard(ctx context.Context, peer *peerState, sh shard, acc *shardAccumulator) error {
-	ctx, cancel := context.WithTimeout(ctx, d.shardTimeout)
+	ctx, cancel := context.WithTimeout(ctx, DefaultShardTimeout)
 	defer cancel()
 
 	payload, err := json.Marshal(shardBody{Specs: sh.work.Specs, Space: sh.work.Space})

@@ -66,8 +66,7 @@ func TestAnswerRecordWireShapes(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			peer := sweepResultJSON(tc.res)
-			want := appendStreamResultLine(nil, &peer)
+			want := appendStreamResultLine(nil, &tc.res.Spec, &tc.res.Answer)
 			if !bytes.Contains(want, []byte(tc.key)) {
 				t.Fatalf("peer line %s lacks %s", want, tc.key)
 			}
@@ -75,8 +74,8 @@ func TestAnswerRecordWireShapes(t *testing.T) {
 			if bytes.Contains(rec, []byte("secret")) {
 				t.Fatalf("panic text crossed the wire: % x", rec)
 			}
-			coord := sweepResultJSON(sweep.Result{Spec: tc.res.Spec, Answer: decodeAnswerRecord(t, rec)})
-			if got := appendStreamResultLine(nil, &coord); !bytes.Equal(got, want) {
+			coord := decodeAnswerRecord(t, rec)
+			if got := appendStreamResultLine(nil, &tc.res.Spec, &coord); !bytes.Equal(got, want) {
 				t.Fatalf("coordinator line diverges:\n got  %s\n want %s", got, want)
 			}
 		})
@@ -126,8 +125,8 @@ func TestSweepStreamAnswers(t *testing.T) {
 			break
 		}
 		seen++
-		jr := sweepResultJSON(sweep.Result{Spec: sp.At(a.Index), Answer: a})
-		if got := appendStreamResultLine(nil, &jr); !bytes.Equal(got, lines[a.Index]) {
+		spec := sp.At(a.Index)
+		if got := appendStreamResultLine(nil, &spec, &a); !bytes.Equal(got, lines[a.Index]) {
 			t.Fatalf("record %d re-encodes to\n %s\nwant\n %s", a.Index, got, lines[a.Index])
 		}
 	}

@@ -47,7 +47,8 @@ const hexDigits = "0123456789abcdef"
 
 // appendJSONString appends s as a JSON string exactly as encoding/json
 // does with its default HTML escaping: printable ASCII except
-// ", \, <, > and & passes through; \n, \r, \t use short escapes; other
+// ", \, <, > and & passes through; \b, \f, \n, \r, \t use short
+// escapes (encoding/json has written \b and \f so since Go 1.22); other
 // control bytes (and <, >, &) become \u00xx; invalid UTF-8 becomes
 // �; and U+2028/U+2029 are escaped for JS embedding.
 func appendJSONString(dst []byte, s string) []byte {
@@ -63,6 +64,10 @@ func appendJSONString(dst []byte, s string) []byte {
 			switch b {
 			case '\\', '"':
 				dst = append(dst, '\\', b)
+			case '\b':
+				dst = append(dst, '\\', 'b')
+			case '\f':
+				dst = append(dst, '\\', 'f')
 			case '\n':
 				dst = append(dst, '\\', 'n')
 			case '\r':
@@ -203,45 +208,58 @@ func appendSpec(dst []byte, s *sweep.Spec) []byte {
 	return append(dst, '}')
 }
 
-// appendSweepResult appends one SweepResultJSON.
-func appendSweepResult(dst []byte, r *SweepResultJSON) []byte {
+// appendSweepResult appends the wire form of one evaluated spec — the
+// SweepResultJSON shape — straight from the spec and its answer. The
+// allocation fields are written only for a positive allocation; a
+// scaled op without an error reports its series point instead
+// (procs_used, cycle_time, speedup); the error is the answer's wire
+// text, so a recovered panic never shows its message.
+func appendSweepResult(dst []byte, s *sweep.Spec, a *sweep.Answer) []byte {
+	var procs int
+	var procsUsed, area, cycleTime, speedup float64
+	if a.Alloc.Procs > 0 {
+		procs, area, cycleTime, speedup = a.Alloc.Procs, a.Alloc.Area, a.Alloc.CycleTime, a.Alloc.Speedup
+	}
+	if s.Op == sweep.OpScaled && a.Err == nil {
+		procsUsed, cycleTime, speedup = a.Scaled.Procs, a.Scaled.CycleTime, a.Scaled.Speedup
+	}
 	dst = append(dst, `{"index":`...)
-	dst = strconv.AppendInt(dst, int64(r.Index), 10)
+	dst = strconv.AppendInt(dst, int64(a.Index), 10)
 	dst = append(dst, `,"spec":`...)
-	dst = appendSpec(dst, &r.Spec)
+	dst = appendSpec(dst, s)
 	dst = append(dst, `,"cache_hit":`...)
-	dst = appendBool(dst, r.CacheHit)
-	if r.Procs != 0 {
+	dst = appendBool(dst, a.CacheHit)
+	if procs != 0 {
 		dst = append(dst, `,"procs":`...)
-		dst = strconv.AppendInt(dst, int64(r.Procs), 10)
+		dst = strconv.AppendInt(dst, int64(procs), 10)
 	}
-	if r.ProcsUsed != 0 {
+	if procsUsed != 0 {
 		dst = append(dst, `,"procs_used":`...)
-		dst = appendJSONFloat(dst, r.ProcsUsed)
+		dst = appendJSONFloat(dst, procsUsed)
 	}
-	if r.Area != 0 {
+	if area != 0 {
 		dst = append(dst, `,"area":`...)
-		dst = appendJSONFloat(dst, r.Area)
+		dst = appendJSONFloat(dst, area)
 	}
-	if r.CycleTime != 0 {
+	if cycleTime != 0 {
 		dst = append(dst, `,"cycle_time":`...)
-		dst = appendJSONFloat(dst, r.CycleTime)
+		dst = appendJSONFloat(dst, cycleTime)
 	}
-	if r.Speedup != 0 {
+	if speedup != 0 {
 		dst = append(dst, `,"speedup":`...)
-		dst = appendJSONFloat(dst, r.Speedup)
+		dst = appendJSONFloat(dst, speedup)
 	}
-	if r.Grid != 0 {
+	if a.Grid != 0 {
 		dst = append(dst, `,"grid":`...)
-		dst = strconv.AppendInt(dst, int64(r.Grid), 10)
+		dst = strconv.AppendInt(dst, int64(a.Grid), 10)
 	}
-	if r.Value != 0 {
+	if a.Value != 0 {
 		dst = append(dst, `,"value":`...)
-		dst = appendJSONFloat(dst, r.Value)
+		dst = appendJSONFloat(dst, a.Value)
 	}
-	if r.Error != "" {
+	if errText := a.ErrText(); errText != "" {
 		dst = append(dst, `,"error":`...)
-		dst = appendJSONString(dst, r.Error)
+		dst = appendJSONString(dst, errText)
 	}
 	return append(dst, '}')
 }
@@ -262,9 +280,9 @@ func appendSweepStats(dst []byte, st *SweepStats) []byte {
 // appendStreamResultLine appends one NDJSON result line of
 // POST /v2/sweeps/stream — {"result":{...}} plus the newline
 // json.Encoder.Encode used to emit.
-func appendStreamResultLine(dst []byte, r *SweepResultJSON) []byte {
+func appendStreamResultLine(dst []byte, s *sweep.Spec, a *sweep.Answer) []byte {
 	dst = append(dst, `{"result":`...)
-	dst = appendSweepResult(dst, r)
+	dst = appendSweepResult(dst, s, a)
 	return append(dst, '}', '\n')
 }
 
@@ -277,16 +295,14 @@ func appendStreamDoneLine(dst []byte, st *SweepStats) []byte {
 }
 
 // appendSweepResponse appends the full v1 /sweep body straight from the
-// engine results — {"results":[...],"stats":{...}} plus newline —
-// without materializing the intermediate []SweepResultJSON.
+// engine results — {"results":[...],"stats":{...}} plus newline.
 func appendSweepResponse(dst []byte, results []sweep.Result, st *SweepStats) []byte {
 	dst = append(dst, `{"results":[`...)
 	for i := range results {
 		if i > 0 {
 			dst = append(dst, ',')
 		}
-		jr := sweepResultJSON(results[i])
-		dst = appendSweepResult(dst, &jr)
+		dst = appendSweepResult(dst, &results[i].Spec, &results[i].Answer)
 	}
 	dst = append(dst, `],"stats":`...)
 	dst = appendSweepStats(dst, st)
@@ -306,9 +322,8 @@ func appendJobResultsPage(dst []byte, jobID, state string, work sweep.Batch, ans
 		if i > 0 {
 			dst = append(dst, ',')
 		}
-		a := &answers[i]
-		jr := sweepResultJSON(sweep.Result{Spec: work.At(a.Index), Answer: *a})
-		dst = appendSweepResult(dst, &jr)
+		spec := work.At(answers[i].Index)
+		dst = appendSweepResult(dst, &spec, &answers[i])
 	}
 	dst = append(dst, `],"next_cursor":"`...)
 	dst = strconv.AppendInt(dst, int64(nextCursor), 10)

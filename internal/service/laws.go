@@ -166,7 +166,7 @@ func (s *Server) handleLaws(w http.ResponseWriter, r *http.Request) {
 	}
 	var stats SweepStats
 	for i := range results {
-		stats.observe(&results[i])
+		stats.observe(&results[i].Answer)
 		if results[i].Err != nil {
 			// The axis was validated against the same range the evaluators
 			// enforce, so a per-result error here is an internal fault, not

@@ -41,31 +41,6 @@ type SweepResultJSON struct {
 	Error     string     `json:"error,omitempty"`
 }
 
-// sweepResultJSON converts one engine result to its wire form. A
-// recovered evaluation panic is reported without the panic text.
-func sweepResultJSON(res sweep.Result) SweepResultJSON {
-	jr := SweepResultJSON{
-		Index:    res.Index,
-		Spec:     res.Spec,
-		CacheHit: res.CacheHit,
-		Grid:     res.Grid,
-		Value:    res.Value,
-	}
-	if res.Alloc.Procs > 0 {
-		jr.Procs = res.Alloc.Procs
-		jr.Area = res.Alloc.Area
-		jr.CycleTime = res.Alloc.CycleTime
-		jr.Speedup = res.Alloc.Speedup
-	}
-	if res.Spec.Op == sweep.OpScaled && res.Err == nil {
-		jr.ProcsUsed = res.Scaled.Procs
-		jr.CycleTime = res.Scaled.CycleTime
-		jr.Speedup = res.Scaled.Speedup
-	}
-	jr.Error = res.ErrText()
-	return jr
-}
-
 // SweepStats summarizes one sweep's cache interaction.
 type SweepStats struct {
 	Specs     int `json:"specs"`
@@ -74,13 +49,13 @@ type SweepStats struct {
 	Errors    int `json:"errors"`
 }
 
-// observe counts one result.
-func (st *SweepStats) observe(res *sweep.Result) {
+// observe counts one answer.
+func (st *SweepStats) observe(a *sweep.Answer) {
 	st.Specs++
 	switch {
-	case res.Err != nil:
+	case a.Err != nil:
 		st.Errors++
-	case res.CacheHit:
+	case a.CacheHit:
 		st.CacheHits++
 	default:
 		st.Evaluated++
@@ -126,7 +101,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	var stats SweepStats
 	for i := range results {
-		stats.observe(&results[i])
+		stats.observe(&results[i].Answer)
 	}
 	buf := getBuf()
 	*buf = appendSweepResponse(*buf, results, &stats)
@@ -151,13 +126,10 @@ type StreamLine struct {
 // connection's write deadline for its own duration, exempting long
 // streams from the daemon's blanket WriteTimeout.
 //
-// A client that wants throughput rather than per-result latency sends
-// "X-Stream-Flush: batch": the per-chunk flush is skipped and
-// net/http's own write buffering coalesces lines into full TCP frames,
-// cutting a fast sweep's syscalls per result to syscalls per response
-// buffer. The distributed shard coordinator sends "X-Stream-Format:
-// answers" instead and gets dispatch's answer records, batch-flushed:
-// no echoed spec and no float text.
+// The distributed shard coordinator sends "X-Stream-Format: answers"
+// and gets dispatch's answer records instead: no echoed spec and no
+// float text, batch-flushed (net/http's write buffering coalesces
+// them into full TCP frames).
 func (s *Server) handleSweepStream(w http.ResponseWriter, r *http.Request) {
 	if _, ok := s.admitRequest(w, r); !ok {
 		return
@@ -195,7 +167,6 @@ func (s *Server) handleSweepStream(w http.ResponseWriter, r *http.Request) {
 	// httptest recorders).
 	_ = rc.SetWriteDeadline(time.Time{})
 	answers := r.Header.Get(dispatch.StreamFormatHeader) == dispatch.StreamFormatAnswers
-	flushPerChunk := !answers && r.Header.Get("X-Stream-Flush") != "batch"
 	if answers {
 		w.Header().Set("Content-Type", dispatch.AnswersContentType)
 	} else {
@@ -213,15 +184,14 @@ func (s *Server) handleSweepStream(w http.ResponseWriter, r *http.Request) {
 				*buf = dispatch.AppendAnswerRecord(*buf, &c.Results[i].Answer)
 				continue
 			}
-			stats.observe(&c.Results[i])
-			jr := sweepResultJSON(c.Results[i])
-			*buf = appendStreamResultLine(*buf, &jr)
+			stats.observe(&c.Results[i].Answer)
+			*buf = appendStreamResultLine(*buf, &c.Results[i].Spec, &c.Results[i].Answer)
 		}
 		engine.Recycle(c)
 		if _, err := w.Write(*buf); err != nil {
 			return // client gone; the engine stream stops with the context
 		}
-		if flushPerChunk {
+		if !answers {
 			_ = rc.Flush()
 		}
 	}
