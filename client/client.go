@@ -2,7 +2,9 @@
 // submit sweep or optimize jobs, poll and wait on them, page through
 // their results, stream results live over NDJSON, and cancel them —
 // all with context support and transparent retries of idempotent
-// reads.
+// reads. Its request and response types are the server's own wire
+// types, re-exported as aliases, so the SDK decodes every field the
+// server encodes.
 //
 //	c, _ := client.New("http://localhost:8080")
 //	job, _ := c.SubmitSweep(ctx, client.SweepRequest{Space: &client.Space{...}})
@@ -27,6 +29,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"optspeed/internal/service"
 )
 
 // Defaults for retry and polling behavior.
@@ -134,21 +138,10 @@ func (e *APIError) Error() string {
 	return fmt.Sprintf("client: %s (http %d)", msg, e.Status)
 }
 
-// errorEnvelope mirrors the server's v2 error body.
-type errorEnvelope struct {
-	Error struct {
-		Code         string `json:"code"`
-		Message      string `json:"message"`
-		RequestID    string `json:"request_id"`
-		Tenant       string `json:"tenant"`
-		RetryAfterMs int64  `json:"retry_after_ms"`
-	} `json:"error"`
-}
-
 // apiError decodes a failed response into an *APIError.
 func apiError(resp *http.Response, body []byte) *APIError {
 	e := &APIError{Status: resp.StatusCode}
-	var env errorEnvelope
+	var env service.V2ErrorResponse
 	if json.Unmarshal(body, &env) == nil && (env.Error.Code != "" || env.Error.Message != "") {
 		e.Code = env.Error.Code
 		e.Message = env.Error.Message

@@ -290,3 +290,28 @@ func TestAPIKeySentAsBearer(t *testing.T) {
 		t.Fatalf("Authorization %q, want Bearer sekret", auth)
 	}
 }
+
+// TestJobCarriesShardsHedged: a job body's progress.shards_hedged
+// counter reaches the SDK's Job, with every other progress field.
+func TestJobCarriesShardsHedged(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		_, _ = w.Write([]byte(`{"id":"j1","kind":"sweep","state":"running",` +
+			`"created_at":"2024-01-02T03:04:05Z","progress":{"total":16,"completed":8,` +
+			`"evaluated":6,"cache_hits":2,"errors":0,"shards":2,"shards_done":1,"shards_hedged":2}}`))
+	}))
+	defer ts.Close()
+	c, err := client.New(ts.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	job, err := c.Job(context.Background(), "j1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := client.Progress{Total: 16, Completed: 8, Evaluated: 6, CacheHits: 2,
+		Shards: 2, ShardsDone: 1, ShardsHedged: 2}
+	if job.State != client.JobRunning || job.Progress != want {
+		t.Fatalf("job %s progress %+v, want running with %+v", job.State, job.Progress, want)
+	}
+}

@@ -4,60 +4,22 @@ import (
 	"context"
 	"net/http"
 	"net/url"
-	"time"
+
+	"optspeed/internal/dispatch"
+	"optspeed/internal/service"
 )
 
-// PeerStatus is one worker's health entry in a coordinator's cluster
-// report.
-type PeerStatus struct {
-	URL string `json:"url"`
-	// State is the peer's membership lifecycle position: "healthy",
-	// "suspect", "down", or "probing".
-	State        string     `json:"state"`
-	Healthy      bool       `json:"healthy"`
-	ProbeMs      float64    `json:"probe_ms"`
-	ShardsOK     int        `json:"shards_ok"`
-	ShardsFailed int        `json:"shards_failed"`
-	LastError    string     `json:"last_error,omitempty"`
-	LastErrorAt  *time.Time `json:"last_error_at,omitempty"`
-	// Breaker is the peer's circuit-breaker state ("closed", "open",
-	// "half-open"); BreakerRetryInMs is how long until an open breaker
-	// next admits a probe.
-	Breaker          string  `json:"breaker"`
-	BreakerRetryInMs float64 `json:"breaker_retry_in_ms,omitempty"`
-}
-
-// ShardStats are the coordinator's scatter and hedge counters.
-type ShardStats struct {
-	ShardsPlanned  int `json:"shards_planned"`
-	ShardsRetried  int `json:"shards_retried"`
-	ShardsFallback int `json:"shards_fallback"`
-	// HedgesLaunched counts second shard attempts launched past the
-	// latency budget; HedgesWon counts the ones that delivered first;
-	// AttemptsReclaimed counts attempts cancelled because their peer
-	// turned suspect, went down, or left the roster.
-	HedgesLaunched    int `json:"hedges_launched,omitempty"`
-	HedgesWon         int `json:"hedges_won,omitempty"`
-	AttemptsReclaimed int `json:"attempts_reclaimed,omitempty"`
-}
-
-// ClusterStatus is the body of GET /v2/cluster: "single" mode for a
-// plain daemon, "coordinator" with per-peer health for a sharding one.
-type ClusterStatus struct {
-	Mode      string       `json:"mode"`
-	ShardSize int          `json:"shard_size"`
-	Peers     []PeerStatus `json:"peers"`
-	Shards    ShardStats   `json:"shards"`
-	// HedgeDelayMs is the current hedged-request latency budget
-	// (0 until observed shard times seed it, or hedging is off).
-	HedgeDelayMs float64 `json:"hedge_delay_ms,omitempty"`
-	// Membership counts peer lifecycle events since the coordinator
-	// started: added, removed, suspected, down, readmitted.
-	Membership map[string]int `json:"membership_events,omitempty"`
-}
-
-// Coordinator reports whether the server scatters sweeps across peers.
-func (cs *ClusterStatus) Coordinator() bool { return cs.Mode == "coordinator" }
+// The body of GET /v2/cluster: ClusterStatus reports "single" mode for
+// a plain daemon, "coordinator" with per-peer health (PeerStatus) for
+// a sharding one, plus the scatter and hedge counters (ShardStats).
+// PeerChange acknowledges a roster change with the resulting member
+// list in rotation order.
+type (
+	ClusterStatus = dispatch.ClusterStatus
+	PeerStatus    = dispatch.PeerStatus
+	ShardStats    = dispatch.Stats
+	PeerChange    = service.PeerChangeResponse
+)
 
 // Cluster fetches the server's cluster status: its mode, a live health
 // probe of every configured peer, and the shard scatter counters.
@@ -69,23 +31,12 @@ func (c *Client) Cluster(ctx context.Context) (*ClusterStatus, error) {
 	return &st, nil
 }
 
-// peerRequest is the body of POST /v2/cluster/peers.
-type peerRequest struct {
-	URL string `json:"url"`
-}
-
-// PeerChange acknowledges a roster change with the resulting member
-// list in rotation order.
-type PeerChange struct {
-	Peers []string `json:"peers"`
-}
-
 // AddPeer admits a worker into the coordinator's live roster. The
 // server answers 409 (surfaced as an *APIError) when the peer is
 // already a member.
 func (c *Client) AddPeer(ctx context.Context, peerURL string) (*PeerChange, error) {
 	var out PeerChange
-	if err := c.do(ctx, http.MethodPost, "/v2/cluster/peers", nil, peerRequest{URL: peerURL}, &out); err != nil {
+	if err := c.do(ctx, http.MethodPost, "/v2/cluster/peers", nil, service.PeerRequest{URL: peerURL}, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil

@@ -124,6 +124,35 @@ func TestOptimizeConvenience(t *testing.T) {
 	}
 }
 
+// TestLawsEndToEnd: the laws overlay arrives with one point per axis
+// value and the spec count the server evaluated for it — the optimal
+// allocation plus the model and the three laws at each axis value.
+func TestLawsEndToEnd(t *testing.T) {
+	c := newService(t, service.Config{})
+	procs := []int{2, 4, 8, 16}
+	resp, err := c.Laws(context.Background(), client.LawsRequest{
+		N: 256, Stencil: "5-point", Shape: "square",
+		Machine: client.MachineSpec{Type: "sync-bus"}, Procs: procs,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := 1 + 4*len(procs); resp.Stats.Specs != want {
+		t.Fatalf("stats %+v, want %d specs", resp.Stats, want)
+	}
+	if len(resp.Points) != len(procs) {
+		t.Fatalf("%d points, want %d", len(resp.Points), len(procs))
+	}
+	for i, p := range resp.Points {
+		if p.Procs != procs[i] || p.Model <= 0 {
+			t.Fatalf("point %d is %+v, want procs %d", i, p, procs[i])
+		}
+	}
+	if resp.OptimalProcs != 14 {
+		t.Fatalf("optimal procs %d, want the paper's 14", resp.OptimalProcs)
+	}
+}
+
 func TestStreamEndToEnd(t *testing.T) {
 	c := newService(t, service.Config{})
 	st, err := c.StreamSweep(context.Background(), client.SweepRequest{

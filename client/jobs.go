@@ -6,134 +6,59 @@ import (
 	"net/http"
 	"net/url"
 	"strconv"
-	"time"
 
-	"optspeed"
+	"optspeed/internal/core"
+	"optspeed/internal/jobs"
+	"optspeed/internal/service"
+	"optspeed/internal/sweep"
 )
 
-// Spec, Space, and MachineSpec are the evaluation types shared with the
-// engine, re-exported so SDK users need only this package and the
-// optspeed facade.
+// The SDK's types are the server's wire types: each name below is an
+// alias of the struct the server encodes, so a field the server adds
+// reaches SDK users with no second copy to keep in step.
 type (
-	Spec        = optspeed.SweepSpec
-	Space       = optspeed.SweepSpace
-	MachineSpec = optspeed.MachineSpec
+	// Spec, Space, and MachineSpec are the evaluation types shared
+	// with the engine.
+	Spec        = sweep.Spec
+	Space       = sweep.Space
+	MachineSpec = core.MachineSpec
+
+	// SweepRequest carries explicit specs, a Cartesian space, or both.
+	SweepRequest = service.SweepRequest
+	// OptimizeRequest is one optimize query.
+	OptimizeRequest = service.OptimizeRequest
+
+	// Job is one job resource; Progress its live counters (the shard
+	// counters appear only for jobs a coordinator scattered across
+	// peers); JobTrace its trace summary when the server traces.
+	Job      = service.JobJSON
+	Progress = service.ProgressJSON
+	JobTrace = service.JobTraceJSON
+	// Result is the wire form of one evaluated spec.
+	Result = service.SweepResultJSON
+	// ResultsPage is one cursor page of a job's results.
+	ResultsPage = service.JobResultsResponse
+
+	// JobState is a job's lifecycle position; Terminal reports whether
+	// it is final.
+	JobState = jobs.State
 )
-
-// SweepRequest carries explicit specs, a Cartesian space, or both.
-type SweepRequest struct {
-	Specs []Spec `json:"specs,omitempty"`
-	Space *Space `json:"space,omitempty"`
-}
-
-// OptimizeRequest is one optimize query.
-type OptimizeRequest struct {
-	N       int         `json:"n"`
-	Stencil string      `json:"stencil"`
-	Shape   string      `json:"shape"`
-	Machine MachineSpec `json:"machine"`
-	// Snapped is a compatibility alias: the server returns the same
-	// answer with or without it.
-	Snapped bool `json:"snapped,omitempty"`
-}
-
-// JobState is a job's lifecycle position.
-type JobState string
 
 // Job states.
 const (
-	JobPending   JobState = "pending"
-	JobRunning   JobState = "running"
-	JobSucceeded JobState = "succeeded"
-	JobFailed    JobState = "failed"
-	JobCancelled JobState = "cancelled"
+	JobPending   = jobs.StatePending
+	JobRunning   = jobs.StateRunning
+	JobSucceeded = jobs.StateSucceeded
+	JobFailed    = jobs.StateFailed
+	JobCancelled = jobs.StateCancelled
 )
-
-// Terminal reports whether the state is final.
-func (s JobState) Terminal() bool {
-	return s == JobSucceeded || s == JobFailed || s == JobCancelled
-}
-
-// Progress is a job's live counters. Shards/ShardsDone appear only for
-// jobs a coordinator scattered across worker peers.
-type Progress struct {
-	Total      int `json:"total"`
-	Completed  int `json:"completed"`
-	Evaluated  int `json:"evaluated"`
-	CacheHits  int `json:"cache_hits"`
-	Errors     int `json:"errors"`
-	Shards     int `json:"shards,omitempty"`
-	ShardsDone int `json:"shards_done,omitempty"`
-}
-
-// Job is one job resource.
-type Job struct {
-	ID              string     `json:"id"`
-	Kind            string     `json:"kind"`
-	State           JobState   `json:"state"`
-	CancelRequested bool       `json:"cancel_requested,omitempty"`
-	CreatedAt       time.Time  `json:"created_at"`
-	StartedAt       *time.Time `json:"started_at,omitempty"`
-	FinishedAt      *time.Time `json:"finished_at,omitempty"`
-	Progress        Progress   `json:"progress"`
-	Reason          string     `json:"reason,omitempty"`
-	// Persisted reports that the server runs a durable job store
-	// (-data-dir), so this job survives a restart. Recovered marks a
-	// job that was replayed from that store after a restart.
-	Persisted bool `json:"persisted,omitempty"`
-	Recovered bool `json:"recovered,omitempty"`
-	// Trace summarizes the job's recorded trace when the server runs
-	// with tracing on; pass Trace.ID to Client.Trace for the full span
-	// list.
-	Trace *JobTrace `json:"trace,omitempty"`
-}
-
-// JobTrace is the job resource's trace summary.
-type JobTrace struct {
-	ID             string  `json:"id"`
-	Spans          int     `json:"spans"`
-	WallMs         float64 `json:"wall_ms"`
-	CriticalPathMs float64 `json:"critical_path_ms"`
-	SerialMs       float64 `json:"serial_ms"`
-}
-
-// Result is the wire form of one evaluated spec.
-type Result struct {
-	Index     int     `json:"index"`
-	Spec      Spec    `json:"spec"`
-	CacheHit  bool    `json:"cache_hit"`
-	Procs     int     `json:"procs,omitempty"`
-	ProcsUsed float64 `json:"procs_used,omitempty"`
-	Area      float64 `json:"area,omitempty"`
-	CycleTime float64 `json:"cycle_time,omitempty"`
-	Speedup   float64 `json:"speedup,omitempty"`
-	Grid      int     `json:"grid,omitempty"`
-	Value     float64 `json:"value,omitempty"`
-	Error     string  `json:"error,omitempty"`
-}
-
-// ResultsPage is one cursor page of a job's results.
-type ResultsPage struct {
-	JobID      string   `json:"job_id"`
-	State      JobState `json:"state"`
-	Results    []Result `json:"results"`
-	NextCursor string   `json:"next_cursor"`
-	Done       bool     `json:"done"`
-}
-
-// jobSubmitBody mirrors the server's submit request.
-type jobSubmitBody struct {
-	Kind     string           `json:"kind,omitempty"`
-	Sweep    *SweepRequest    `json:"sweep,omitempty"`
-	Optimize *OptimizeRequest `json:"optimize,omitempty"`
-}
 
 // SubmitSweep submits a sweep job and returns the accepted (pending)
 // job immediately; the sweep runs server-side, detached from ctx.
 func (c *Client) SubmitSweep(ctx context.Context, req SweepRequest) (*Job, error) {
 	var job Job
 	if err := c.do(ctx, http.MethodPost, "/v2/jobs", nil,
-		jobSubmitBody{Kind: "sweep", Sweep: &req}, &job); err != nil {
+		service.JobSubmitRequest{Kind: "sweep", Sweep: &req}, &job); err != nil {
 		return nil, err
 	}
 	return &job, nil
@@ -143,7 +68,7 @@ func (c *Client) SubmitSweep(ctx context.Context, req SweepRequest) (*Job, error
 func (c *Client) SubmitOptimize(ctx context.Context, req OptimizeRequest) (*Job, error) {
 	var job Job
 	if err := c.do(ctx, http.MethodPost, "/v2/jobs", nil,
-		jobSubmitBody{Kind: "optimize", Optimize: &req}, &job); err != nil {
+		service.JobSubmitRequest{Kind: "optimize", Optimize: &req}, &job); err != nil {
 		return nil, err
 	}
 	return &job, nil
@@ -160,9 +85,7 @@ func (c *Client) Job(ctx context.Context, id string) (*Job, error) {
 
 // Jobs lists resident jobs, newest first.
 func (c *Client) Jobs(ctx context.Context) ([]Job, error) {
-	var resp struct {
-		Jobs []Job `json:"jobs"`
-	}
+	var resp service.JobListResponse
 	if err := c.do(ctx, http.MethodGet, "/v2/jobs", nil, nil, &resp); err != nil {
 		return nil, err
 	}

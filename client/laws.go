@@ -3,53 +3,22 @@ package client
 import (
 	"context"
 	"net/http"
+
+	"optspeed/internal/service"
 )
 
-// LawsRequest is the body of POST /v2/laws: one problem + machine and
-// an optional strictly increasing processor axis (empty = the server's
-// default powers-of-two axis).
-type LawsRequest struct {
-	N       int         `json:"n"`
-	Stencil string      `json:"stencil"`
-	Shape   string      `json:"shape"`
-	Machine MachineSpec `json:"machine"`
-	Procs   []int       `json:"procs,omitempty"`
-}
-
-// LawsPoint is the four-curve overlay at one processor count: the
-// model's speedup, fixed-size Amdahl and scaled Gustafson-Barsis at the
-// model-implied serial fraction, and the critical-path bound
-// min(P, T₁/T∞).
-type LawsPoint struct {
-	Procs        int     `json:"procs"`
-	Model        float64 `json:"model"`
-	Amdahl       float64 `json:"amdahl"`
-	Gustafson    float64 `json:"gustafson"`
-	CriticalPath float64 `json:"critical_path"`
-}
-
-// LawsDivergence marks the first axis point where two overlay curves
-// part ways. Kind is stable and machine-readable; Detail is human text.
-type LawsDivergence struct {
-	Kind   string `json:"kind"`
-	Procs  int    `json:"procs"`
-	Detail string `json:"detail"`
-}
-
-// LawsResponse is the server's comparative overlay for one
-// problem/machine pair.
-type LawsResponse struct {
-	N                 int              `json:"n"`
-	Stencil           string           `json:"stencil"`
-	Shape             string           `json:"shape"`
-	Machine           MachineSpec      `json:"machine"`
-	SerialFraction    float64          `json:"serial_fraction"`
-	CriticalPathRatio float64          `json:"critical_path_ratio"`
-	OptimalProcs      int              `json:"optimal_procs"`
-	OptimalSpeedup    float64          `json:"optimal_speedup"`
-	Points            []LawsPoint      `json:"points"`
-	Divergences       []LawsDivergence `json:"divergences"`
-}
+// The /v2/laws types: LawsRequest is one problem + machine and an
+// optional strictly increasing processor axis (empty = the server's
+// default powers-of-two axis). LawsResponse compares the paper's model
+// with Amdahl, Gustafson-Barsis, and the critical-path bound, one
+// LawsPoint per axis value, with LawsDivergence marking where two
+// curves part ways; its Stats counts the specs the overlay evaluated.
+type (
+	LawsRequest    = service.LawsRequest
+	LawsPoint      = service.LawsPoint
+	LawsDivergence = service.LawsDivergence
+	LawsResponse   = service.LawsResponse
+)
 
 // Laws evaluates the scaling-law overlay — the paper's model against
 // Amdahl, Gustafson-Barsis, and the critical-path bound — for one

@@ -8,22 +8,12 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+
+	"optspeed/internal/service"
 )
 
 // SweepStats summarizes a finished stream.
-type SweepStats struct {
-	Specs     int `json:"specs"`
-	CacheHits int `json:"cache_hits"`
-	Evaluated int `json:"evaluated"`
-	Errors    int `json:"errors"`
-}
-
-// streamLine mirrors one NDJSON line of POST /v2/sweeps/stream.
-type streamLine struct {
-	Result *Result     `json:"result,omitempty"`
-	Done   bool        `json:"done,omitempty"`
-	Stats  *SweepStats `json:"stats,omitempty"`
-}
+type SweepStats = service.SweepStats
 
 // ResultStream iterates results as the server computes them, straight
 // off the engine channel. Close it when done (cancelling ctx also tears
@@ -83,7 +73,7 @@ func (s *ResultStream) Next() bool {
 		return false
 	}
 	for s.sc.Scan() {
-		var line streamLine
+		var line service.StreamLine
 		if err := json.Unmarshal(s.sc.Bytes(), &line); err != nil {
 			s.err = fmt.Errorf("client: bad stream line: %w", err)
 			return false

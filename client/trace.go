@@ -3,33 +3,19 @@ package client
 import (
 	"context"
 	"net/http"
-	"time"
+
+	"optspeed/internal/service"
 )
 
-// TraceSpan is one recorded span of a request trace.
-type TraceSpan struct {
-	SpanID     string            `json:"span_id"`
-	ParentID   string            `json:"parent_id,omitempty"`
-	Name       string            `json:"name"`
-	Start      time.Time         `json:"start"`
-	DurationMs float64           `json:"duration_ms"`
-	Attrs      map[string]string `json:"attrs,omitempty"`
-}
-
 // Trace is the body of GET /v1/traces/{id}: summary timings plus every
-// recorded span, sorted by start time. CriticalPathMs is the longest
-// parent-child chain — the part of WallMs that no amount of extra
-// parallelism removes — while SerialMs sums every leaf span, the
+// recorded TraceSpan, sorted by start time. CriticalPathMs is the
+// longest parent-child chain — the part of WallMs that no amount of
+// extra parallelism removes — while SerialMs sums every leaf span, the
 // hypothetical single-node cost.
-type Trace struct {
-	TraceID        string      `json:"trace_id"`
-	SpanCount      int         `json:"span_count"`
-	SpansDropped   int         `json:"spans_dropped,omitempty"`
-	WallMs         float64     `json:"wall_ms"`
-	CriticalPathMs float64     `json:"critical_path_ms"`
-	SerialMs       float64     `json:"serial_ms"`
-	Spans          []TraceSpan `json:"spans"`
-}
+type (
+	Trace     = service.TraceResponse
+	TraceSpan = service.TraceSpanJSON
+)
 
 // Trace fetches one recorded trace by id — typically Job.Trace.ID from
 // a finished job, or the X-Trace-Id header echoed on an evaluation

@@ -52,6 +52,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"optspeed/internal/jobs"
 	"optspeed/internal/service"
 	"optspeed/internal/sweep"
 	"optspeed/internal/telemetry"
@@ -288,16 +289,13 @@ func (w *worker) jobRound(ctx context.Context) {
 		return
 	}
 	var job struct {
-		ID    string `json:"id"`
-		State string `json:"state"`
+		ID    string     `json:"id"`
+		State jobs.State `json:"state"`
 	}
 	if json.Unmarshal(raw, &job) != nil || job.ID == "" {
 		return
 	}
-	terminal := func(s string) bool {
-		return s == "succeeded" || s == "failed" || s == "cancelled"
-	}
-	for polls := 0; !terminal(job.State) && polls < 1000 && ctx.Err() == nil; polls++ {
+	for polls := 0; !job.State.Terminal() && polls < 1000 && ctx.Err() == nil; polls++ {
 		raw = w.do(ctx, "jobs", http.MethodGet, "/v2/jobs/"+job.ID, "", true)
 		if raw == nil || json.Unmarshal(raw, &job) != nil {
 			return

@@ -56,6 +56,9 @@ type ClusterStatus struct {
 	Membership map[string]int `json:"membership_events,omitempty"`
 }
 
+// Coordinator reports whether the server scatters sweeps across peers.
+func (cs *ClusterStatus) Coordinator() bool { return cs.Mode == "coordinator" }
+
 // ClusterStatus probes every member's /healthz concurrently (bounded
 // by DefaultProbeTimeout each) and merges the verdicts with the
 // rolling shard ledger. Probe verdicts feed membership: a success

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"optspeed/internal/admit"
+	"optspeed/internal/telemetry"
 )
 
 // deadlineHeader carries a propagated request deadline: either an
@@ -131,10 +132,10 @@ func (s *Server) writeRejection(w http.ResponseWriter, r *http.Request, rej *adm
 		noteAdmission(r.Context(), "rate_limited")
 	}
 	w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
-	s.writeJSON(w, r, rej.Status, v2ErrorResponse{Error: apiErrorBody{
+	s.writeJSON(w, r, rej.Status, V2ErrorResponse{Error: APIErrorBody{
 		Code:         rej.Code,
 		Message:      rej.Message,
-		RequestID:    RequestIDFrom(r.Context()),
+		RequestID:    telemetry.RequestIDFrom(r.Context()),
 		Tenant:       rej.Tenant,
 		RetryAfterMs: retryAfter.Milliseconds(),
 	}})

@@ -45,7 +45,7 @@ type ProgressJSON struct {
 type JobJSON struct {
 	ID              string        `json:"id"`
 	Kind            string        `json:"kind"`
-	State           string        `json:"state"`
+	State           jobs.State    `json:"state"`
 	CancelRequested bool          `json:"cancel_requested,omitempty"`
 	CreatedAt       time.Time     `json:"created_at"`
 	StartedAt       *time.Time    `json:"started_at,omitempty"`
@@ -83,7 +83,7 @@ func baseJobJSON(snap jobs.Snapshot) JobJSON {
 	j := JobJSON{
 		ID:              snap.ID,
 		Kind:            string(snap.Kind),
-		State:           string(snap.State),
+		State:           snap.State,
 		CancelRequested: snap.CancelRequested,
 		CreatedAt:       snap.Created,
 		Progress: ProgressJSON{
@@ -186,7 +186,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	// Tie the job's spans into this request's trace: the traced
 	// middleware opened a span for the submission, so the job span
 	// becomes its child and the 202 response already names the trace.
-	jreq.RequestID = RequestIDFrom(r.Context())
+	jreq.RequestID = telemetry.RequestIDFrom(r.Context())
 	jreq.TraceID = telemetry.TraceIDFrom(r.Context())
 	jreq.ParentSpanID = telemetry.SpanIDFrom(r.Context())
 	snap, err := s.store.Submit(jreq)
@@ -236,7 +236,7 @@ func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
 // fully read — polling the same cursor again will never yield more.
 type JobResultsResponse struct {
 	JobID      string            `json:"job_id"`
-	State      string            `json:"state"`
+	State      jobs.State        `json:"state"`
 	Results    []SweepResultJSON `json:"results"`
 	NextCursor string            `json:"next_cursor"`
 	Done       bool              `json:"done"`

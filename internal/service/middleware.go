@@ -24,12 +24,6 @@ const (
 	deadlineCtxKey ctxKey = 2
 )
 
-// RequestIDFrom returns the request id assigned by the middleware, or
-// "" outside a request context.
-func RequestIDFrom(ctx context.Context) string {
-	return telemetry.RequestIDFrom(ctx)
-}
-
 // validRequestID accepts client-supplied ids that are safe to echo into
 // headers and logs: short and limited to URL-ish token characters.
 func validRequestID(id string) bool {
@@ -109,7 +103,7 @@ func (s *Server) withAccessLog(next http.Handler) http.Handler {
 		r = r.WithContext(context.WithValue(r.Context(), accessInfoKey, info))
 		next.ServeHTTP(rec, r)
 		attrs := []slog.Attr{
-			slog.String("request_id", RequestIDFrom(r.Context())),
+			slog.String("request_id", telemetry.RequestIDFrom(r.Context())),
 			slog.String("method", r.Method),
 			slog.String("path", r.URL.Path),
 			slog.Int("status", rec.status),

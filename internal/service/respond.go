@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
+
+	"optspeed/internal/telemetry"
 )
 
 // logEncodeError records a response-encoding or response-write failure
@@ -17,7 +19,7 @@ func (s *Server) logEncodeError(r *http.Request, err error) {
 		return
 	}
 	s.logger.LogAttrs(r.Context(), slog.LevelError, "response encode failed",
-		slog.String("request_id", RequestIDFrom(r.Context())),
+		slog.String("request_id", telemetry.RequestIDFrom(r.Context())),
 		slog.String("path", r.URL.Path),
 		slog.String("error", err.Error()),
 	)
@@ -84,10 +86,10 @@ const (
 	codeDeadlineExceeded = "deadline_exceeded"
 )
 
-// apiErrorBody is the v2 error payload: a stable code, a human
+// APIErrorBody is the v2 error payload: a stable code, a human
 // message, and the request id so one client-side line is enough to
 // correlate with the server's access log.
-type apiErrorBody struct {
+type APIErrorBody struct {
 	Code      string `json:"code"`
 	Message   string `json:"message"`
 	RequestID string `json:"request_id,omitempty"`
@@ -100,18 +102,19 @@ type apiErrorBody struct {
 	RetryAfterMs int64 `json:"retry_after_ms,omitempty"`
 }
 
-// v2ErrorResponse is the uniform v2 error envelope.
-type v2ErrorResponse struct {
-	Error apiErrorBody `json:"error"`
+// V2ErrorResponse is the uniform v2 error envelope. The Go SDK
+// decodes failed responses into it.
+type V2ErrorResponse struct {
+	Error APIErrorBody `json:"error"`
 }
 
 // writeV2Error emits a v2 error envelope, stamping the request id from
 // the request context.
 func (s *Server) writeV2Error(w http.ResponseWriter, r *http.Request, status int, code, format string, args ...any) {
-	s.writeJSON(w, r, status, v2ErrorResponse{Error: apiErrorBody{
+	s.writeJSON(w, r, status, V2ErrorResponse{Error: APIErrorBody{
 		Code:      code,
 		Message:   fmt.Sprintf(format, args...),
-		RequestID: RequestIDFrom(r.Context()),
+		RequestID: telemetry.RequestIDFrom(r.Context()),
 	}})
 }
 

@@ -132,7 +132,7 @@ func (s *Server) traced(name string, h http.HandlerFunc) http.HandlerFunc {
 		}
 		ctx, span := s.tracer.StartRoot(r.Context(), name, tid, pid)
 		span.SetAttr("endpoint", name)
-		if id := RequestIDFrom(ctx); id != "" {
+		if id := telemetry.RequestIDFrom(ctx); id != "" {
 			span.SetAttr("request_id", id)
 		}
 		if tn := s.tenantFrom(ctx); tn != nil {

@@ -205,7 +205,7 @@ func TestTraceDistributedSweep(t *testing.T) {
 	}
 
 	job := pollJob(t, ts.URL, accepted.ID, func(j JobJSON) bool {
-		return JobStateTerminal(j.State)
+		return j.State.Terminal()
 	})
 	if job.State != "succeeded" {
 		t.Fatalf("job ended %s (%s)", job.State, job.Reason)
@@ -288,11 +288,6 @@ func TestTraceDistributedSweep(t *testing.T) {
 	}
 }
 
-// JobStateTerminal mirrors the client-side terminal check for JobJSON.
-func JobStateTerminal(state string) bool {
-	return state == "succeeded" || state == "failed" || state == "cancelled"
-}
-
 // TestTraceDisabled: DisableTracing removes every trace artifact —
 // no response header, no job trace block, 404 on the read API.
 func TestTraceDisabled(t *testing.T) {
@@ -309,7 +304,7 @@ func TestTraceDisabled(t *testing.T) {
 	if err := json.Unmarshal(raw, &accepted); err != nil {
 		t.Fatal(err)
 	}
-	job := pollJob(t, ts.URL, accepted.ID, func(j JobJSON) bool { return JobStateTerminal(j.State) })
+	job := pollJob(t, ts.URL, accepted.ID, func(j JobJSON) bool { return j.State.Terminal() })
 	if job.Trace != nil {
 		t.Fatalf("tracing disabled but job carries a trace block: %+v", job.Trace)
 	}

@@ -182,7 +182,7 @@ func TestJobLifecycleOverHTTP(t *testing.T) {
 		t.Fatalf("list %d: %+v", resp.StatusCode, list)
 	}
 	resp, raw = doJSON(t, http.MethodDelete, ts.URL+"/v2/jobs/"+accepted.ID, "")
-	var conflict v2ErrorResponse
+	var conflict V2ErrorResponse
 	if err := json.Unmarshal(raw, &conflict); err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func TestJobSubmitValidation(t *testing.T) {
 			if resp.StatusCode != tc.status {
 				t.Fatalf("status %d, want %d: %s", resp.StatusCode, tc.status, raw)
 			}
-			var env v2ErrorResponse
+			var env V2ErrorResponse
 			if err := json.Unmarshal(raw, &env); err != nil {
 				t.Fatalf("non-envelope error body %s: %v", raw, err)
 			}
@@ -263,7 +263,7 @@ func TestJobNotFound(t *testing.T) {
 		if resp.StatusCode != http.StatusNotFound {
 			t.Fatalf("%s %s: status %d: %s", tc.method, tc.path, resp.StatusCode, raw)
 		}
-		var env v2ErrorResponse
+		var env V2ErrorResponse
 		if err := json.Unmarshal(raw, &env); err != nil || env.Error.Code != codeNotFound {
 			t.Fatalf("%s %s: envelope %s", tc.method, tc.path, raw)
 		}
@@ -343,7 +343,7 @@ func TestJobStoreFullOverHTTP(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("overflow submit: %d %s", resp.StatusCode, raw)
 	}
-	var env v2ErrorResponse
+	var env V2ErrorResponse
 	if err := json.Unmarshal(raw, &env); err != nil || env.Error.Code != codeStoreFull {
 		t.Fatalf("envelope %s", raw)
 	}
@@ -430,7 +430,7 @@ func TestSweepStreamValidation(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("empty stream request: %d %s", resp.StatusCode, raw)
 	}
-	var env v2ErrorResponse
+	var env V2ErrorResponse
 	if err := json.Unmarshal(raw, &env); err != nil || env.Error.Code != codeInvalidRequest {
 		t.Fatalf("envelope %s", raw)
 	}
@@ -445,7 +445,7 @@ func TestRequestIDMiddleware(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var env v2ErrorResponse
+	var env V2ErrorResponse
 	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
 		t.Fatal(err)
 	}
