@@ -471,7 +471,8 @@ func terminalFor(j *Job, ctx context.Context, total int) (State, string) {
 
 // Open starts a request's evaluation stream without registering a job
 // — the single definition of the request→evaluation dispatch, shared
-// by the job runner and the service's NDJSON streaming endpoint. The
+// by the job runner, the service's v1 sweep and its NDJSON streaming
+// endpoint. The
 // dispatcher routes: with peers configured, oversized requests are
 // scattered across the cluster; otherwise spaces keep the engine's
 // space-aware path (axis pre-resolution, batched speedup groups) and
@@ -484,9 +485,9 @@ func (s *Store) Open(ctx context.Context, req Request) (<-chan *sweep.Chunk, int
 }
 
 // RunSync runs one request synchronously, bound to the caller's
-// context and never registered in the store — the v1 compatibility
-// path: the request blocks until completion and leaves no resident job
-// behind. It shares the Submit path's request mapping but collects into
+// context and never registered in the store — the path of v1 optimize
+// and the laws overlay: the request blocks until completion and leaves
+// no resident job behind. It shares the Submit path's request mapping but collects into
 // submission order directly (through the dispatcher, so coordinator
 // deployments distribute synchronous sweeps too), avoiding a throwaway
 // job record. Results come back in submission (Index) order; a non-nil

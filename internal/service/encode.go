@@ -12,6 +12,7 @@ package service
 
 import (
 	"math"
+	"slices"
 	"strconv"
 	"sync"
 	"unicode/utf8"
@@ -294,18 +295,81 @@ func appendStreamDoneLine(dst []byte, st *SweepStats) []byte {
 	return append(dst, '}', '\n')
 }
 
-// appendSweepResponse appends the full v1 /sweep body straight from the
-// engine results — {"results":[...],"stats":{...}} plus newline.
-func appendSweepResponse(dst []byte, results []sweep.Result, st *SweepStats) []byte {
-	dst = append(dst, `{"results":[`...)
+// sweepBody assembles one v1 /sweep body — {"results":[...],"stats":{...}}
+// plus newline — from results that arrive in any order: each result is
+// encoded into the arena as its chunk lands, spans records where index
+// i's bytes lie, and appendTo copies them out in index order. Engine
+// chunks are not index-contiguous (workers claim work from a shared
+// cursor), so the spans carry the order. Bodies are pooled.
+type sweepBody struct {
+	arena []byte
+	spans []byteSpan
+	stats SweepStats
+}
+
+// byteSpan is one result's byte range in the arena; end is 0 until the
+// result arrives (an encoded result is never empty).
+type byteSpan struct{ start, end int }
+
+var sweepBodyPool = sync.Pool{New: func() any { return new(sweepBody) }}
+
+// getSweepBody returns an empty pooled body for total results.
+func getSweepBody(total int) *sweepBody {
+	b := sweepBodyPool.Get().(*sweepBody)
+	b.reset(total)
+	return b
+}
+
+// putSweepBody returns b to the pool unless its arena grew past
+// maxPooledBuf.
+func putSweepBody(b *sweepBody) {
+	if cap(b.arena) <= maxPooledBuf {
+		sweepBodyPool.Put(b)
+	}
+}
+
+// reset empties b, keeping its storage, for a sweep of total results.
+func (b *sweepBody) reset(total int) {
+	if cap(b.spans) < total {
+		b.spans = make([]byteSpan, total)
+	}
+	b.spans = b.spans[:total]
+	clear(b.spans)
+	b.arena, b.stats = b.arena[:0], SweepStats{}
+}
+
+// add encodes results and counts them in the stats. A repeated index
+// keeps its first arrival.
+func (b *sweepBody) add(results []sweep.Result) {
 	for i := range results {
+		r := &results[i]
+		sp := &b.spans[r.Index]
+		if sp.end != 0 {
+			continue
+		}
+		b.stats.observe(&r.Answer)
+		sp.start = len(b.arena)
+		b.arena = appendSweepResult(b.arena, &r.Spec, &r.Answer)
+		sp.end = len(b.arena)
+	}
+}
+
+// complete reports whether every index has arrived.
+func (b *sweepBody) complete() bool { return b.stats.Specs == len(b.spans) }
+
+// appendTo appends the body, results in index order; it is meant for a
+// complete body (a missing result would leave an empty element).
+func (b *sweepBody) appendTo(dst []byte) []byte {
+	dst = slices.Grow(dst, len(b.arena)+len(b.spans)+128)
+	dst = append(dst, `{"results":[`...)
+	for i, sp := range b.spans {
 		if i > 0 {
 			dst = append(dst, ',')
 		}
-		dst = appendSweepResult(dst, &results[i].Spec, &results[i].Answer)
+		dst = append(dst, b.arena[sp.start:sp.end]...)
 	}
 	dst = append(dst, `],"stats":`...)
-	dst = appendSweepStats(dst, st)
+	dst = appendSweepStats(dst, &b.stats)
 	return append(dst, '}', '\n')
 }
 

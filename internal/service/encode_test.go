@@ -8,6 +8,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"optspeed/internal/core"
@@ -308,26 +310,74 @@ func engineAnswers(tb testing.TB) (sweep.Batch, []sweep.Answer) {
 	return work, answers
 }
 
-func TestAppendSweepResponseMatchesEncodingJSON(t *testing.T) {
-	results := wireCorpus(t)
-	var stats SweepStats
+// sweepResponseJSON is the reference v1 body for results, through
+// encoding/json.
+func sweepResponseJSON(t *testing.T, results []sweep.Result) []byte {
+	t.Helper()
 	resp := SweepResponse{Results: make([]SweepResultJSON, len(results))}
 	for i := range results {
-		stats.observe(&results[i].Answer)
+		resp.Stats.observe(&results[i].Answer)
 		resp.Results[i] = sweepResultJSON(results[i])
 	}
-	resp.Stats = stats
-	want := encodeJSONLine(t, resp)
-	got := appendSweepResponse(nil, results, &stats)
-	if !bytes.Equal(got, want) {
+	return encodeJSONLine(t, resp)
+}
+
+// chunked shuffles results and splits them into chunks of 1..maxLen,
+// the way engine workers and gathered shards hand them over.
+func chunked(results []sweep.Result, seed int64, maxLen int) [][]sweep.Result {
+	rng := rand.New(rand.NewSource(seed))
+	shuffled := slices.Clone(results)
+	rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	var chunks [][]sweep.Result
+	for len(shuffled) > 0 {
+		n := min(1+rng.Intn(maxLen), len(shuffled))
+		chunks = append(chunks, shuffled[:n])
+		shuffled = shuffled[n:]
+	}
+	return chunks
+}
+
+func TestAppendSweepResponseMatchesEncodingJSON(t *testing.T) {
+	results := wireCorpus(t)
+	want := sweepResponseJSON(t, results)
+	var body sweepBody
+	body.reset(len(results))
+	body.add(results)
+	if got := body.appendTo(nil); !bytes.Equal(got, want) {
 		t.Errorf("sweep response:\n got: %s\nwant: %s", got, want)
 	}
 	// The empty sweep still encodes a non-nil results array.
-	empty := SweepResponse{Results: []SweepResultJSON{}}
-	want = encodeJSONLine(t, empty)
-	got = appendSweepResponse(nil, nil, &SweepStats{})
-	if !bytes.Equal(got, want) {
+	want = encodeJSONLine(t, SweepResponse{Results: []SweepResultJSON{}})
+	body.reset(0)
+	if got := body.appendTo(nil); !body.complete() || !bytes.Equal(got, want) {
 		t.Errorf("empty sweep response:\n got: %s\nwant: %s", got, want)
+	}
+}
+
+// TestSweepBodyOutOfOrderMatchesEncodingJSON feeds the corpus in
+// shuffled, unevenly split chunks: the body must still be the
+// in-order reference, byte for byte, and a repeated delivery must not
+// change it.
+func TestSweepBodyOutOfOrderMatchesEncodingJSON(t *testing.T) {
+	results := wireCorpus(t)
+	want := sweepResponseJSON(t, results)
+	var body sweepBody
+	for seed := int64(1); seed <= 16; seed++ {
+		body.reset(len(results))
+		chunks := chunked(results, seed, 7)
+		for i, c := range chunks {
+			if body.complete() {
+				t.Fatalf("seed %d: complete after %d of %d chunks", seed, i, len(chunks))
+			}
+			body.add(c)
+		}
+		body.add(chunks[0])
+		if !body.complete() {
+			t.Fatalf("seed %d: incomplete after every chunk", seed)
+		}
+		if got := body.appendTo(nil); !bytes.Equal(got, want) {
+			t.Fatalf("seed %d:\n got: %s\nwant: %s", seed, got, want)
+		}
 	}
 }
 
@@ -435,16 +485,18 @@ func fuzzResult(data []byte) sweep.Result {
 // pooled buffer itself, amortized across a whole chunk or page).
 func TestWireEncoderAllocBudget(t *testing.T) {
 	results := wireCorpus(t)
+	chunks := chunked(results, 1, 7)
 	buf := make([]byte, 0, 1<<16)
-	var stats SweepStats
-	for i := range results {
-		stats.observe(&results[i].Answer)
-	}
+	var body sweepBody
 	allocs := testing.AllocsPerRun(200, func() {
-		buf = appendSweepResponse(buf[:0], results, &stats)
+		body.reset(len(results))
+		for _, c := range chunks {
+			body.add(c)
+		}
+		buf = body.appendTo(buf[:0])
 	})
 	if allocs > 0 {
-		t.Fatalf("appendSweepResponse allocates %.1f/op over %d results, budget is 0", allocs, len(results))
+		t.Fatalf("sweepBody add+appendTo allocates %.1f/op over %d results, budget is 0", allocs, len(results))
 	}
 	work, answers := engineAnswers(t)
 	allocs = testing.AllocsPerRun(200, func() {
@@ -476,19 +528,26 @@ func coldSweep(b *testing.B) (sweep.Batch, []sweep.Result) {
 }
 
 // BenchmarkAppendSweepResponse times the v1 /sweep body of one
-// sweep-cold op.
+// sweep-cold op, assembled from its results arriving out of order in
+// engine-sized chunks.
 func BenchmarkAppendSweepResponse(b *testing.B) {
 	_, results := coldSweep(b)
-	var stats SweepStats
-	for i := range results {
-		stats.observe(&results[i].Answer)
+	chunks := chunked(results, 1, 64)
+	var body sweepBody
+	var buf []byte
+	run := func() {
+		body.reset(len(results))
+		for _, c := range chunks {
+			body.add(c)
+		}
+		buf = body.appendTo(buf[:0])
 	}
-	buf := appendSweepResponse(nil, results, &stats)
+	run()
 	b.SetBytes(int64(len(buf)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for range b.N {
-		buf = appendSweepResponse(buf[:0], results, &stats)
+		run()
 	}
 }
 

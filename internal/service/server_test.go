@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"optspeed/internal/core"
 	"optspeed/internal/partition"
@@ -368,6 +369,71 @@ func TestCancelledRequestRecordedNotAsSuccess(t *testing.T) {
 	ep := srv.metrics.snapshot()["optimize"]
 	if ep.Cancelled != 1 || ep.Errors != 0 {
 		t.Fatalf("cancelled request metrics %+v, want cancelled=1 errors=0", ep)
+	}
+}
+
+// slowV1Sweep posts slowSpace to /v1/sweep on a Workers:1 server, with
+// ctx and headers, and returns the recorded response and the engine's
+// evaluation count once the handler has returned.
+func slowV1Sweep(t *testing.T, ctx context.Context, headers map[string]string, onStart func(*sweep.Engine)) (*Server, *httptest.ResponseRecorder, uint64) {
+	t.Helper()
+	eng := sweep.New(sweep.Options{Workers: 1})
+	srv := New(Config{Engine: eng})
+	t.Cleanup(srv.Close)
+	raw, err := json.Marshal(SweepRequest{Space: slowSpace()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := httptest.NewRequest(http.MethodPost, "/v1/sweep", bytes.NewReader(raw)).WithContext(ctx)
+	for k, v := range headers {
+		req.Header.Set(k, v)
+	}
+	if onStart != nil {
+		go onStart(eng)
+	}
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, req)
+	return srv, rec, eng.Stats().Evaluations
+}
+
+// TestSweepCancelledMidEvaluation: a /v1/sweep whose client hangs up
+// while the engine is evaluating records 499 and writes no body — no
+// partial results array.
+func TestSweepCancelledMidEvaluation(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	srv, rec, evals := slowV1Sweep(t, ctx, nil, func(eng *sweep.Engine) {
+		for eng.Stats().Evaluations == 0 && ctx.Err() == nil {
+			time.Sleep(50 * time.Microsecond)
+		}
+		cancel()
+	})
+	if rec.Code != statusClientClosedRequest || rec.Body.Len() != 0 {
+		t.Fatalf("cancelled sweep: status %d with %d body bytes, want 499 and none", rec.Code, rec.Body.Len())
+	}
+	if total := uint64(slowSpace().Size()); evals == 0 || evals >= total {
+		t.Fatalf("cancel landed outside evaluation: %d of %d specs evaluated", evals, total)
+	}
+	ep := srv.metrics.snapshot()["sweep"]
+	if ep.Cancelled != 1 || ep.Errors != 0 {
+		t.Fatalf("cancelled sweep metrics %+v, want cancelled=1 errors=0", ep)
+	}
+}
+
+// TestSweepDeadlineExceededMidEvaluation: a /v1/sweep whose
+// X-Request-Deadline budget runs out while the engine is evaluating
+// answers 504 deadline_exceeded.
+func TestSweepDeadlineExceededMidEvaluation(t *testing.T) {
+	_, rec, evals := slowV1Sweep(t, context.Background(),
+		map[string]string{deadlineHeader: "20ms"}, nil)
+	if rec.Code != http.StatusGatewayTimeout {
+		t.Fatalf("status %d, want 504: %s", rec.Code, rec.Body.Bytes())
+	}
+	if code, _, _ := envelope(t, rec.Body.Bytes()); code != codeDeadlineExceeded {
+		t.Fatalf("code %q, want %q: %s", code, codeDeadlineExceeded, rec.Body.Bytes())
+	}
+	if total := uint64(slowSpace().Size()); evals >= total {
+		t.Fatalf("the whole sweep (%d specs) finished inside a 20ms budget", total)
 	}
 }
 

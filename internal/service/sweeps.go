@@ -63,18 +63,19 @@ func (st *SweepStats) observe(a *sweep.Answer) {
 }
 
 // SweepResponse is the body of a completed v1 sweep. The hot path
-// encodes this shape through appendSweepResponse; the struct remains
-// for clients and the encoder-identity tests.
+// encodes this shape through sweepBody; the struct remains for clients
+// and the encoder-identity tests.
 type SweepResponse struct {
 	Results []SweepResultJSON `json:"results"`
 	Stats   SweepStats        `json:"stats"`
 }
 
 // handleSweep is the v1 synchronous adapter: the batch runs through the
-// same jobs core as v2 — bound to the request context, never retained —
-// and the full response is serialized once into a pooled buffer by the
-// AppendJSON encoder (byte-identical to the old encoding/json output,
-// without its per-result reflection and allocation).
+// same jobs core as v2 — bound to the request context, never retained.
+// The handler encodes each chunk's results into a pooled sweepBody as
+// the chunk lands, while the engine's workers keep evaluating, so the
+// encode overlaps evaluation instead of trailing it; at the end the
+// results are copied out in index order and sent in one write.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if _, ok := s.admitRequest(w, r); !ok {
 		return
@@ -94,17 +95,31 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	results, err := s.store.RunSync(r.Context(), jreq)
+	ch, total, err := s.store.Open(r.Context(), jreq)
 	if err != nil {
+		s.writeError(w, r, http.StatusBadRequest, "%v", err)
+		return
+	}
+	body := getSweepBody(total)
+	defer putSweepBody(body)
+	engine := s.store.Engine()
+	for c := range ch {
+		body.add(c.Results)
+		engine.Recycle(c)
+	}
+	if r.Context().Err() != nil {
 		s.writeSyncFailure(w, r)
 		return
 	}
-	var stats SweepStats
-	for i := range results {
-		stats.observe(&results[i].Answer)
+	if !body.complete() {
+		// The stream ended short with the context alive: never send a
+		// body with a hole in it.
+		s.writeError(w, r, http.StatusInternalServerError,
+			"sweep ended after %d of %d results", body.stats.Specs, total)
+		return
 	}
 	buf := getBuf()
-	*buf = appendSweepResponse(*buf, results, &stats)
+	*buf = body.appendTo(*buf)
 	s.writeRaw(w, r, http.StatusOK, *buf)
 	putBuf(buf)
 }

@@ -81,13 +81,12 @@ func terminal(j JobJSON) bool {
 	return false
 }
 
-// slowSweepBody is a cold space large enough that a Workers:1 engine
+// slowSpace is a cold space large enough that a Workers:1 engine
 // cannot finish it before the test observes and cancels it: 1365
 // distinct grid sizes times every stencil, shape and machine type is
 // 65,520 optimize specs (just under DefaultMaxSweepSpecs), none of them
 // cached, a few microseconds each.
-func slowSweepBody(t *testing.T) string {
-	t.Helper()
+func slowSpace() *sweep.Space {
 	ns := make([]int, 1365)
 	for i := range ns {
 		ns[i] = 4096 + i
@@ -96,10 +95,16 @@ func slowSweepBody(t *testing.T) string {
 	for _, typ := range core.MachineTypes() {
 		machines = append(machines, core.MachineSpec{Type: typ})
 	}
-	raw, err := json.Marshal(JobSubmitRequest{Kind: "sweep", Sweep: &SweepRequest{Space: &sweep.Space{
+	return &sweep.Space{
 		Ns: ns, Stencils: []string{"5-point", "9-point", "9-star", "13-point"},
 		Shapes: []string{"strip", "square"}, Machines: machines,
-	}}})
+	}
+}
+
+// slowSweepBody submits slowSpace as a v2 job.
+func slowSweepBody(t *testing.T) string {
+	t.Helper()
+	raw, err := json.Marshal(JobSubmitRequest{Kind: "sweep", Sweep: &SweepRequest{Space: slowSpace()}})
 	if err != nil {
 		t.Fatal(err)
 	}

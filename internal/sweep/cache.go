@@ -349,9 +349,14 @@ func (c *cache) getOrCompute(cancel <-chan struct{}, key specKey, fn func() outc
 	return c.shardFor(h).getOrCompute(cancel, h, key, fn)
 }
 
-// shardFor picks the shard for a key hash.
+// shardFor picks the shard for a key hash from its high 32 bits. The
+// hash is FNV-1a, whose multiply carries bits only upward: its low bits
+// depend only on the low bits of each field, which many keys share
+// (n and procs that are multiples of 16, floats with zero low mantissa
+// bits, the enums packed above bit 8), so h%16 would crowd them into a
+// few shards. The high bits depend on every bit of every field.
 func (c *cache) shardFor(h uint64) *cacheShard {
-	return c.shards[h%uint64(len(c.shards))]
+	return c.shards[(h>>32)%uint64(len(c.shards))]
 }
 
 func (s *cacheShard) getOrCompute(cancel <-chan struct{}, h uint64, key specKey, fn func() outcome) (outcome, bool) {

@@ -1,10 +1,13 @@
 package sweep
 
 import (
+	"context"
 	"errors"
 	"reflect"
 	"runtime"
 	"testing"
+
+	"optspeed/internal/core"
 )
 
 // TestCacheHashCollision forces distinct keys onto one hash. The
@@ -248,5 +251,40 @@ func TestCacheEntryFootprint(t *testing.T) {
 	t.Logf("%d resident entries, %.0f B of heap each", resident, per)
 	if per > 320 {
 		t.Errorf("a resident cache entry costs %.0f B of heap, budget is 320", per)
+	}
+}
+
+// TestCacheRepeatOfAlignedSpaceHits: the shard is picked from hash
+// bits every key field reaches. In a 16,384-spec speedup space whose n
+// and procs are all multiples of 16, the key hashes take only 2 values
+// in their low 4 bits, so h%16 would crowd the space into 2 of 16
+// shards and keep 9,216 entries. The space must stay resident in a
+// default-size cache, so its identical repeat is answered entirely
+// from the cache, as DefaultCacheSize promises.
+func TestCacheRepeatOfAlignedSpaceHits(t *testing.T) {
+	sp := Space{Op: OpSpeedup, Stencils: []string{"5-point", "9-point", "9-star", "13-point"},
+		Shapes: []string{"strip", "square"}, Machines: []core.MachineSpec{{Type: "sync-bus"}, {Type: "hypercube"}}}
+	for i := range 64 {
+		sp.Ns = append(sp.Ns, 256+16*i) // n >= procs, so every spec is valid and cached
+	}
+	for i := 1; i <= 16; i++ {
+		sp.Procs = append(sp.Procs, 16*i)
+	}
+	if sp.Size() != 16384 {
+		t.Fatalf("space has %d specs, want 16384", sp.Size())
+	}
+	e := New(Options{})
+	if _, err := e.RunSpace(context.Background(), sp); err != nil {
+		t.Fatal(err)
+	}
+	if n := e.cache.len(); n != sp.Size() {
+		t.Fatalf("%d of %d specs resident after the first run", n, sp.Size())
+	}
+	before := e.Stats().CacheHits
+	if _, err := e.RunSpace(context.Background(), sp); err != nil {
+		t.Fatal(err)
+	}
+	if hits := e.Stats().CacheHits - before; hits != uint64(sp.Size()) {
+		t.Fatalf("repeat got %d cache hits, want all %d", hits, sp.Size())
 	}
 }
