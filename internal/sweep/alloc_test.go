@@ -2,6 +2,8 @@ package sweep
 
 import (
 	"context"
+	"errors"
+	"reflect"
 	"testing"
 
 	"optspeed/internal/core"
@@ -125,6 +127,102 @@ func TestChunkStreamBatchedMatchesRun(t *testing.T) {
 	for i := range want {
 		if got[i].Value != want[i].Value || (got[i].Err == nil) != (want[i].Err == nil) {
 			t.Fatalf("result %d diverges: stream %+v vs run %+v", i, got[i], want[i])
+		}
+	}
+}
+
+// TestStaleChunkAnswersReset fills the chunk pool with recycled chunks
+// whose slots hold non-zero, errored answers, then runs sweeps that mix
+// key errors, model errors, cache hits, coalesced duplicates, misses
+// and batched groups. Every path that fills a slot must overwrite all
+// of it, so the results equal a fresh engine's, CacheHit aside.
+func TestStaleChunkAnswersReset(t *testing.T) {
+	ctx := context.Background()
+	specs := []Spec{
+		{N: 64, Stencil: "5-point", Shape: "square", Machine: syncBusSpec()},
+		{N: 64, Stencil: "no-such-stencil", Shape: "square", Machine: syncBusSpec()},
+		{N: 96, Stencil: "9-point", Shape: "strip", Machine: core.MachineSpec{Type: "hypercube"}},
+		{Op: OpSpeedup, N: 8, Stencil: "5-point", Shape: "strip", Machine: syncBusSpec(), Procs: 4096},
+		{N: 64, Stencil: "5-point", Shape: "square", Machine: syncBusSpec()},
+		{Op: OpMinGrid, Stencil: "5-point", Shape: "square", Machine: syncBusSpec(), Procs: 16},
+		{Op: OpScaled, N: 128, Stencil: "5-point", Shape: "square", Machine: syncBusSpec(), PointsPerProc: 64},
+		{N: 64, Stencil: "5-point", Shape: "hexagon", Machine: syncBusSpec()},
+	}
+	space := Space{
+		Ns:       []int{48, 64, 80},
+		Stencils: []string{"5-point", "no-such-stencil"},
+		Shapes:   []string{"strip", "square"},
+		Machines: []core.MachineSpec{syncBusSpec(), {Type: "no-such-machine"}, {Type: "mesh"}},
+	}
+	batched := Space{
+		Op:       OpSpeedup,
+		Ns:       []int{16, 64},
+		Stencils: []string{"5-point", "no-such-stencil"},
+		Shapes:   []string{"strip", "square"},
+		Machines: []core.MachineSpec{syncBusSpec(), {Type: "hypercube"}},
+		Procs:    []int{1, 4, 16, 64, 100000},
+	}
+	// warm answers some of each sweep before the measured runs, so they
+	// mix cache hits with misses.
+	warm := func(e *Engine) {
+		t.Helper()
+		if _, err := e.Run(ctx, specs[:3]); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.RunSpace(ctx, Space{Ns: []int{64}, Stencils: space.Stencils, Shapes: space.Shapes, Machines: space.Machines}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.RunSpace(ctx, Space{Op: OpSpeedup, Ns: []int{64}, Stencils: []string{"5-point"},
+			Shapes: []string{"square"}, Machines: batched.Machines, Procs: []int{4, 64}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run := func(e *Engine) [][]Result {
+		t.Helper()
+		var out [][]Result
+		for _, b := range []Batch{{Specs: specs}, {Space: &space}, {Space: &batched}} {
+			rs, err := e.run(ctx, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range rs {
+				rs[i].CacheHit = false
+			}
+			out = append(out, rs)
+		}
+		return out
+	}
+	want := run(New(Options{Workers: 4}))
+
+	e := New(Options{Workers: 4})
+	warm(e)
+	hitsBefore := e.Stats().CacheHits
+	stale := errors.New("stale answer")
+	var chunks []*Chunk
+	for range 256 {
+		c := getChunk(chunkCap)
+		c.Results = c.Results[:cap(c.Results)]
+		for i := range c.Results {
+			c.Results[i] = Result{
+				Spec: Spec{Op: OpScaled, N: -1, Stencil: "stale"},
+				Answer: Answer{Index: -1, CacheHit: true, Alloc: Alloc{Procs: 99, Area: 1, Speedup: 2, UsedAll: true},
+					Value: 42, Grid: 7, Scaled: core.ScaledPoint{Procs: 3, Speedup: 4}, Err: stale},
+			}
+		}
+		chunks = append(chunks, c)
+	}
+	for _, c := range chunks {
+		e.Recycle(c)
+	}
+	got := run(e)
+	if e.Stats().CacheHits == hitsBefore {
+		t.Fatal("the measured sweeps got no cache hits")
+	}
+	for k := range want {
+		for i := range want[k] {
+			if !reflect.DeepEqual(got[k][i], want[k][i]) {
+				t.Fatalf("sweep %d result %d: got %+v, want a fresh engine's %+v", k, i, got[k][i], want[k][i])
+			}
 		}
 	}
 }

@@ -28,7 +28,7 @@ const maxCacheShards = 16
 // for the same key block on the entry instead of recomputing (the
 // request-coalescing behavior the HTTP service relies on when
 // identical per-spec sweeps arrive concurrently). The batched speedup
-// path uses peek/putBatch instead and trades that per-key coalescing
+// path uses peek/put instead and trades that per-key coalescing
 // for whole-group batching: concurrent identical cold batched sweeps
 // may duplicate a group computation (the first insert wins), but
 // completed entries still serve everyone afterwards. Failed
@@ -81,43 +81,45 @@ type cacheShard struct {
 }
 
 // centry is one slab slot. A pending entry is in flight: its owner is
-// computing it and ans is not yet meaningful. The owner settles it
+// computing it and nums is not yet meaningful. The owner settles it
 // under the shard lock, either storing the answer or, on an error,
 // removing the entry. prev/next are the shard's LRU links and same is
 // its hash chain, all owned by the shard lock.
 type centry struct {
 	key        specKey
 	h          uint64 // key.hash(), the entry's idx key
-	ans        answer
+	nums       numbers
 	prev, next int32
 	same       int32 // next slot with the same hash
 	pending    bool
 }
 
-// answer is the cached part of an outcome: all of it but the error.
-// Failures are never cached.
-type answer struct {
+// numbers is the cached, pointer-free part of an Answer: its payload.
+// Index and CacheHit belong to the slot a lookup fills, and failures
+// are never cached, so Err (an interface) stays out of the slab.
+type numbers struct {
 	alloc  Alloc
 	scaled core.ScaledPoint
 	value  float64
 	grid   int
 }
 
-// answerOf keeps the numbers of a successful outcome.
-func answerOf(o outcome) answer {
-	return answer{alloc: o.alloc, scaled: o.scaled, value: o.value, grid: o.grid}
+// store keeps the payload of a successful answer.
+func (n *numbers) store(a *Answer) {
+	*n = numbers{alloc: a.Alloc, scaled: a.Scaled, value: a.Value, grid: a.Grid}
 }
 
-// outcome rebuilds the outcome an answer was kept from.
-func (a answer) outcome() outcome {
-	return outcome{alloc: a.alloc, scaled: a.scaled, value: a.value, grid: a.grid}
+// load overwrites a with the kept payload, keeping a's Index.
+func (n *numbers) load(a *Answer) {
+	*a = Answer{Index: a.Index, Alloc: n.alloc, Scaled: n.scaled, Value: n.value, Grid: n.grid}
 }
 
 // waiter is the rendezvous for the goroutines waiting on one in-flight
-// entry: the owner stores its outcome in out, then closes done.
+// entry: the owner stores a copy of its answer in out (its own may sit
+// in a chunk that is recycled), then closes done.
 type waiter struct {
 	done chan struct{}
-	out  outcome
+	out  Answer
 }
 
 func newCache(capacity int) *cache {
@@ -237,14 +239,18 @@ func (s *cacheShard) find(h uint64, key specKey) int32 {
 	return nilSlot
 }
 
-// insert makes key resident and most recently used, either settled
-// with answer a or pending, and returns its slot. A full shard first
-// evicts its least recently used settled entry, whose slot the new
-// entry then takes. The caller has checked that key is absent.
-func (s *cacheShard) insert(h uint64, key specKey, a answer, pending bool) int32 {
+// insert makes key resident and most recently used, settled with a's
+// payload or, for a nil a, pending, and returns its slot. A full shard
+// first evicts its least recently used settled entry, whose slot the
+// new entry then takes. The caller has checked that key is absent.
+func (s *cacheShard) insert(h uint64, key specKey, a *Answer) int32 {
 	s.trim(s.cap - 1)
 	i := s.alloc()
-	*s.entry(i) = centry{key: key, h: h, ans: a, same: s.chain(h), pending: pending}
+	e := s.entry(i)
+	*e = centry{key: key, h: h, same: s.chain(h), pending: a == nil}
+	if a != nil {
+		e.nums.store(a)
+	}
 	s.idx[h] = i
 	s.pushFront(i)
 	return i
@@ -283,16 +289,17 @@ func (s *cacheShard) trim(limit int) {
 }
 
 // lookup finds key's resident entry and marks it most recently used. A
-// settled entry's answer comes back at once; an in-flight one comes
-// back as the waiter record to block on, made on this first demand.
-func (s *cacheShard) lookup(h uint64, key specKey) (a answer, w *waiter, found bool) {
+// settled entry is loaded into a at once; an in-flight one comes back
+// as the waiter record to block on, made on this first demand.
+func (s *cacheShard) lookup(h uint64, key specKey, a *Answer) (w *waiter, found bool) {
 	i := s.find(h, key)
 	if i == nilSlot {
-		return answer{}, nil, false
+		return nil, false
 	}
 	s.moveToFront(i)
 	if e := s.entry(i); !e.pending {
-		return e.ans, nil, true
+		e.nums.load(a)
+		return nil, true
 	}
 	if w = s.waiters[i]; w == nil {
 		if s.waiters == nil {
@@ -301,52 +308,56 @@ func (s *cacheShard) lookup(h uint64, key specKey) (a answer, w *waiter, found b
 		w = &waiter{done: make(chan struct{})}
 		s.waiters[i] = w
 	}
-	return answer{}, w, true
+	return w, true
 }
 
 // settle completes the in-flight entry in slot i with its owner's
-// outcome: waiters receive the outcome as it is, error included; a
-// success becomes the entry's answer, and a failure removes the entry.
-// The slot is still the owner's: in-flight entries are never evicted.
-func (s *cacheShard) settle(i int32, out outcome) {
+// answer a: waiters receive a copy of it, error included; a success is
+// stored, and a failure removes the entry. The slot is still the
+// owner's: in-flight entries are never evicted.
+func (s *cacheShard) settle(i int32, a *Answer) {
 	if w := s.waiters[i]; w != nil {
-		w.out = out
+		w.out = *a
 		close(w.done)
 		delete(s.waiters, i)
 	}
-	if out.err != nil {
+	if a.Err != nil {
 		s.remove(i)
 		return
 	}
 	e := s.entry(i)
-	e.ans, e.pending = answerOf(out), false
+	e.nums.store(a)
+	e.pending = false
 	// The shard may have grown past capacity while this entry was
 	// pinned.
 	s.trim(s.cap)
 }
 
-// await returns the outcome w's owner settles, or ErrWaitCancelled if
-// cancel closes first. Called without the lock: w.out is immutable once
-// done is closed.
-func await(cancel <-chan struct{}, w *waiter) outcome {
+// await overwrites a with the answer w's owner settles, or with
+// ErrWaitCancelled if cancel closes first, keeping a's Index. Called
+// without the lock: w.out is immutable once done is closed.
+func await(cancel <-chan struct{}, w *waiter, a *Answer) {
+	i := a.Index
 	select {
 	case <-w.done:
-		return w.out
+		*a = w.out
+		a.Index = i
 	case <-cancel:
-		return outcome{err: ErrWaitCancelled}
+		*a = Answer{Index: i, Err: ErrWaitCancelled}
 	}
 }
 
-// getOrCompute returns the outcome for key, computing it with fn on a
-// miss. The bool reports whether the value came from the cache — either
-// an already-complete entry (a hit) or an in-flight computation by
+// getOrCompute overwrites a, all but its Index, with key's answer,
+// computing it with fn on a miss (fn writes into a, reset). The bool
+// reports whether the answer came from the cache — either an
+// already-complete entry (a hit) or an in-flight computation by
 // another goroutine (coalesced); both avoid recomputation. A waiter
 // whose cancel channel closes before the in-flight computation
 // finishes gets ErrWaitCancelled instead of blocking past its context;
 // fn itself must not block on cancel (it is pure model evaluation).
-func (c *cache) getOrCompute(cancel <-chan struct{}, key specKey, fn func() outcome) (outcome, bool) {
+func (c *cache) getOrCompute(cancel <-chan struct{}, key specKey, a *Answer, fn func(*Answer)) bool {
 	h := key.hash()
-	return c.shardFor(h).getOrCompute(cancel, h, key, fn)
+	return c.shardFor(h).getOrCompute(cancel, h, key, a, fn)
 }
 
 // shardFor picks the shard for a key hash from its high 32 bits. The
@@ -359,71 +370,63 @@ func (c *cache) shardFor(h uint64) *cacheShard {
 	return c.shards[(h>>32)%uint64(len(c.shards))]
 }
 
-func (s *cacheShard) getOrCompute(cancel <-chan struct{}, h uint64, key specKey, fn func() outcome) (outcome, bool) {
+func (s *cacheShard) getOrCompute(cancel <-chan struct{}, h uint64, key specKey, a *Answer, fn func(*Answer)) bool {
 	s.mu.Lock()
-	if a, w, ok := s.lookup(h, key); ok {
+	if w, ok := s.lookup(h, key, a); ok {
 		s.mu.Unlock()
 		if w == nil {
-			return a.outcome(), true
+			return true
 		}
 		// A failed computation is never "served from the cache":
 		// waiters that coalesced onto it get the error without the
 		// hit flag (settle removes the entry itself).
-		out := await(cancel, w)
-		return out, out.err == nil
+		await(cancel, w, a)
+		return a.Err == nil
 	}
-	i := s.insert(h, key, answer{}, true)
+	i := s.insert(h, key, nil)
 	s.mu.Unlock()
 
-	out := fn()
+	*a = Answer{Index: a.Index}
+	fn(a)
 	s.mu.Lock()
-	s.settle(i, out)
+	s.settle(i, a)
 	s.mu.Unlock()
-	return out, false
+	return false
 }
 
-// peek returns the outcome for key without inserting anything on a
-// miss: the batched evaluation path probes its whole group first and
-// computes only the absentees in one pass. A resident in-flight entry
-// is waited on exactly like a getOrCompute hit (the waiter coalesces),
-// so peek honors cancel the same way, and a settled entry's allocation
-// likewise lacks its problem and machine name. The bool reports
-// residency.
-func (c *cache) peek(cancel <-chan struct{}, key specKey) (outcome, bool) {
+// peek is getOrCompute without inserting anything on a miss, which
+// leaves a untouched: the batched evaluation path probes its whole
+// group first and computes only the absentees in one pass. The bool
+// reports residency.
+func (c *cache) peek(cancel <-chan struct{}, key specKey, a *Answer) bool {
 	h := key.hash()
-	return c.shardFor(h).peek(cancel, h, key)
+	return c.shardFor(h).peek(cancel, h, key, a)
 }
 
-func (s *cacheShard) peek(cancel <-chan struct{}, h uint64, key specKey) (outcome, bool) {
+func (s *cacheShard) peek(cancel <-chan struct{}, h uint64, key specKey, a *Answer) bool {
 	s.mu.Lock()
-	a, w, ok := s.lookup(h, key)
+	w, ok := s.lookup(h, key, a)
 	s.mu.Unlock()
-	switch {
-	case !ok:
-		return outcome{}, false
-	case w != nil:
-		return await(cancel, w), true
+	if w != nil {
+		await(cancel, w, a)
 	}
-	return a.outcome(), true
+	return ok
 }
 
-// putBatch inserts the successful members of one batched group as
-// settled entries. keys and outs are parallel. Errored outcomes are
-// skipped, so failures are never cached, and an existing resident entry
-// wins: it may have waiters.
-func (c *cache) putBatch(keys []specKey, outs []outcome) {
-	for i, o := range outs {
-		if o.err != nil {
-			continue
-		}
-		h := keys[i].hash()
-		s := c.shardFor(h)
-		s.mu.Lock()
-		if s.find(h, keys[i]) == nilSlot {
-			s.insert(h, keys[i], answerOf(o), false)
-		}
-		s.mu.Unlock()
+// put inserts a successful answer of the batched path, read from its
+// chunk slot, as a settled entry. Failures are never cached, and an
+// existing resident entry wins: it may have waiters.
+func (c *cache) put(key specKey, a *Answer) {
+	if a.Err != nil {
+		return
 	}
+	h := key.hash()
+	s := c.shardFor(h)
+	s.mu.Lock()
+	if s.find(h, key) == nilSlot {
+		s.insert(h, key, a)
+	}
+	s.mu.Unlock()
 }
 
 // len returns the number of resident entries across all shards.

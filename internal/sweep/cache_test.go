@@ -19,13 +19,20 @@ func TestCacheHashCollision(t *testing.T) {
 	const h = 0x5eed
 	keys := []specKey{{n: 1}, {n: 2}, {n: 3}}
 	value := func(i int) int { return 10 + i }
-	get := func(s *cacheShard, hash uint64, k specKey, o outcome) (outcome, bool) {
-		return s.getOrCompute(nil, hash, k, func() outcome { return o })
+	get := func(s *cacheShard, hash uint64, k specKey, o Answer) (Answer, bool) {
+		var out Answer
+		hit := s.getOrCompute(nil, hash, k, &out, func(a *Answer) { *a = o })
+		return out, hit
+	}
+	peek := func(s *cacheShard, hash uint64, k specKey) (Answer, bool) {
+		var out Answer
+		ok := s.peek(nil, hash, k, &out)
+		return out, ok
 	}
 
 	s := newCacheShard(3)
 	for i, k := range keys {
-		if _, hit := get(s, h, k, outcome{grid: value(i)}); hit {
+		if _, hit := get(s, h, k, Answer{Grid: value(i)}); hit {
 			t.Fatalf("key %d: first lookup was a hit", i)
 		}
 	}
@@ -42,17 +49,17 @@ func TestCacheHashCollision(t *testing.T) {
 		t.Fatalf("hash chain from %d: slots %v, want newest first", s.idx[h], slot)
 	}
 	for i, k := range keys {
-		if out, hit := get(s, h, k, outcome{grid: -1}); !hit || out.grid != value(i) {
-			t.Fatalf("key %d: got grid %d hit=%t, want its own grid %d from the cache", i, out.grid, hit, value(i))
+		if out, hit := get(s, h, k, Answer{Grid: -1}); !hit || out.Grid != value(i) {
+			t.Fatalf("key %d: got grid %d hit=%t, want its own grid %d from the cache", i, out.Grid, hit, value(i))
 		}
 	}
 
 	// Touch keys[0] so the middle entry is least recently used, then
 	// evict it with an insert under another hash, which takes its slot.
-	s.peek(nil, h, keys[0])
+	peek(s, h, keys[0])
 	other := specKey{n: 4}
-	get(s, h+1, other, outcome{grid: 4})
-	if _, ok := s.peek(nil, h, keys[1]); ok {
+	get(s, h+1, other, Answer{Grid: 4})
+	if _, ok := peek(s, h, keys[1]); ok {
 		t.Fatal("evicted key still found")
 	}
 	if got := s.find(h+1, other); got != slot[1] {
@@ -62,8 +69,8 @@ func TestCacheHashCollision(t *testing.T) {
 		t.Fatal("eviction from the middle of the chain did not splice it")
 	}
 	for _, i := range []int{0, 2} {
-		if out, ok := s.peek(nil, h, keys[i]); !ok || out.grid != value(i) {
-			t.Fatalf("key %d after its neighbour's eviction: grid %d ok=%t, want %d", i, out.grid, ok, value(i))
+		if out, ok := peek(s, h, keys[i]); !ok || out.Grid != value(i) {
+			t.Fatalf("key %d after its neighbour's eviction: grid %d ok=%t, want %d", i, out.Grid, ok, value(i))
 		}
 	}
 
@@ -72,21 +79,22 @@ func TestCacheHashCollision(t *testing.T) {
 	// too, which must leave the shard empty with both slots free.
 	s = newCacheShard(2)
 	boom := errors.New("boom")
-	out, _ := s.getOrCompute(nil, h, keys[0], func() outcome {
-		if out, hit := get(s, h, keys[1], outcome{err: boom}); out.err != boom || hit {
+	var out Answer
+	s.getOrCompute(nil, h, keys[0], &out, func(a *Answer) {
+		if out, hit := get(s, h, keys[1], Answer{Err: boom}); out.Err != boom || hit {
 			t.Errorf("colliding failure: got %+v hit=%t", out, hit)
 		}
 		s.mu.Lock()
 		defer s.mu.Unlock()
 		if s.find(h, keys[1]) != nilSlot {
-			t.Error("failed outcome was cached")
+			t.Error("failed answer was cached")
 		}
 		if s.find(h, keys[0]) == nilSlot {
 			t.Error("in-flight key lost when a colliding key failed")
 		}
-		return outcome{err: boom}
+		a.Err = boom
 	})
-	if out.err != boom {
+	if out.Err != boom {
 		t.Fatalf("got %+v, want the computation's error", out)
 	}
 	if s.n != 0 || len(s.idx) != 0 || s.head != nilSlot || s.tail != nilSlot {
@@ -103,29 +111,31 @@ func TestCacheHashCollision(t *testing.T) {
 
 // TestCachePendingEntryPinned fills a one-slot shard with an in-flight
 // entry. Inserts past it must neither evict it nor reuse its slot, its
-// waiter must receive the owner's outcome as it is, error included, an
-// error must not be cached, and once the entry settles the shard must
-// shrink back to its capacity.
+// waiter must receive a copy of the owner's answer as it is, error
+// included, in its own slot (keeping its Index), an error must not be
+// cached, and once the entry settles the shard must shrink back to its
+// capacity.
 func TestCachePendingEntryPinned(t *testing.T) {
 	const h = 0x5eed
 	pendKey, other, third := specKey{n: 1}, specKey{n: 2}, specKey{n: 3}
 	type got struct {
-		out outcome
+		out Answer
 		hit bool
 	}
 	for _, fail := range []bool{false, true} {
-		want := outcome{grid: 7}
+		want := Answer{Grid: 7}
 		if fail {
-			want = outcome{err: errors.New("boom")}
+			want = Answer{Err: errors.New("boom")}
 		}
 		s := newCacheShard(1)
 		started, release := make(chan struct{}), make(chan struct{})
 		owner, waiter := make(chan got, 1), make(chan got, 1)
 		go func() {
-			out, hit := s.getOrCompute(nil, h, pendKey, func() outcome {
+			out := Answer{Index: 1}
+			hit := s.getOrCompute(nil, h, pendKey, &out, func(a *Answer) {
 				close(started)
 				<-release
-				return want
+				a.Grid, a.Err = want.Grid, want.Err
 			})
 			owner <- got{out, hit}
 		}()
@@ -133,8 +143,8 @@ func TestCachePendingEntryPinned(t *testing.T) {
 
 		s.mu.Lock()
 		pend := s.find(h, pendKey)
-		s.insert(h+1, other, answer{grid: 2}, false)
-		s.insert(h+2, third, answer{grid: 3}, false)
+		s.insert(h+1, other, &Answer{Grid: 2})
+		s.insert(h+2, third, &Answer{Grid: 3})
 		if s.find(h, pendKey) != pend || !s.entry(pend).pending || s.tail != pend {
 			t.Fatalf("fail=%t: the in-flight entry was evicted or moved", fail)
 		}
@@ -145,9 +155,9 @@ func TestCachePendingEntryPinned(t *testing.T) {
 		s.mu.Unlock()
 
 		go func() {
-			out, hit := s.getOrCompute(nil, h, pendKey, func() outcome {
+			out := Answer{Index: 2}
+			hit := s.getOrCompute(nil, h, pendKey, &out, func(*Answer) {
 				t.Error("a waiter recomputed an in-flight key")
-				return outcome{}
 			})
 			waiter <- got{out, hit}
 		}()
@@ -159,11 +169,11 @@ func TestCachePendingEntryPinned(t *testing.T) {
 		}
 		close(release)
 		o, w := <-owner, <-waiter
-		if o.hit || o.out.grid != want.grid || o.out.err != want.err {
+		if o.hit || o.out.Grid != want.Grid || o.out.Err != want.Err || o.out.Index != 1 {
 			t.Fatalf("fail=%t: owner got %+v hit=%t, want %+v", fail, o.out, o.hit, want)
 		}
-		if w.hit == fail || w.out.grid != want.grid || w.out.err != want.err {
-			t.Fatalf("fail=%t: waiter got %+v hit=%t, want the owner's %+v", fail, w.out, w.hit, want)
+		if w.hit == fail || w.out.Grid != want.Grid || w.out.Err != want.Err || w.out.Index != 2 {
+			t.Fatalf("fail=%t: waiter got %+v hit=%t, want the owner's %+v in its own slot 2", fail, w.out, w.hit, want)
 		}
 
 		s.mu.Lock()
@@ -211,11 +221,12 @@ func TestCacheEntryHoldsNoPointers(t *testing.T) {
 // stops growing once the cache is full. A hit allocates nothing.
 func TestCacheMissAllocBudget(t *testing.T) {
 	c := newCache(1024)
-	fn := func() outcome { return outcome{value: 1} }
+	fn := func(a *Answer) { a.Value = 1 }
+	var a Answer
 	var next int64
 	miss := func() {
 		next++
-		c.getOrCompute(nil, specKey{n: next}, fn)
+		c.getOrCompute(nil, specKey{n: next}, &a, fn)
 	}
 	for i := 0; i < 4096; i++ {
 		miss()
@@ -224,7 +235,7 @@ func TestCacheMissAllocBudget(t *testing.T) {
 		t.Errorf("a cold miss on a full cache allocates %.3f objects, want 0", got)
 	}
 	hot := specKey{n: next}
-	if got := testing.AllocsPerRun(2000, func() { c.getOrCompute(nil, hot, fn) }); got != 0 {
+	if got := testing.AllocsPerRun(2000, func() { c.getOrCompute(nil, hot, &a, fn) }); got != 0 {
 		t.Errorf("a cache hit allocates %.3f objects, want 0", got)
 	}
 }
@@ -235,13 +246,14 @@ func TestCacheMissAllocBudget(t *testing.T) {
 // heap of a serving process with a full cache (docs/performance.md,
 // "Cold path: the cache miss and its footprint").
 func TestCacheEntryFootprint(t *testing.T) {
-	fn := func() outcome { return outcome{value: 1} }
+	fn := func(a *Answer) { a.Value = 1 }
+	var a Answer
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	c := newCache(DefaultCacheSize)
 	for i := 0; i < 2*DefaultCacheSize; i++ {
-		c.getOrCompute(nil, specKey{op: 1, n: int64(i), mach: machKey{tflp: 1}}, fn)
+		c.getOrCompute(nil, specKey{op: 1, n: int64(i), mach: machKey{tflp: 1}}, &a, fn)
 	}
 	runtime.GC()
 	runtime.ReadMemStats(&after)

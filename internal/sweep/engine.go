@@ -81,23 +81,25 @@ func (e *Engine) Stats() Stats {
 	}
 }
 
-// ErrEvaluationPanic marks outcomes recovered from a panicking model
+// ErrEvaluationPanic marks answers recovered from a panicking model
 // evaluation — a server-side defect, not a caller fault; the service
 // maps it to a 500 without leaking the panic text.
 var ErrEvaluationPanic = errors.New("sweep: evaluation panicked")
 
-// recoverOutcome converts a panic inside fn into an error outcome: the
-// engine runs model code on its own worker goroutines, outside any
-// net/http per-request recover, so a panicking evaluation must become a
-// per-spec error rather than a process crash (and must still close the
-// cache entry it holds).
-func recoverOutcome(fn func() outcome) (o outcome) {
+// recoverOutcome runs eval on a and converts a panic inside it into an
+// error answer: the engine runs model code on its own worker
+// goroutines, outside any net/http per-request recover, so a panicking
+// evaluation must become a per-spec error rather than a process crash
+// (and must still close the cache entry it holds). Whatever eval wrote
+// before it panicked is discarded: a keeps only its Index and the
+// ErrEvaluationPanic error.
+func recoverOutcome(a *Answer, eval func(*Answer)) {
 	defer func() {
 		if r := recover(); r != nil {
-			o = outcome{err: fmt.Errorf("%w: %v", ErrEvaluationPanic, r)}
+			*a = Answer{Index: a.Index, Err: fmt.Errorf("%w: %v", ErrEvaluationPanic, r)}
 		}
 	}()
-	return fn()
+	eval(a)
 }
 
 // preResolved carries one spec's resolution, shared between the space
@@ -201,8 +203,6 @@ func putSpecs(s []Spec) {
 type groupScratch struct {
 	missIdx []int
 	procs   []int
-	keys    []specKey
-	outs    []outcome
 }
 
 func getScratch() *groupScratch {
@@ -212,30 +212,28 @@ func getScratch() *groupScratch {
 	return &groupScratch{}
 }
 
-// eval answers one spec through the cache, resolving it first.
-func (e *Engine) eval(cancel <-chan struct{}, s Spec) (outcome, bool) {
-	r, err := s.resolve()
-	return e.evalResolved(cancel, s, r, err)
-}
-
-// evalResolved answers one already-resolved spec through the cache,
-// updating counters. cancel releases a coalesced wait on another
+// evalResolved answers spec s, the i-th of its request, resolved as
+// r/rerr, through the cache, updating counters. It overwrites all of a,
+// which may be a recycled chunk slot: the answer is written once, where
+// the consumer reads it. cancel releases a coalesced wait on another
 // goroutine's in-flight computation; the computation itself is never
-// interrupted. An ErrWaitCancelled outcome is only returned when THIS
+// interrupted. An ErrWaitCancelled answer is only written when THIS
 // caller's cancel fired: if another caller abandoned the in-flight
 // entry (its context died while it was parked on the semaphore), the
-// poisoned outcome is retried rather than handed to a live caller as if
+// poisoned answer is retried rather than handed to a live caller as if
 // it had cancelled.
-func (e *Engine) evalResolved(cancel <-chan struct{}, s Spec, r resolved, rerr error) (outcome, bool) {
+func (e *Engine) evalResolved(cancel <-chan struct{}, i int, s Spec, r resolved, rerr error, a *Answer) {
 	if rerr != nil {
 		// Unresolvable specs (bad stencil/shape/machine) fail fast and
 		// are never cached: the resolution error is the evaluation error.
 		e.keyErrors.Add(1)
-		return outcome{err: rerr}, false
+		*a = Answer{Index: i, Err: rerr}
+		return
 	}
+	a.Index = i
 	for {
 		var computed bool
-		out, hit := e.cache.getOrCompute(cancel, r.key, func() outcome {
+		hit := e.cache.getOrCompute(cancel, r.key, a, func(a *Answer) {
 			// The engine-wide semaphore is taken around the computation
 			// only — coalesced waiters cost nothing — so the Workers cap
 			// holds across every concurrent caller. Waiters for a slot
@@ -244,23 +242,23 @@ func (e *Engine) evalResolved(cancel <-chan struct{}, s Spec, r resolved, rerr e
 			select {
 			case e.sem <- struct{}{}:
 			case <-cancel:
-				return outcome{err: ErrWaitCancelled}
+				a.Err = ErrWaitCancelled
+				return
 			}
 			defer func() { <-e.sem }()
 			computed = true
-			o := recoverOutcome(func() outcome { return evaluate(s, r) })
-			if o.err != nil {
+			recoverOutcome(a, func(a *Answer) { evaluate(s, r, a) })
+			if a.Err != nil {
 				e.errors.Add(1)
 			}
-			return o
 		})
 		if computed {
 			e.evals.Add(1)
 		}
-		if errors.Is(out.err, ErrWaitCancelled) {
+		if errors.Is(a.Err, ErrWaitCancelled) {
 			select {
 			case <-cancel:
-				return out, false
+				return
 			default:
 				// Another caller's cancellation closed the entry we
 				// coalesced on; the errored entry is gone from the
@@ -271,7 +269,8 @@ func (e *Engine) evalResolved(cancel <-chan struct{}, s Spec, r resolved, rerr e
 		if hit {
 			e.hits.Add(1)
 		}
-		return out, hit
+		a.CacheHit = hit
+		return
 	}
 }
 
@@ -280,20 +279,10 @@ func (e *Engine) Evaluate(ctx context.Context, s Spec) (Result, error) {
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
 	}
-	out, hit := e.eval(ctx.Done(), s)
-	return result(0, s, out, hit), out.err
-}
-
-func result(i int, s Spec, out outcome, hit bool) Result {
-	return Result{Spec: s, Answer: Answer{
-		Index:    i,
-		CacheHit: hit,
-		Alloc:    out.alloc,
-		Value:    out.value,
-		Grid:     out.grid,
-		Scaled:   out.scaled,
-		Err:      out.err,
-	}}
+	res := Result{Spec: s}
+	r, err := s.resolve()
+	e.evalResolved(ctx.Done(), 0, s, r, err, &res.Answer)
+	return res, res.Err
 }
 
 // fanOut runs worker on up to e.workers goroutines over units work
@@ -357,20 +346,24 @@ func (e *Engine) streamChunks(ctx context.Context, specs []Spec, pre []preResolv
 			}
 		}
 		for i := next(); i >= 0; i = next() {
-			var o outcome
-			var hit bool
+			// A chunk is flushed once full, so the slot fits.
+			n := len(chunk.Results)
+			chunk.Results = chunk.Results[:n+1]
+			res := &chunk.Results[n]
+			res.Spec = specs[i]
 			if pre != nil {
-				o, hit = e.evalResolved(ctx.Done(), specs[i], pre[i].r, pre[i].err)
+				e.evalResolved(ctx.Done(), i, specs[i], pre[i].r, pre[i].err, &res.Answer)
 			} else {
-				o, hit = e.eval(ctx.Done(), specs[i])
+				r, err := specs[i].resolve()
+				e.evalResolved(ctx.Done(), i, specs[i], r, err, &res.Answer)
 			}
-			if errors.Is(o.err, ErrWaitCancelled) {
+			if errors.Is(res.Err, ErrWaitCancelled) {
 				// The context died while this worker was parked on
 				// another goroutine's in-flight computation; the sweep
 				// is over.
+				chunk.Results = chunk.Results[:n]
 				break
 			}
-			chunk.Results = append(chunk.Results, result(i, specs[i], o, hit))
 			if len(chunk.Results) >= chunkCap {
 				if !flush() {
 					return
@@ -543,10 +536,11 @@ func (e *Engine) streamBatched(ctx context.Context, batch batchFunc, groupLen in
 
 // evalBatchGroup answers one contiguous procs group as a pooled
 // chunk. It returns nil if the caller's cancel fired while probing or
-// computing; otherwise a chunk with one Result per member. Cache hits
-// are served individually; the misses share one batched computation
-// under a single semaphore slot and are inserted into the cache
-// (putBatch) so later sweeps hit. All per-group working slices come
+// computing; otherwise a chunk with one Result per member, each
+// answer written straight into its slot. Cache hits are served
+// individually; the misses share one batched computation under a
+// single semaphore slot, and the cache keeps each from its slot (put)
+// so later sweeps hit. All per-group working slices come
 // from the scratch pool, and a full cache reuses evicted slots, so a
 // steady stream of groups allocates only what the batch evaluator
 // builds internally.
@@ -556,14 +550,20 @@ func (e *Engine) evalBatchGroup(cancel <-chan struct{}, batch batchFunc, specs [
 	sc := getScratch()
 	defer scratchPool.Put(sc)
 	missIdx := sc.missIdx[:0]
-	for i, s := range specs {
+	for i := range specs {
+		res := &rs[i]
+		res.Spec = specs[i]
 		if pre[i].err != nil {
 			e.keyErrors.Add(1)
-			rs[i] = result(base+i, s, outcome{err: pre[i].err}, false)
+			res.Answer = Answer{Index: base + i, Err: pre[i].err}
 			continue
 		}
-		o, found := e.cache.peek(cancel, pre[i].r.key)
-		if found && errors.Is(o.err, ErrWaitCancelled) {
+		res.Index = base + i
+		if !e.cache.peek(cancel, pre[i].r.key, &res.Answer) {
+			missIdx = append(missIdx, i)
+			continue
+		}
+		if errors.Is(res.Err, ErrWaitCancelled) {
 			select {
 			case <-cancel:
 				sc.missIdx = missIdx
@@ -576,14 +576,10 @@ func (e *Engine) evalBatchGroup(cancel <-chan struct{}, batch batchFunc, specs [
 				continue
 			}
 		}
-		if found {
-			if o.err == nil {
-				e.hits.Add(1)
-			}
-			rs[i] = result(base+i, s, o, o.err == nil)
-			continue
+		if res.Err == nil {
+			e.hits.Add(1)
 		}
-		missIdx = append(missIdx, i)
+		res.CacheHit = res.Err == nil
 	}
 	sc.missIdx = missIdx
 	if len(missIdx) == 0 {
@@ -607,27 +603,23 @@ func (e *Engine) evalBatchGroup(cancel <-chan struct{}, batch batchFunc, specs [
 	sc.procs = procs
 	vals, errs, batchErr := batch(r.problem, r.arch, procs)
 	<-e.sem
-	keys, outs := sc.keys[:0], sc.outs[:0]
 	for j, i := range missIdx {
-		var o outcome
+		a := &rs[i].Answer
+		*a = Answer{Index: base + i}
 		switch {
 		case batchErr != nil:
-			o = outcome{err: batchErr}
+			a.Err = batchErr
 		case errs[j] != nil:
-			o = outcome{err: errs[j]}
+			a.Err = errs[j]
 		default:
-			o = outcome{value: vals[j]}
+			a.Value = vals[j]
 		}
 		e.evals.Add(1)
-		if o.err != nil {
+		if a.Err != nil {
 			e.errors.Add(1)
 		}
-		keys = append(keys, pre[i].r.key)
-		outs = append(outs, o)
-		rs[i] = result(base+i, specs[i], o, false)
+		e.cache.put(pre[i].r.key, a)
 	}
-	sc.keys, sc.outs = keys, outs
-	e.cache.putBatch(keys, outs)
 	c.Results = rs
 	return c
 }

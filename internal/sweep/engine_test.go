@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -152,19 +153,18 @@ func TestCoalescedErrorNotAHit(t *testing.T) {
 	c := newCache(8)
 	started := make(chan struct{})
 	release := make(chan struct{})
-	go c.getOrCompute(nil, specKey{n: 101}, func() outcome {
+	go c.getOrCompute(nil, specKey{n: 101}, &Answer{}, func(a *Answer) {
 		close(started)
 		<-release
-		return outcome{err: errors.New("model error")}
+		a.Err = errors.New("model error")
 	})
 	<-started
 	got := make(chan bool, 1)
 	waiterUp := make(chan struct{})
 	go func() {
 		close(waiterUp)
-		_, hit := c.getOrCompute(nil, specKey{n: 101}, func() outcome {
+		hit := c.getOrCompute(nil, specKey{n: 101}, &Answer{}, func(*Answer) {
 			t.Error("waiter recomputed a coalesced key")
-			return outcome{}
 		})
 		got <- hit
 	}()
@@ -454,19 +454,66 @@ func TestCoalescingConcurrentDuplicates(t *testing.T) {
 	e := New(Options{Workers: 8})
 	spec := Spec{N: 2048, Stencil: "9-point", Shape: "square", Machine: syncBusSpec()}
 	const callers = 16
+	// Hold every evaluation slot, so the first caller parks inside its
+	// computation and the others coalesce onto its in-flight entry;
+	// release them once one waiter has parked.
+	for range cap(e.sem) {
+		e.sem <- struct{}{}
+	}
 	var wg sync.WaitGroup
+	got := make([]Result, callers)
 	for i := 0; i < callers; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := e.Evaluate(context.Background(), spec); err != nil {
+			r, err := e.Evaluate(context.Background(), spec)
+			if err != nil {
 				t.Error(err)
 			}
+			got[i] = r
 		}()
+	}
+	r, err := spec.resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := r.key.hash()
+	sh := e.cache.shardFor(h)
+	for waiting := false; !waiting; runtime.Gosched() {
+		sh.mu.Lock()
+		i := sh.find(h, r.key)
+		waiting = i != nilSlot && sh.waiters[i] != nil
+		sh.mu.Unlock()
+	}
+	for range cap(e.sem) {
+		<-e.sem
 	}
 	wg.Wait()
 	if st := e.Stats(); st.Evaluations != 1 {
 		t.Fatalf("%d concurrent duplicates computed %d times, want 1", callers, st.Evaluations)
+	}
+	// Exactly one caller computed the answer; every other one, coalesced
+	// or served from the settled entry, got a copy of the owner's.
+	owner := -1
+	for i, r := range got {
+		if !r.CacheHit {
+			if owner >= 0 {
+				t.Fatalf("callers %d and %d both report computing the answer", owner, i)
+			}
+			owner = i
+		}
+	}
+	if owner < 0 {
+		t.Fatal("no caller reports computing the answer")
+	}
+	want := got[owner]
+	if want.Err != nil || want.Alloc.Procs == 0 || want.Value != want.Alloc.Speedup {
+		t.Fatalf("owner got %+v, want a real optimum", want)
+	}
+	for i, r := range got {
+		if r.Alloc != want.Alloc || r.Value != want.Value || r.Err != want.Err || r.Index != 0 {
+			t.Errorf("caller %d got %+v, want the owner's answer %+v", i, r.Answer, want.Answer)
+		}
 	}
 }
 
@@ -515,15 +562,33 @@ func TestGridOpsKeyIgnoresSeedN(t *testing.T) {
 }
 
 func TestRecoverOutcome(t *testing.T) {
-	out := recoverOutcome(func() outcome { panic("boom") })
-	if out.err == nil || !strings.Contains(out.err.Error(), "boom") {
+	out := Answer{Index: 5}
+	recoverOutcome(&out, func(*Answer) { panic("boom") })
+	if out.Err == nil || !strings.Contains(out.Err.Error(), "boom") {
 		t.Fatalf("panic not converted to error: %+v", out)
 	}
-	if !errors.Is(out.err, ErrEvaluationPanic) {
-		t.Fatalf("recovered panic not marked with ErrEvaluationPanic: %v", out.err)
+	if !errors.Is(out.Err, ErrEvaluationPanic) {
+		t.Fatalf("recovered panic not marked with ErrEvaluationPanic: %v", out.Err)
 	}
-	if out := recoverOutcome(func() outcome { return outcome{grid: 7} }); out.grid != 7 {
-		t.Fatalf("non-panicking outcome mangled: %+v", out)
+	out = Answer{Index: 5}
+	recoverOutcome(&out, func(a *Answer) { a.Grid = 7 })
+	if out.Grid != 7 || out.Index != 5 || out.Err != nil {
+		t.Fatalf("non-panicking answer mangled: %+v", out)
+	}
+	// An evaluator that writes some numbers and then panics leaves only
+	// the panic error, in a slot that keeps its Index.
+	out = Answer{Index: 9}
+	recoverOutcome(&out, func(a *Answer) {
+		a.Alloc = Alloc{Procs: 14, Speedup: 3}
+		a.Value, a.Grid, a.CacheHit = 3, 2, true
+		a.Scaled.Speedup = 3
+		panic("boom")
+	})
+	if !errors.Is(out.Err, ErrEvaluationPanic) {
+		t.Fatalf("half-written answer's panic not recovered: %v", out.Err)
+	}
+	if want := (Answer{Index: 9, Err: out.Err}); !reflect.DeepEqual(out, want) {
+		t.Fatalf("half-written answer kept %+v, want only the panic error and Index 9", out)
 	}
 }
 
@@ -531,28 +596,27 @@ func TestCoalescedWaiterReleasedOnCancel(t *testing.T) {
 	c := newCache(8)
 	started := make(chan struct{})
 	release := make(chan struct{})
-	go c.getOrCompute(nil, specKey{n: 102}, func() outcome {
+	go c.getOrCompute(nil, specKey{n: 102}, &Answer{}, func(a *Answer) {
 		close(started)
 		<-release
-		return outcome{grid: 1}
+		a.Grid = 1
 	})
 	<-started
 	cancel := make(chan struct{})
 	close(cancel)
-	out, hit := c.getOrCompute(cancel, specKey{n: 102}, func() outcome {
+	var out Answer
+	hit := c.getOrCompute(cancel, specKey{n: 102}, &out, func(*Answer) {
 		t.Error("waiter recomputed a coalesced key")
-		return outcome{}
 	})
-	if hit || out.err != ErrWaitCancelled {
+	if hit || out.Err != ErrWaitCancelled {
 		t.Fatalf("cancelled waiter got %+v hit=%t, want ErrWaitCancelled", out, hit)
 	}
 	close(release)
 	// The original computation still completes and fills the cache.
-	out, hit = c.getOrCompute(nil, specKey{n: 102}, func() outcome {
+	hit = c.getOrCompute(nil, specKey{n: 102}, &out, func(*Answer) {
 		t.Error("completed key recomputed")
-		return outcome{}
 	})
-	if !hit || out.grid != 1 {
+	if !hit || out.Grid != 1 {
 		t.Fatalf("in-flight result lost after a cancelled wait: %+v hit=%t", out, hit)
 	}
 }

@@ -170,10 +170,12 @@ func TestResolveAndLookupAllocBudget(t *testing.T) {
 	if _, err := e.Evaluate(context.Background(), spec); err != nil {
 		t.Fatal(err)
 	}
+	var out Answer
 	allocs := testing.AllocsPerRun(200, func() {
-		out, hit := e.eval(nil, spec)
-		if out.err != nil || !hit {
-			t.Fatalf("warm eval failed: err=%v hit=%t", out.err, hit)
+		r, err := spec.resolve()
+		e.evalResolved(nil, 0, spec, r, err, &out)
+		if out.Err != nil || !out.CacheHit {
+			t.Fatalf("warm eval failed: err=%v hit=%t", out.Err, out.CacheHit)
 		}
 	})
 	if allocs > 2 {
@@ -198,8 +200,8 @@ func TestResolveOnlyAllocBudget(t *testing.T) {
 
 // TestStencilAndProblemCopyBudget pins the sizes the cold optimize
 // search copies. Optimize's search calls value-receiver methods on
-// core.Problem once per candidate processor count, and every outcome,
-// cache entry and Result embeds a Problem. When a stencil was an 80-byte
+// core.Problem once per candidate processor count, and every resolved
+// spec embeds a Problem. When a stencil was an 80-byte
 // value, runtime.duffcopy took 27.8% of BenchmarkSweepEngine's CPU
 // (profile and numbers: docs/performance.md, "Cold path: stencil
 // handles"). A field added to Stencil or Problem must not bring that
@@ -216,8 +218,8 @@ func TestStencilAndProblemCopyBudget(t *testing.T) {
 
 // TestCacheConcurrentEvictionStress hammers a tiny sharded cache from
 // many goroutines with overlapping keys — far more keys than capacity,
-// so eviction, coalescing, putBatch, and peek race continuously — and
-// checks every returned outcome is the right one for its key.
+// so eviction, coalescing, put, and peek race continuously — and
+// checks every returned answer is the right one for its key.
 func TestCacheConcurrentEvictionStress(t *testing.T) {
 	c := newCache(8)
 	const (
@@ -238,17 +240,17 @@ func TestCacheConcurrentEvictionStress(t *testing.T) {
 				k := keyFor(i)
 				switch it % 3 {
 				case 0:
-					out, _ := c.getOrCompute(nil, k, func() outcome {
-						return outcome{grid: wantGrid(i)}
-					})
-					if out.err != nil || out.grid != wantGrid(i) {
+					var out Answer
+					c.getOrCompute(nil, k, &out, func(a *Answer) { a.Grid = wantGrid(i) })
+					if out.Err != nil || out.Grid != wantGrid(i) {
 						errs <- fmt.Errorf("key %d: got %+v", i, out)
 						return
 					}
 				case 1:
-					c.putBatch([]specKey{k}, []outcome{{grid: wantGrid(i)}})
+					c.put(k, &Answer{Grid: wantGrid(i)})
 				case 2:
-					if out, ok := c.peek(nil, k); ok && (out.err != nil || out.grid != wantGrid(i)) {
+					var out Answer
+					if ok := c.peek(nil, k, &out); ok && (out.Err != nil || out.Grid != wantGrid(i)) {
 						errs <- fmt.Errorf("peek key %d: got %+v", i, out)
 						return
 					}
@@ -266,22 +268,22 @@ func TestCacheConcurrentEvictionStress(t *testing.T) {
 	}
 }
 
-// TestCachePutRespectsResidents ensures putBatch never replaces a
+// TestCachePutRespectsResidents ensures put never replaces a
 // resident entry (the first insert wins: an in-flight entry may have
-// waiters) and drops errored outcomes.
+// waiters) and drops errored answers.
 func TestCachePutRespectsResidents(t *testing.T) {
 	c := newCache(8)
-	put := func(k specKey, o outcome) { c.putBatch([]specKey{k}, []outcome{o}) }
 	k := specKey{n: 7}
-	put(k, outcome{grid: 1})
-	put(k, outcome{grid: 2})
-	if out, ok := c.peek(nil, k); !ok || out.grid != 1 {
-		t.Fatalf("putBatch replaced a resident entry: %+v ok=%t", out, ok)
+	c.put(k, &Answer{Grid: 1})
+	c.put(k, &Answer{Grid: 2})
+	var out Answer
+	if ok := c.peek(nil, k, &out); !ok || out.Grid != 1 {
+		t.Fatalf("put replaced a resident entry: %+v ok=%t", out, ok)
 	}
 	bad := specKey{n: 8}
-	put(bad, outcome{err: fmt.Errorf("boom")})
-	if _, ok := c.peek(nil, bad); ok {
-		t.Fatal("errored outcome was cached")
+	c.put(bad, &Answer{Err: fmt.Errorf("boom")})
+	if ok := c.peek(nil, bad, &out); ok {
+		t.Fatal("errored answer was cached")
 	}
 }
 

@@ -61,8 +61,10 @@ func TestOpConsistency(t *testing.T) {
 		if err != nil {
 			t.Fatalf("op %q: resolve failed: %v", op, err)
 		}
-		if out := evaluate(s, r); out.err != nil {
-			t.Errorf("op %q: evaluate of a valid spec failed: %v", op, out.err)
+		var out Answer
+		evaluate(s, r, &out)
+		if out.Err != nil {
+			t.Errorf("op %q: evaluate of a valid spec failed: %v", op, out.Err)
 		}
 	}
 	// The zero op is valid (it normalizes to optimize); garbage is not,
@@ -76,12 +78,13 @@ func TestOpConsistency(t *testing.T) {
 	bad := validSpecFor(OpSpeedup)
 	bad.Op = "transmogrify"
 	_, keyErr := bad.opKey("m")
-	out := evaluate(bad, resolved{})
-	if keyErr == nil || out.err == nil {
-		t.Fatalf("unknown op accepted: keyErr=%v evalErr=%v", keyErr, out.err)
+	var out Answer
+	evaluate(bad, resolved{}, &out)
+	if keyErr == nil || out.Err == nil {
+		t.Fatalf("unknown op accepted: keyErr=%v evalErr=%v", keyErr, out.Err)
 	}
-	if keyErr.Error() != out.err.Error() {
-		t.Errorf("unknown-op messages differ: opKey %q, evaluate %q", keyErr, out.err)
+	if keyErr.Error() != out.Err.Error() {
+		t.Errorf("unknown-op messages differ: opKey %q, evaluate %q", keyErr, out.Err)
 	}
 	if !strings.Contains(keyErr.Error(), "transmogrify") {
 		t.Errorf("unknown-op message does not name the op: %q", keyErr)

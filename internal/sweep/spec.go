@@ -76,8 +76,9 @@ type opDef struct {
 	// during their bracket-and-bisect, so an omitted N takes
 	// DefaultSeedN and N stays out of the key.
 	seedN bool
-	// eval computes the op's quantity for a resolved spec.
-	eval func(s Spec, r resolved) outcome
+	// eval computes the op's quantity for a resolved spec, writing its
+	// payload fields and Err into a, which the caller has reset.
+	eval func(s Spec, r resolved, a *Answer)
 	// batch, if set, evaluates one (problem, machine) pair at many
 	// processor counts, doing the work the counts share once. A space
 	// of this op with a procs axis takes the batched fast path. It
@@ -96,20 +97,19 @@ var opTable = [...]opDef{
 	{op: OpOptimize, key: keyN, eval: optimizeOp},
 	{op: OpOptimizeSnapped, key: keyN, eval: optimizeOp},
 	{op: OpSpeedup, key: keyN | keyProcs, eval: procsOp(core.Speedup), batch: core.SpeedupBatch},
-	{op: OpMinGrid, key: keyProcs, seedN: true, eval: func(s Spec, r resolved) outcome {
-		g, err := core.MinGridAllProcs(r.problem, r.arch, s.Procs)
-		return outcome{grid: g, err: err}
+	{op: OpMinGrid, key: keyProcs, seedN: true, eval: func(s Spec, r resolved, a *Answer) {
+		a.Grid, a.Err = core.MinGridAllProcs(r.problem, r.arch, s.Procs)
 	}},
-	{op: OpIsoeffGrid, key: keyProcs | keyTarget, seedN: true, eval: func(s Spec, r resolved) outcome {
-		g, err := core.IsoefficiencyGrid(r.problem, r.arch, s.Procs, s.Target)
-		return outcome{grid: g, err: err}
+	{op: OpIsoeffGrid, key: keyProcs | keyTarget, seedN: true, eval: func(s Spec, r resolved, a *Answer) {
+		a.Grid, a.Err = core.IsoefficiencyGrid(r.problem, r.arch, s.Procs, s.Target)
 	}},
-	{op: OpScaled, key: keyN | keyF, eval: func(s Spec, r resolved) outcome {
+	{op: OpScaled, key: keyN | keyF, eval: func(s Spec, r resolved, a *Answer) {
 		series, err := core.ScaledSpeedupSeries(r.problem, r.arch, s.PointsPerProc, []int{s.N})
 		if err != nil {
-			return outcome{err: err}
+			a.Err = err
+			return
 		}
-		return outcome{scaled: series[0], value: series[0].Speedup}
+		a.Scaled, a.Value = series[0], series[0].Speedup
 	}},
 	{op: OpAmdahl, key: keyN | keyProcs, eval: procsOp(core.AmdahlSpeedup), batch: core.AmdahlBatch},
 	{op: OpGustafson, key: keyN | keyProcs, eval: procsOp(core.GustafsonSpeedup), batch: core.GustafsonBatch},
@@ -117,16 +117,15 @@ var opTable = [...]opDef{
 }
 
 // optimizeOp evaluates the optimal allocation.
-func optimizeOp(_ Spec, r resolved) outcome {
+func optimizeOp(_ Spec, r resolved, a *Answer) {
 	alloc, err := core.Optimize(r.problem, r.arch)
-	return outcome{alloc: allocOf(alloc), value: alloc.Speedup, err: err}
+	a.Alloc, a.Value, a.Err = allocOf(alloc), alloc.Speedup, err
 }
 
 // procsOp adapts a speedup at the spec's Procs to an op evaluator.
-func procsOp(f func(core.Problem, core.Architecture, int) (float64, error)) func(Spec, resolved) outcome {
-	return func(s Spec, r resolved) outcome {
-		v, err := f(r.problem, r.arch, s.Procs)
-		return outcome{value: v, err: err}
+func procsOp(f func(core.Problem, core.Architecture, int) (float64, error)) func(Spec, resolved, *Answer) {
+	return func(s Spec, r resolved, a *Answer) {
+		a.Value, a.Err = f(r.problem, r.arch, s.Procs)
 	}
 }
 
@@ -489,25 +488,17 @@ func (b Batch) At(i int) Spec {
 	return b.Specs[i]
 }
 
-// outcome is the value of one evaluation.
-type outcome struct {
-	alloc  Alloc
-	scaled core.ScaledPoint
-	value  float64
-	grid   int
-	err    error
-}
-
 // evaluate computes the spec's quantity through the core model, using
-// the problem and machine the caller already resolved. It is pure:
-// equal specs produce equal outcomes, which is what makes the cache
-// sound.
-func evaluate(s Spec, r resolved) outcome {
+// the problem and machine the caller already resolved, and writes it
+// into a, which the caller has reset. It is pure: equal specs produce
+// equal answers, which is what makes the cache sound.
+func evaluate(s Spec, r resolved, a *Answer) {
 	d, _ := lookupOp(s.Op)
 	if d == nil {
-		return outcome{err: errUnknownOp(s.Op)}
+		a.Err = errUnknownOp(s.Op)
+		return
 	}
-	return d.eval(s, r)
+	d.eval(s, r, a)
 }
 
 // Alloc is an optimal allocation's numbers: core.Allocation without
