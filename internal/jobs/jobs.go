@@ -74,8 +74,8 @@ type Progress struct {
 
 // Request describes the work one job runs. Exactly one of Specs/Space
 // should be set: a Space keeps the engine's space-aware evaluation
-// (axis pre-resolution and the batched speedup fast path), a flat spec
-// list covers explicit and mixed submissions.
+// (each machine axis value resolved once, and the batched speedup fast
+// path), a flat spec list covers explicit and mixed submissions.
 type Request struct {
 	Kind  Kind
 	Specs []sweep.Spec

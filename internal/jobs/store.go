@@ -475,10 +475,12 @@ func terminalFor(j *Job, ctx context.Context, total int) (State, string) {
 // endpoint. The
 // dispatcher routes: with peers configured, oversized requests are
 // scattered across the cluster; otherwise spaces keep the engine's
-// space-aware path (axis pre-resolution, batched speedup groups) and
-// flat lists stream spec by spec. Results arrive in reusable chunks
-// that the consumer returns via Engine.Recycle. The int is the total
-// spec count (the progress denominator).
+// space-aware path (machine axis resolved once, batched speedup
+// groups) and flat lists stream spec by spec. Results arrive in
+// reusable chunks that the consumer returns via Engine.Recycle. The
+// int is the total spec count (the progress denominator). Workers read
+// the request's spec list or space until the channel closes, so the
+// caller must not modify either before then.
 func (s *Store) Open(ctx context.Context, req Request) (<-chan *sweep.Chunk, int, error) {
 	opened, err := s.dispatcher.Open(ctx, req.work(), nil)
 	return opened.Chunks, opened.Total, err

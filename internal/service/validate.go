@@ -79,7 +79,7 @@ func (s *Server) sweepJobRequest(req SweepRequest) (jobs.Request, *requestProble
 	}
 	if spaceOnly {
 		// A pure space request keeps its Cartesian structure, so the
-		// engine can pre-resolve each axis value once and batch the
+		// engine can resolve each machine axis value once and batch the
 		// speedup-over-procs fast path; mixed requests fall back to the
 		// flat spec list.
 		return jobs.Request{Kind: jobs.KindSweep, Space: req.Space}, nil

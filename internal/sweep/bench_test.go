@@ -11,8 +11,9 @@ import (
 
 // BenchmarkSweepEngineFloor is the floor under BenchmarkSweepEngineEvicting
 // (bench_test.go at the repository root): the same 768-spec optimize
-// windows, each spec resolved and evaluated into a result slice on
-// GOMAXPROCS goroutines, with no cache, no coalescing and no channel.
+// windows, each spec named (Space.At), resolved on its machine and
+// evaluated into a result slice on GOMAXPROCS goroutines, with no cache,
+// no coalescing and no channel.
 // The gap between the two at equal -cpu is what the engine itself
 // costs; docs/performance.md reports both at -cpu 1,2 with their
 // Karp-Flatt serial fractions.
@@ -31,30 +32,35 @@ func BenchmarkSweepEngineFloor(b *testing.B) {
 	// grid sizes.
 	windows := (DefaultCacheSize + DefaultCacheSize/8) * 4 / 3 / specsPerWindow
 	workers := runtime.GOMAXPROCS(0)
-	var specs []Spec
 	results := make([]Result, specsPerWindow)
+	machines := make([]machResolved, len(space.Machines))
 	run := func(w int) {
 		space.Ns = space.Ns[:0]
 		for k := 0; k < nsPerWindow; k++ {
 			space.Ns = append(space.Ns, n0+(w%windows)*nsPerWindow+k)
 		}
-		specs = space.appendSpecs(specs[:0])
+		// As Engine.Open does, resolve each machine once per space.
+		for j, m := range space.Machines {
+			machines[j] = resolveMachine(m)
+		}
 		var cursor atomic.Int64
 		var wg sync.WaitGroup
 		wg.Add(workers)
 		for range workers {
 			go func() {
 				defer wg.Done()
-				for i := int(cursor.Add(1)) - 1; i < len(specs); i = int(cursor.Add(1)) - 1 {
+				for i := int(cursor.Add(1)) - 1; i < specsPerWindow; i = int(cursor.Add(1)) - 1 {
 					res := &results[i]
-					res.Spec = specs[i]
+					res.Spec = space.At(i)
 					res.Answer = Answer{Index: i}
-					r, err := specs[i].resolve()
+					// The space has no procs axis, so machines are its
+					// innermost axis.
+					r, err := res.Spec.resolveOn(&machines[i%len(machines)])
 					if err != nil {
 						res.Err = err
 						continue
 					}
-					evaluate(specs[i], r, &res.Answer)
+					evaluate(res.Spec, r, &res.Answer)
 				}
 			}()
 		}

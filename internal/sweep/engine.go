@@ -102,14 +102,6 @@ func recoverOutcome(a *Answer, eval func(*Answer)) {
 	eval(a)
 }
 
-// preResolved carries one spec's resolution, shared between the space
-// pre-resolution pass and the evaluation workers. Exactly one of r/err
-// is meaningful.
-type preResolved struct {
-	r   resolved
-	err error
-}
-
 // --- zero-copy result pipeline: pooled chunks and scratch ---
 
 // Chunk is one reusable batch of streamed results. Chunks flow out of
@@ -131,8 +123,6 @@ const chunkCap = 64
 // (tests, benchmarks) still reuses warm buffers.
 var (
 	chunkPool   sync.Pool // *Chunk
-	prePool     sync.Pool // *[]preResolved
-	specsPool   sync.Pool // *[]Spec
 	scratchPool sync.Pool // *groupScratch
 )
 
@@ -165,42 +155,11 @@ func (e *Engine) Recycle(c *Chunk) {
 	chunkPool.Put(c)
 }
 
-// getPre returns a pooled pre-resolution buffer of length n. Entries
-// are stale from previous use; preResolveSpace overwrites every slot.
-func getPre(n int) []preResolved {
-	if v := prePool.Get(); v != nil {
-		p := *(v.(*[]preResolved))
-		if cap(p) >= n {
-			return p[:n]
-		}
-	}
-	return make([]preResolved, n)
-}
-
-func putPre(p []preResolved) {
-	prePool.Put(&p)
-}
-
-// getSpecs returns a pooled zero-length spec buffer with at least
-// capHint capacity.
-func getSpecs(capHint int) []Spec {
-	if v := specsPool.Get(); v != nil {
-		s := *(v.(*[]Spec))
-		if cap(s) >= capHint {
-			return s[:0]
-		}
-	}
-	return make([]Spec, 0, capHint)
-}
-
-func putSpecs(s []Spec) {
-	specsPool.Put(&s)
-}
-
 // groupScratch holds the per-group working slices of the batched
 // procs path, pooled so a steady stream of groups allocates nothing
 // for them.
 type groupScratch struct {
+	keys    []specKey
 	missIdx []int
 	procs   []int
 }
@@ -293,9 +252,8 @@ func (e *Engine) Evaluate(ctx context.Context, s Spec) (Result, error) {
 // subset whenever the period divides W; the dynamic cursor
 // load-balances regardless. Result ordering is unaffected — it comes
 // from Result.Index, not claim order. The returned channel closes once
-// every worker has exited and onDone, if non-nil, has run (the hook
-// that returns pooled buffers once nothing can touch them).
-func (e *Engine) fanOut(ctx context.Context, units int, onDone func(), worker func(out chan<- *Chunk, next func() int)) <-chan *Chunk {
+// every worker has exited.
+func (e *Engine) fanOut(ctx context.Context, units int, worker func(out chan<- *Chunk, next func() int)) <-chan *Chunk {
 	// One slot per worker: each can hand off a chunk without waiting
 	// for the consumer.
 	out := make(chan *Chunk, e.workers)
@@ -318,19 +276,23 @@ func (e *Engine) fanOut(ctx context.Context, units int, onDone func(), worker fu
 	}
 	go func() {
 		wg.Wait()
-		if onDone != nil {
-			onDone()
-		}
 		close(out)
 	}()
 	return out
 }
 
-// streamChunks evaluates specs on the worker pool, accumulating results
-// into pooled chunks. pre is parallel to specs, or nil to resolve each
-// spec on its worker.
-func (e *Engine) streamChunks(ctx context.Context, specs []Spec, pre []preResolved, onDone func()) <-chan *Chunk {
-	return e.fanOut(ctx, len(specs), onDone, func(out chan<- *Chunk, next func() int) {
+// streamChunks evaluates the batch on the worker pool, accumulating
+// results into pooled chunks. Each worker names the specs it claims
+// (Batch.At) and resolves them: a list's spec in full, a space's on its
+// machine axis value, already resolved in machines.
+func (e *Engine) streamChunks(ctx context.Context, b Batch, machines []machResolved) <-chan *Chunk {
+	// A space's machine index is its position's digit below the procs
+	// axis (Space.At's nesting order).
+	procsLen := 1
+	if b.Space != nil {
+		procsLen = max(len(b.Space.Procs), 1)
+	}
+	return e.fanOut(ctx, b.Size(), func(out chan<- *Chunk, next func() int) {
 		chunk := getChunk(chunkCap)
 		// flush hands the current chunk to the consumer; it reports
 		// false when the context died (the chunk is recycled and the
@@ -350,13 +312,15 @@ func (e *Engine) streamChunks(ctx context.Context, specs []Spec, pre []preResolv
 			n := len(chunk.Results)
 			chunk.Results = chunk.Results[:n+1]
 			res := &chunk.Results[n]
-			res.Spec = specs[i]
-			if pre != nil {
-				e.evalResolved(ctx.Done(), i, specs[i], pre[i].r, pre[i].err, &res.Answer)
+			res.Spec = b.At(i)
+			var r resolved
+			var err error
+			if b.Space != nil {
+				r, err = res.Spec.resolveOn(&machines[i/procsLen%len(machines)])
 			} else {
-				r, err := specs[i].resolve()
-				e.evalResolved(ctx.Done(), i, specs[i], r, err, &res.Answer)
+				r, err = res.Spec.resolve()
 			}
+			e.evalResolved(ctx.Done(), i, res.Spec, r, err, &res.Answer)
 			if errors.Is(res.Err, ErrWaitCancelled) {
 				// The context died while this worker was parked on
 				// another goroutine's in-flight computation; the sweep
@@ -450,77 +414,47 @@ func (e *Engine) Collect(ctx context.Context, ch <-chan *Chunk, work Batch) ([]R
 // closes when every spec is done or the context dies; on cancellation
 // the remaining specs are skipped, not errored.
 //
-// A spec list resolves each spec on its worker, and chunks stay small
-// while the consumer keeps up (workers flush opportunistically per
-// result) but grow toward chunkCap under backpressure. A space is
-// evaluated space-aware: each machine is resolved once per space and
-// each problem once per (n, stencil, shape), and a space of an op with
-// a batch evaluator and a processor axis computes the shared (problem,
-// machine) work once per procs group, one chunk per group. A space
-// whose axis product overflows cannot be materialized and is rejected
-// up front.
+// The workers read the batch's spec list, or its space, until the
+// channel closes, so the caller must not modify either before then.
+// Each worker names and resolves the specs it claims. Chunks stay
+// small while the consumer keeps up (workers flush opportunistically
+// per result) but grow toward chunkCap under backpressure. A space is
+// evaluated space-aware: each machine axis value is resolved once per
+// space, here, and a space of an op with a batch evaluator and a
+// processor axis computes the shared (problem, machine) work once per
+// procs group, one chunk per group. A space whose axis product
+// overflows is rejected up front.
 func (e *Engine) Open(ctx context.Context, b Batch) (<-chan *Chunk, int, error) {
 	if b.Space == nil {
-		return e.streamChunks(ctx, b.Specs, nil, nil), len(b.Specs), nil
+		return e.streamChunks(ctx, b, nil), len(b.Specs), nil
 	}
-	sp := *b.Space
-	if sp.Size() == math.MaxInt {
+	sp := b.Space
+	size := sp.Size()
+	if size == math.MaxInt {
 		return nil, 0, fmt.Errorf("sweep: space axis product overflows; refusing to expand")
 	}
-	specs := sp.appendSpecs(getSpecs(sp.Size()))
-	pre := preResolveSpace(sp, specs, getPre(len(specs)))
-	// The expanded specs and their pre-resolutions are pooled; once the
-	// workers are done nothing reads them (results hold value copies).
-	onDone := func() {
-		putPre(pre)
-		putSpecs(specs)
-	}
-	if d, _ := lookupOp(sp.Op); d != nil && d.batch != nil && len(sp.Procs) > 1 {
-		return e.streamBatched(ctx, d.batch, len(sp.Procs), specs, pre, onDone), len(specs), nil
-	}
-	return e.streamChunks(ctx, specs, pre, onDone), len(specs), nil
-}
-
-// preResolveSpace materializes each machine axis value of the space
-// once — validated and default-filled a single time — and the problem
-// once per (n, stencil, shape) triple, then composes the per-spec
-// resolutions in Expand order through the same helpers as Spec.resolve
-// (Spec.problem and resolvedFromParts), so RunSpace reports the same
-// errors, with the same precedence, as Run. pre is the destination
-// buffer (len(specs), possibly pooled with stale entries); every slot
-// is overwritten.
-func preResolveSpace(sp Space, specs []Spec, pre []preResolved) []preResolved {
 	machines := make([]machResolved, len(sp.Machines))
 	for i, m := range sp.Machines {
 		machines[i] = resolveMachine(m)
 	}
-	// Expand keeps machines × procs innermost, so each (n, stencil,
-	// shape) triple — the problem's only inputs besides the op, which
-	// is constant across the space — covers one contiguous block.
-	procsLen := max(len(sp.Procs), 1)
-	block := len(sp.Machines) * procsLen
-	for base := 0; base < len(specs); base += block {
-		prob, stCode, probErr := specs[base].problem()
-		for j := range block {
-			p := &pre[base+j]
-			p.r, p.err = resolvedFromParts(specs[base+j], prob, stCode, probErr, machines[j/procsLen])
-		}
+	if d, _ := lookupOp(sp.Op); d != nil && d.batch != nil && len(sp.Procs) > 1 {
+		return e.streamBatched(ctx, d.batch, sp, machines), size, nil
 	}
-	return pre
+	return e.streamChunks(ctx, b, machines), size, nil
 }
 
-// streamBatched streams a space of an op with a batch evaluator whose
-// processor axis has length groupLen, one chunk per group. Expand keeps
-// the procs axis innermost, so specs come in contiguous groups sharing
-// one (problem, machine) pair; each group probes the cache for all
-// members, then computes the absentees with a single validated batch
-// call instead of |Procs| independent evaluations, and hands the whole
-// group to the consumer as one reusable chunk.
-func (e *Engine) streamBatched(ctx context.Context, batch batchFunc, groupLen int, specs []Spec, pre []preResolved, onDone func()) <-chan *Chunk {
-	return e.fanOut(ctx, len(specs)/groupLen, onDone, func(out chan<- *Chunk, next func() int) {
+// streamBatched streams a space of an op with a batch evaluator and a
+// processor axis, one chunk per procs group. Space.At keeps the procs
+// axis innermost, so group g is the contiguous run of specs sharing one
+// (problem, machine) pair, and its machine is axis value g mod
+// len(Machines); each group probes the cache for all members, then
+// computes the absentees with a single validated batch call instead of
+// |Procs| independent evaluations, and hands the whole group to the
+// consumer as one reusable chunk.
+func (e *Engine) streamBatched(ctx context.Context, batch batchFunc, sp *Space, machines []machResolved) <-chan *Chunk {
+	return e.fanOut(ctx, sp.Size()/len(sp.Procs), func(out chan<- *Chunk, next func() int) {
 		for g := next(); g >= 0; g = next() {
-			base := g * groupLen
-			c := e.evalBatchGroup(ctx.Done(), batch, specs[base:base+groupLen], pre[base:base+groupLen], base)
+			c := e.evalBatchGroup(ctx.Done(), batch, sp, g, &machines[g%len(machines)])
 			if c == nil {
 				return // cancelled mid-group
 			}
@@ -534,32 +468,46 @@ func (e *Engine) streamBatched(ctx context.Context, batch batchFunc, groupLen in
 	})
 }
 
-// evalBatchGroup answers one contiguous procs group as a pooled
-// chunk. It returns nil if the caller's cancel fired while probing or
-// computing; otherwise a chunk with one Result per member, each
-// answer written straight into its slot. Cache hits are served
-// individually; the misses share one batched computation under a
-// single semaphore slot, and the cache keeps each from its slot (put)
-// so later sweeps hit. All per-group working slices come
-// from the scratch pool, and a full cache reuses evicted slots, so a
-// steady stream of groups allocates only what the batch evaluator
-// builds internally.
-func (e *Engine) evalBatchGroup(cancel <-chan struct{}, batch batchFunc, specs []Spec, pre []preResolved, base int) *Chunk {
-	c := getChunk(len(specs))
-	rs := c.Results[:len(specs)]
+// evalBatchGroup answers procs group g of sp, on its resolved machine,
+// as a pooled chunk. It returns nil if the caller's cancel fired while
+// probing or computing; otherwise a chunk with one Result per member,
+// each answer written straight into its slot. The group's problem is
+// built once, and each member is keyed through resolvedFromParts, so
+// errors and their precedence are Spec.resolve's. Cache hits are
+// served individually; the misses share one batched computation under
+// a single semaphore slot, and the cache keeps each from its slot
+// (put) so later sweeps hit. All per-group working slices come from
+// the scratch pool, and a full cache reuses evicted slots, so a steady
+// stream of groups allocates only what the batch evaluator builds
+// internally.
+func (e *Engine) evalBatchGroup(cancel <-chan struct{}, batch batchFunc, sp *Space, g int, mach *machResolved) *Chunk {
+	groupLen := len(sp.Procs)
+	base := g * groupLen
+	c := getChunk(groupLen)
+	rs := c.Results[:groupLen]
 	sc := getScratch()
 	defer scratchPool.Put(sc)
+	if cap(sc.keys) < groupLen {
+		sc.keys = make([]specKey, groupLen)
+	}
+	keys := sc.keys[:groupLen]
 	missIdx := sc.missIdx[:0]
-	for i := range specs {
+	// Members differ from the group's first spec only in Procs.
+	first := sp.At(base)
+	prob, stCode, probErr := first.problem()
+	for i := range rs {
 		res := &rs[i]
-		res.Spec = specs[i]
-		if pre[i].err != nil {
+		res.Spec = first
+		res.Spec.Procs = sp.Procs[i]
+		r, err := resolvedFromParts(res.Spec, prob, stCode, probErr, mach)
+		if err != nil {
 			e.keyErrors.Add(1)
-			res.Answer = Answer{Index: base + i, Err: pre[i].err}
+			res.Answer = Answer{Index: base + i, Err: err}
 			continue
 		}
+		keys[i] = r.key
 		res.Index = base + i
-		if !e.cache.peek(cancel, pre[i].r.key, &res.Answer) {
+		if !e.cache.peek(cancel, r.key, &res.Answer) {
 			missIdx = append(missIdx, i)
 			continue
 		}
@@ -595,13 +543,14 @@ func (e *Engine) evalBatchGroup(cancel <-chan struct{}, batch batchFunc, specs [
 		e.Recycle(c)
 		return nil
 	}
-	r := pre[missIdx[0]].r
 	procs := sc.procs[:0]
 	for _, i := range missIdx {
-		procs = append(procs, specs[i].Procs)
+		procs = append(procs, rs[i].Spec.Procs)
 	}
 	sc.procs = procs
-	vals, errs, batchErr := batch(r.problem, r.arch, procs)
+	// A member reached the batch only if it resolved, so the group's
+	// problem and machine are valid.
+	vals, errs, batchErr := batch(prob, mach.arch, procs)
 	<-e.sem
 	for j, i := range missIdx {
 		a := &rs[i].Answer
@@ -618,7 +567,7 @@ func (e *Engine) evalBatchGroup(cancel <-chan struct{}, batch batchFunc, specs [
 		if a.Err != nil {
 			e.errors.Add(1)
 		}
-		e.cache.put(pre[i].r.key, a)
+		e.cache.put(keys[i], a)
 	}
 	c.Results = rs
 	return c

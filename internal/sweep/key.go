@@ -113,7 +113,7 @@ func machKeyFor(canon core.MachineSpec) (machKey, error) {
 	}, nil
 }
 
-// buildKey composes the struct key from the spec and its pre-resolved
+// buildKey composes the struct key from the spec and its resolved
 // parts, keeping only the fields the op's table row names: fields an
 // op does not consume are zeroed so they cannot split the cache, and
 // the grid searches drop N because their answer is seed-independent.

@@ -345,31 +345,66 @@ func TestRunSpaceBatchedSpeedupMatchesIndividual(t *testing.T) {
 	}
 }
 
-// TestRunSpacePreResolutionErrorParity checks that the space
-// pre-resolution path reports the same per-spec errors, with the same
-// precedence, as per-spec resolution.
+// TestRunSpacePreResolutionErrorParity checks that a space's
+// worker-side resolution (machines resolved once per space, the rest on
+// the worker, or once per group on the batched procs path) reports the
+// same per-spec errors, with the same precedence, as per-spec
+// resolution, and that every result names the spec at its index.
 func TestRunSpacePreResolutionErrorParity(t *testing.T) {
-	sp := Space{
+	for _, sp := range []Space{{
 		Op:       OpOptimize,
 		Ns:       []int{0, 64},
 		Stencils: []string{"5-point", "no-such-stencil"},
 		Shapes:   []string{"square", "triangle"},
 		Machines: []core.MachineSpec{{Type: "mesh"}, {Type: "no-such-machine"}},
-	}
-	e := New(Options{Workers: 2})
-	got, err := e.RunSpace(context.Background(), sp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	specs := sp.Expand()
-	for i, s := range specs {
-		_, wantErr := s.resolve()
-		r := got[i]
-		if (r.Err == nil) != (wantErr == nil) {
-			t.Fatalf("spec %d (%+v): RunSpace err %v, resolve err %v", i, s, r.Err, wantErr)
+		// An op without a batch evaluator streams spec by spec even
+		// with a procs axis, which sits below the machine axis.
+		Procs: []int{0, 3},
+	}, {
+		// The batched path: a batch-evaluator op with a procs axis.
+		Op:       OpSpeedup,
+		Ns:       []int{0, 64},
+		Stencils: []string{"no-such-stencil", "9-point"},
+		Shapes:   []string{"triangle", "strip", "square"},
+		Machines: []core.MachineSpec{{Type: "no-such-machine"}, {Type: "hypercube"}, {Type: "sync-bus"}},
+		Procs:    []int{0, 2, 4, 1 << 20},
+	}} {
+		e := New(Options{Workers: 2})
+		got, err := e.RunSpace(context.Background(), sp)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if wantErr != nil && r.Err.Error() != wantErr.Error() {
-			t.Fatalf("spec %d (%+v): RunSpace err %q, resolve err %q", i, s, r.Err, wantErr)
+		if len(got) != sp.Size() {
+			t.Fatalf("op %s: %d results, want %d", sp.Op, len(got), sp.Size())
+		}
+		var okCount int
+		for i, r := range got {
+			s := sp.At(i)
+			if r.Spec != s || r.Index != i {
+				t.Fatalf("op %s result %d: names spec %+v at index %d, want %+v", sp.Op, i, r.Spec, r.Index, s)
+			}
+			_, wantErr := s.resolve()
+			if wantErr == nil {
+				okCount++
+				continue
+			}
+			if r.Err == nil || r.Err.Error() != wantErr.Error() {
+				t.Fatalf("op %s spec %d (%+v): RunSpace err %v, resolve err %q", sp.Op, i, s, r.Err, wantErr)
+			}
+		}
+		if okCount == 0 || okCount == len(got) {
+			t.Fatalf("op %s: %d of %d specs resolve; the space must mix good and bad specs", sp.Op, okCount, len(got))
+		}
+		// The same specs as a flat list (per-spec resolution and
+		// evaluation) on a fresh engine give the same answers.
+		flat, err := New(Options{Workers: 2}).Run(context.Background(), sp.Expand())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range got {
+			if got[i].ErrText() != flat[i].ErrText() || got[i].Value != flat[i].Value || got[i].Alloc != flat[i].Alloc {
+				t.Fatalf("op %s spec %d: RunSpace %+v, Run %+v", sp.Op, i, got[i], flat[i])
+			}
 		}
 	}
 }

@@ -6,8 +6,8 @@ import "math"
 // re-expressed as a sub-space: Space.Expand() reproduces exactly the
 // parent's specs [Start, Start+Space.Size()). Representing shards as
 // sub-spaces rather than flat spec lists keeps the engine's space-aware
-// evaluation — axis pre-resolution and the batched speedup fast path —
-// intact on whichever node evaluates the shard.
+// evaluation — each machine axis value resolved once, and the batched
+// speedup fast path — intact on whichever node evaluates the shard.
 type SpaceShard struct {
 	// Start is the index of the shard's first spec in the parent
 	// space's Expand order.

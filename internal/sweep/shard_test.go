@@ -12,10 +12,11 @@ import (
 // checked exhaustively over randomized spaces: concatenating the
 // shards' expansions in slice order reproduces the parent expansion
 // exactly, every shard respects the size bound, and Start offsets
-// match the running position. It also pins Space.At, which the
-// coordinator names gathered results' specs by, to Expand: the parent's
-// At(i) is Expand()[i], and a shard's At(j) is the parent's
-// At(Start+j).
+// match the running position. It also pins Space.At, which the engine's
+// workers and the coordinator name specs by, to the nesting order: the
+// parent's Expand()[i] and At(i) are the i-th spec of nested loops over
+// the axes (ns outermost, procs innermost), and a shard's At(j) is the
+// parent's At(Start+j).
 func TestShardSpaceCoversExpandOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	stencils := []string{"5-point", "9-point", "9-star", "13-point"}
@@ -45,10 +46,13 @@ func TestShardSpaceCoversExpandOrder(t *testing.T) {
 		shardSize := 1 + rng.Intn(sp.Size()+3)
 		shards := ShardSpace(sp, shardSize)
 
-		want := sp.Expand()
+		want := nestedSpecs(sp)
+		if got := sp.Expand(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("iter %d: Expand() diverges from the nested axis loops", iter)
+		}
 		for i := range want {
 			if got := sp.At(i); got != want[i] {
-				t.Fatalf("iter %d: At(%d) = %+v, Expand()[%d] = %+v", iter, i, got, i, want[i])
+				t.Fatalf("iter %d: At(%d) = %+v, nested loops' spec %d = %+v", iter, i, got, i, want[i])
 			}
 		}
 		var got []Spec
@@ -75,6 +79,29 @@ func TestShardSpaceCoversExpandOrder(t *testing.T) {
 				iter, sp.Size(), shardSize, len(shards))
 		}
 	}
+}
+
+// nestedSpecs enumerates sp with one loop per axis, ns outermost and
+// procs innermost: the order Space.At decodes.
+func nestedSpecs(sp Space) []Spec {
+	procsAxis := sp.Procs
+	if len(procsAxis) == 0 {
+		procsAxis = []int{0}
+	}
+	var out []Spec
+	for _, n := range sp.Ns {
+		for _, st := range sp.Stencils {
+			for _, sh := range sp.Shapes {
+				for _, m := range sp.Machines {
+					for _, procs := range procsAxis {
+						out = append(out, Spec{Op: sp.Op, N: n, Stencil: st, Shape: sh, Machine: m,
+							Procs: procs, Target: sp.Target, PointsPerProc: sp.PointsPerProc})
+					}
+				}
+			}
+		}
+	}
+	return out
 }
 
 func TestShardSpaceSingleShard(t *testing.T) {

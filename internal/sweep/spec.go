@@ -220,8 +220,8 @@ func (s Spec) Problem() (core.Problem, error) {
 
 // problem parses the spec's stencil and shape names and builds its
 // problem, seeding an omitted N for the grid searches. It also returns
-// the stencil's key code. Problem, resolve, Key and the space
-// pre-resolution pass all resolve problems here.
+// the stencil's key code. Problem, resolve, Key and the batched procs
+// groups all resolve problems here.
 func (s Spec) problem() (core.Problem, uint8, error) {
 	st, ok := stencil.ByName(s.Stencil)
 	if !ok {
@@ -256,7 +256,7 @@ type resolved struct {
 }
 
 // machResolved is one machine's resolution, shared between per-spec
-// resolution and the space pre-resolution pass (which materializes each
+// resolution and a space's evaluation (Engine.Open materializes each
 // machine axis value once). Exactly one of {arch, canon, mk} / err is
 // meaningful.
 type machResolved struct {
@@ -289,9 +289,9 @@ func resolveMachine(m core.MachineSpec) machResolved {
 // resolvedFromParts composes a spec's resolution from its materialized
 // problem (Spec.problem) and machine. It is the single definition of
 // per-spec error precedence — problem before machine before key — used
-// by both resolve and the space pre-resolution pass, so RunSpace and
-// Run report identical errors by construction.
-func resolvedFromParts(s Spec, prob core.Problem, stCode uint8, probErr error, mach machResolved) (resolved, error) {
+// by resolve and by a space's workers, so RunSpace and Run report
+// identical errors by construction.
+func resolvedFromParts(s Spec, prob core.Problem, stCode uint8, probErr error, mach *machResolved) (resolved, error) {
 	if probErr != nil {
 		return resolved{}, probErr
 	}
@@ -310,11 +310,12 @@ func resolvedFromParts(s Spec, prob core.Problem, stCode uint8, probErr error, m
 // one interface box inside MachineSpec.Machine; everything else stays
 // on the stack (asserted by TestResolveAndLookupAllocBudget).
 func (s Spec) resolve() (resolved, error) {
-	return s.resolveOn(resolveMachine(s.Machine))
+	mach := resolveMachine(s.Machine)
+	return s.resolveOn(&mach)
 }
 
 // resolveOn is resolve with the spec's machine already resolved.
-func (s Spec) resolveOn(mach machResolved) (resolved, error) {
+func (s Spec) resolveOn(mach *machResolved) (resolved, error) {
 	prob, stCode, err := s.problem()
 	return resolvedFromParts(s, prob, stCode, err, mach)
 }
@@ -329,7 +330,7 @@ func (s Spec) resolveOn(mach machResolved) (resolved, error) {
 // the struct key's equality classes to.
 func (s Spec) Key() (string, error) {
 	mach := resolveMachine(s.Machine)
-	if _, err := s.resolveOn(mach); err != nil {
+	if _, err := s.resolveOn(&mach); err != nil {
 		return "", err
 	}
 	return s.opKey(mach.canon.KeyString())
@@ -409,7 +410,11 @@ func (sp Space) Expand() []Spec {
 	if size == math.MaxInt {
 		return nil
 	}
-	return sp.appendSpecs(make([]Spec, 0, size))
+	specs := make([]Spec, size)
+	for i := range specs {
+		specs[i] = sp.At(i)
+	}
+	return specs
 }
 
 // At returns Expand()[i] without expanding the space: a mixed-radix
@@ -428,37 +433,6 @@ func (sp Space) At(i int) Spec {
 	s.Stencil = sp.Stencils[i%len(sp.Stencils)]
 	s.N = sp.Ns[i/len(sp.Stencils)]
 	return s
-}
-
-// appendSpecs enumerates the space onto out (typically a pooled
-// buffer), in the same fixed order as Expand. The caller has already
-// rejected overflowing spaces.
-func (sp Space) appendSpecs(out []Spec) []Spec {
-	procsAxis := sp.Procs
-	if len(procsAxis) == 0 {
-		procsAxis = []int{0}
-	}
-	for _, n := range sp.Ns {
-		for _, st := range sp.Stencils {
-			for _, sh := range sp.Shapes {
-				for _, m := range sp.Machines {
-					for _, procs := range procsAxis {
-						out = append(out, Spec{
-							Op:            sp.Op,
-							N:             n,
-							Stencil:       st,
-							Shape:         sh,
-							Machine:       m,
-							Procs:         procs,
-							Target:        sp.Target,
-							PointsPerProc: sp.PointsPerProc,
-						})
-					}
-				}
-			}
-		}
-	}
-	return out
 }
 
 // Batch is the work of one sweep request: a flat spec list or a
