@@ -4,7 +4,10 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"runtime"
+	"sync"
 	"testing"
+	"unsafe"
 
 	"optspeed/internal/core"
 )
@@ -33,7 +36,7 @@ func batchedAllocSpace() Space {
 // TestBatchedSweepAllocBudget pins the cold batched speedup path's
 // allocation count: 768 specs across 12 procs groups on a fresh engine
 // must stay within a small constant per group — the cache's slab pages
-// and map growth as it fills, the scratch/chunk pool misses,
+// and map growth as it fills, chunk pool misses, the workers' scratch,
 // SpeedupBatch's internal curve buffers, and the collected result
 // slice — nowhere near one allocation per cached result. The budget (500, vs ~2.6k before the zero-copy
 // pipeline) leaves head-room for pool-cleared reruns under GC pressure
@@ -224,5 +227,47 @@ func TestStaleChunkAnswersReset(t *testing.T) {
 				t.Fatalf("sweep %d result %d: got %+v, want a fresh engine's %+v", k, i, got[k][i], want[k][i])
 			}
 		}
+	}
+}
+
+// TestOpenReturnsEveryChunk: a worker hands its last partial chunk to
+// the consumer without taking a fresh one it would then drop, so an
+// Open whose consumer recycles every chunk leaves the chunk pool as full
+// as it found it and allocates less than one chunk's results array.
+func TestOpenReturnsEveryChunk(t *testing.T) {
+	// The race detector's sync.Pool drops a quarter of what is put back,
+	// by design, so there a pooled buffer's fate cannot be counted.
+	var p sync.Pool
+	for range 64 {
+		p.Put(new(int))
+	}
+	for range 64 {
+		if p.Get() == nil {
+			t.Skip("sync.Pool drops buffers in this build")
+		}
+	}
+	e := New(Options{Workers: 2})
+	sp := Space{Ns: []int{64, 96}, Stencils: []string{"5-point", "9-point"}, Shapes: []string{"strip", "square"},
+		Machines: []core.MachineSpec{syncBusSpec(), {Type: "hypercube"}}}
+	open := func() {
+		ch, _, err := e.Open(context.Background(), Batch{Space: &sp})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for c := range ch {
+			e.Recycle(c)
+		}
+	}
+	open() // warm the cache, so the measured runs are all hits
+	const runs = 200
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		open()
+	}
+	runtime.ReadMemStats(&after)
+	per := (after.TotalAlloc - before.TotalAlloc) / runs
+	if chunk := uint64(chunkCap) * uint64(unsafe.Sizeof(Result{})); per >= chunk {
+		t.Fatalf("an Open allocates %d B, at least a chunk's %d B: a worker drops a pooled chunk", per, chunk)
 	}
 }

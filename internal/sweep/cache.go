@@ -23,17 +23,12 @@ const maxCacheShards = 16
 // coalescing. A lookup hashes its key once (specKey.hash); the hash
 // picks one of up to maxCacheShards independent shards, so concurrent
 // lookups from the worker pool contend only per-shard, and it is also
-// the shard's index key. Within a shard, the first goroutine to
-// request a key via getOrCompute computes it while later requesters
-// for the same key block on the entry instead of recomputing (the
-// request-coalescing behavior the HTTP service relies on when
-// identical per-spec sweeps arrive concurrently). The batched speedup
-// path uses peek/put instead and trades that per-key coalescing
-// for whole-group batching: concurrent identical cold batched sweeps
-// may duplicate a group computation (the first insert wins), but
-// completed entries still serve everyone afterwards. Failed
-// computations are not retained, so a transient error never poisons
-// the cache.
+// the shard's index key. Every lookup is a claim: a settled entry is a
+// hit, an entry in flight is awaited, and an absent key becomes a
+// pending entry that the claimant computes and finishes, so identical
+// concurrent requests (a single spec, or a member of a batched procs
+// group, alike) compute a key once. Failed computations are not
+// retained, so a transient error never poisons the cache.
 type cache struct {
 	shards []*cacheShard
 }
@@ -63,7 +58,7 @@ const nilSlot int32 = -1
 // Once the shard is full, an insert evicts the least recently used
 // settled entry and reuses its slot in place, so a cold miss allocates
 // nothing. In-flight entries are pinned: eviction steps over them, so
-// their slot numbers stay theirs until their owner settles them, and a
+// their slot numbers stay theirs until their owner finishes them, and a
 // shard whose every entry is in flight briefly exceeds its capacity.
 // A goroutine that has to wait on an in-flight entry gets a waiter
 // record from the waiters side map, made on that first demand.
@@ -81,7 +76,7 @@ type cacheShard struct {
 }
 
 // centry is one slab slot. A pending entry is in flight: its owner is
-// computing it and nums is not yet meaningful. The owner settles it
+// computing it and nums is not yet meaningful. The owner finishes it
 // under the shard lock, either storing the answer or, on an error,
 // removing the entry. prev/next are the shard's LRU links and same is
 // its hash chain, all owned by the shard lock.
@@ -239,18 +234,14 @@ func (s *cacheShard) find(h uint64, key specKey) int32 {
 	return nilSlot
 }
 
-// insert makes key resident and most recently used, settled with a's
-// payload or, for a nil a, pending, and returns its slot. A full shard
-// first evicts its least recently used settled entry, whose slot the
-// new entry then takes. The caller has checked that key is absent.
-func (s *cacheShard) insert(h uint64, key specKey, a *Answer) int32 {
+// insert makes key resident, pending and most recently used, and
+// returns its slot. A full shard first evicts its least recently used
+// settled entry, whose slot the new entry then takes. The caller has
+// checked that key is absent.
+func (s *cacheShard) insert(h uint64, key specKey) int32 {
 	s.trim(s.cap - 1)
 	i := s.alloc()
-	e := s.entry(i)
-	*e = centry{key: key, h: h, same: s.chain(h), pending: a == nil}
-	if a != nil {
-		e.nums.store(a)
-	}
+	*s.entry(i) = centry{key: key, h: h, same: s.chain(h), pending: true}
 	s.idx[h] = i
 	s.pushFront(i)
 	return i
@@ -311,53 +302,44 @@ func (s *cacheShard) lookup(h uint64, key specKey, a *Answer) (w *waiter, found 
 	return w, true
 }
 
-// settle completes the in-flight entry in slot i with its owner's
-// answer a: waiters receive a copy of it, error included; a success is
-// stored, and a failure removes the entry. The slot is still the
-// owner's: in-flight entries are never evicted.
-func (s *cacheShard) settle(i int32, a *Answer) {
-	if w := s.waiters[i]; w != nil {
-		w.out = *a
-		close(w.done)
-		delete(s.waiters, i)
-	}
-	if a.Err != nil {
-		s.remove(i)
-		return
-	}
-	e := s.entry(i)
-	e.nums.store(a)
-	e.pending = false
-	// The shard may have grown past capacity while this entry was
-	// pinned.
-	s.trim(s.cap)
-}
-
-// await overwrites a with the answer w's owner settles, or with
-// ErrWaitCancelled if cancel closes first, keeping a's Index. Called
-// without the lock: w.out is immutable once done is closed.
-func await(cancel <-chan struct{}, w *waiter, a *Answer) {
+// await overwrites a with the answer w's owner finishes with, keeping
+// a's Index, and reports true; or, if cancel closes first, with
+// ErrWaitCancelled, and reports false. Called without the lock: w.out
+// is immutable once done is closed.
+func await(cancel <-chan struct{}, w *waiter, a *Answer) bool {
 	i := a.Index
 	select {
 	case <-w.done:
 		*a = w.out
 		a.Index = i
+		return true
 	case <-cancel:
 		*a = Answer{Index: i, Err: ErrWaitCancelled}
+		return false
 	}
 }
 
-// getOrCompute overwrites a, all but its Index, with key's answer,
-// computing it with fn on a miss (fn writes into a, reset). The bool
-// reports whether the answer came from the cache — either an
-// already-complete entry (a hit) or an in-flight computation by
-// another goroutine (coalesced); both avoid recomputation. A waiter
-// whose cancel channel closes before the in-flight computation
-// finishes gets ErrWaitCancelled instead of blocking past its context;
-// fn itself must not block on cancel (it is pure model evaluation).
-func (c *cache) getOrCompute(cancel <-chan struct{}, key specKey, a *Answer, fn func(*Answer)) bool {
+// ticket is what a claim leaves its claimant: a pending entry to
+// finish (slot), or an entry in flight elsewhere to await (w). A
+// ticket with neither was a hit.
+type ticket struct {
+	s    *cacheShard
+	slot int32
+	w    *waiter
+}
+
+// owned reports whether the claimant owns a pending entry it must
+// finish.
+func (t *ticket) owned() bool { return t.slot != nilSlot }
+
+// claim looks key up and marks it most recently used. A settled entry
+// is loaded into a at once, keeping a's Index. An entry in flight
+// elsewhere comes back as the waiter to await. An absent key becomes a
+// pending entry that the caller owns and must finish, whatever happens:
+// until then, every claimant of the key waits on it.
+func (c *cache) claim(key specKey, a *Answer) ticket {
 	h := key.hash()
-	return c.shardFor(h).getOrCompute(cancel, h, key, a, fn)
+	return c.shardFor(h).claim(h, key, a)
 }
 
 // shardFor picks the shard for a key hash from its high 32 bits. The
@@ -370,61 +352,41 @@ func (c *cache) shardFor(h uint64) *cacheShard {
 	return c.shards[(h>>32)%uint64(len(c.shards))]
 }
 
-func (s *cacheShard) getOrCompute(cancel <-chan struct{}, h uint64, key specKey, a *Answer, fn func(*Answer)) bool {
+func (s *cacheShard) claim(h uint64, key specKey, a *Answer) ticket {
+	t := ticket{s: s, slot: nilSlot}
 	s.mu.Lock()
-	if w, ok := s.lookup(h, key, a); ok {
-		s.mu.Unlock()
-		if w == nil {
-			return true
-		}
-		// A failed computation is never "served from the cache":
-		// waiters that coalesced onto it get the error without the
-		// hit flag (settle removes the entry itself).
-		await(cancel, w, a)
-		return a.Err == nil
+	w, found := s.lookup(h, key, a)
+	if found {
+		t.w = w
+	} else {
+		t.slot = s.insert(h, key)
 	}
-	i := s.insert(h, key, nil)
 	s.mu.Unlock()
-
-	*a = Answer{Index: a.Index}
-	fn(a)
-	s.mu.Lock()
-	s.settle(i, a)
-	s.mu.Unlock()
-	return false
+	return t
 }
 
-// peek is getOrCompute without inserting anything on a miss, which
-// leaves a untouched: the batched evaluation path probes its whole
-// group first and computes only the absentees in one pass. The bool
-// reports residency.
-func (c *cache) peek(cancel <-chan struct{}, key specKey, a *Answer) bool {
-	h := key.hash()
-	return c.shardFor(h).peek(cancel, h, key, a)
-}
-
-func (s *cacheShard) peek(cancel <-chan struct{}, h uint64, key specKey, a *Answer) bool {
+// finish completes an owned pending entry with its answer a: waiters
+// receive a copy of it, error included; a success is kept, and a
+// failure (ErrWaitCancelled too, from a claimant whose context died
+// first) removes the entry. The slot is still the owner's: in-flight
+// entries are never evicted.
+func (t *ticket) finish(a *Answer) {
+	s, i := t.s, t.slot
 	s.mu.Lock()
-	w, ok := s.lookup(h, key, a)
-	s.mu.Unlock()
-	if w != nil {
-		await(cancel, w, a)
+	if w := s.waiters[i]; w != nil {
+		w.out = *a
+		close(w.done)
+		delete(s.waiters, i)
 	}
-	return ok
-}
-
-// put inserts a successful answer of the batched path, read from its
-// chunk slot, as a settled entry. Failures are never cached, and an
-// existing resident entry wins: it may have waiters.
-func (c *cache) put(key specKey, a *Answer) {
 	if a.Err != nil {
-		return
-	}
-	h := key.hash()
-	s := c.shardFor(h)
-	s.mu.Lock()
-	if s.find(h, key) == nilSlot {
-		s.insert(h, key, a)
+		s.remove(i)
+	} else {
+		e := s.entry(i)
+		e.nums.store(a)
+		e.pending = false
+		// The shard may have grown past capacity while this entry was
+		// pinned.
+		s.trim(s.cap)
 	}
 	s.mu.Unlock()
 }

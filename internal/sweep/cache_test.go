@@ -10,6 +10,42 @@ import (
 	"optspeed/internal/core"
 )
 
+// claimOrCompute answers k from shard s as a unit does: it claims k and,
+// owning it, computes it with fn (into a, reset) and finishes it. It
+// reports whether the cache answered, a hit or an awaited success.
+func claimOrCompute(s *cacheShard, h uint64, k specKey, a *Answer, fn func(*Answer)) bool {
+	t := s.claim(h, k, a)
+	switch {
+	case t.owned():
+		*a = Answer{Index: a.Index}
+		fn(a)
+		t.finish(a)
+		return false
+	case t.w != nil:
+		await(nil, t.w, a)
+		return a.Err == nil
+	}
+	return true
+}
+
+// cachedOrCompute is claimOrCompute on the cache's shard for k.
+func cachedOrCompute(c *cache, k specKey, a *Answer, fn func(*Answer)) bool {
+	h := k.hash()
+	return claimOrCompute(c.shardFor(h), h, k, a, fn)
+}
+
+// peek looks k up in shard s without claiming it, awaiting an entry in
+// flight; it reports residency.
+func peek(s *cacheShard, h uint64, k specKey, a *Answer) bool {
+	s.mu.Lock()
+	w, ok := s.lookup(h, k, a)
+	s.mu.Unlock()
+	if w != nil {
+		await(nil, w, a)
+	}
+	return ok
+}
+
 // TestCacheHashCollision forces distinct keys onto one hash. The
 // shard's index is keyed by the hash alone, so it must chain colliding
 // slots and tell them apart by their full keys: on lookup, on eviction
@@ -21,12 +57,12 @@ func TestCacheHashCollision(t *testing.T) {
 	value := func(i int) int { return 10 + i }
 	get := func(s *cacheShard, hash uint64, k specKey, o Answer) (Answer, bool) {
 		var out Answer
-		hit := s.getOrCompute(nil, hash, k, &out, func(a *Answer) { *a = o })
+		hit := claimOrCompute(s, hash, k, &out, func(a *Answer) { *a = o })
 		return out, hit
 	}
-	peek := func(s *cacheShard, hash uint64, k specKey) (Answer, bool) {
+	look := func(s *cacheShard, hash uint64, k specKey) (Answer, bool) {
 		var out Answer
-		ok := s.peek(nil, hash, k, &out)
+		ok := peek(s, hash, k, &out)
 		return out, ok
 	}
 
@@ -56,10 +92,10 @@ func TestCacheHashCollision(t *testing.T) {
 
 	// Touch keys[0] so the middle entry is least recently used, then
 	// evict it with an insert under another hash, which takes its slot.
-	peek(s, h, keys[0])
+	look(s, h, keys[0])
 	other := specKey{n: 4}
 	get(s, h+1, other, Answer{Grid: 4})
-	if _, ok := peek(s, h, keys[1]); ok {
+	if _, ok := look(s, h, keys[1]); ok {
 		t.Fatal("evicted key still found")
 	}
 	if got := s.find(h+1, other); got != slot[1] {
@@ -69,7 +105,7 @@ func TestCacheHashCollision(t *testing.T) {
 		t.Fatal("eviction from the middle of the chain did not splice it")
 	}
 	for _, i := range []int{0, 2} {
-		if out, ok := peek(s, h, keys[i]); !ok || out.Grid != value(i) {
+		if out, ok := look(s, h, keys[i]); !ok || out.Grid != value(i) {
 			t.Fatalf("key %d after its neighbour's eviction: grid %d ok=%t, want %d", i, out.Grid, ok, value(i))
 		}
 	}
@@ -80,7 +116,7 @@ func TestCacheHashCollision(t *testing.T) {
 	s = newCacheShard(2)
 	boom := errors.New("boom")
 	var out Answer
-	s.getOrCompute(nil, h, keys[0], &out, func(a *Answer) {
+	claimOrCompute(s, h, keys[0], &out, func(a *Answer) {
 		if out, hit := get(s, h, keys[1], Answer{Err: boom}); out.Err != boom || hit {
 			t.Errorf("colliding failure: got %+v hit=%t", out, hit)
 		}
@@ -110,11 +146,11 @@ func TestCacheHashCollision(t *testing.T) {
 }
 
 // TestCachePendingEntryPinned fills a one-slot shard with an in-flight
-// entry. Inserts past it must neither evict it nor reuse its slot, its
+// entry. Claims past it must neither evict it nor reuse its slot, its
 // waiter must receive a copy of the owner's answer as it is, error
 // included, in its own slot (keeping its Index), an error must not be
-// cached, and once the entry settles the shard must shrink back to its
-// capacity.
+// cached, and once the entry is finished the shard must shrink back to
+// its capacity.
 func TestCachePendingEntryPinned(t *testing.T) {
 	const h = 0x5eed
 	pendKey, other, third := specKey{n: 1}, specKey{n: 2}, specKey{n: 3}
@@ -132,7 +168,7 @@ func TestCachePendingEntryPinned(t *testing.T) {
 		owner, waiter := make(chan got, 1), make(chan got, 1)
 		go func() {
 			out := Answer{Index: 1}
-			hit := s.getOrCompute(nil, h, pendKey, &out, func(a *Answer) {
+			hit := claimOrCompute(s, h, pendKey, &out, func(a *Answer) {
 				close(started)
 				<-release
 				a.Grid, a.Err = want.Grid, want.Err
@@ -143,8 +179,13 @@ func TestCachePendingEntryPinned(t *testing.T) {
 
 		s.mu.Lock()
 		pend := s.find(h, pendKey)
-		s.insert(h+1, other, &Answer{Grid: 2})
-		s.insert(h+2, third, &Answer{Grid: 3})
+		s.mu.Unlock()
+		// Claims past capacity neither evict the pinned entry nor take
+		// its slot: other is evicted as soon as it settles, and third,
+		// still pending, takes a slot of its own.
+		claimOrCompute(s, h+1, other, &Answer{}, func(a *Answer) { a.Grid = 2 })
+		t3 := s.claim(h+2, third, &Answer{})
+		s.mu.Lock()
 		if s.find(h, pendKey) != pend || !s.entry(pend).pending || s.tail != pend {
 			t.Fatalf("fail=%t: the in-flight entry was evicted or moved", fail)
 		}
@@ -153,10 +194,11 @@ func TestCachePendingEntryPinned(t *testing.T) {
 				fail, s.n, i, pend)
 		}
 		s.mu.Unlock()
+		t3.finish(&Answer{Grid: 3})
 
 		go func() {
 			out := Answer{Index: 2}
-			hit := s.getOrCompute(nil, h, pendKey, &out, func(*Answer) {
+			hit := claimOrCompute(s, h, pendKey, &out, func(*Answer) {
 				t.Error("a waiter recomputed an in-flight key")
 			})
 			waiter <- got{out, hit}
@@ -180,9 +222,15 @@ func TestCachePendingEntryPinned(t *testing.T) {
 		if len(s.waiters) != 0 {
 			t.Errorf("fail=%t: %d waiter records left", fail, len(s.waiters))
 		}
+		// Every other entry settled while pendKey was pinned and was
+		// evicted then, so pendKey is all that may stay.
 		cached := s.find(h, pendKey) != nilSlot
-		if cached == fail || s.n != 1 {
-			t.Errorf("fail=%t: cached=%t with %d resident, want cached=%t and 1 resident", fail, cached, s.n, !fail)
+		resident := 1
+		if fail {
+			resident = 0
+		}
+		if cached == fail || s.n != resident {
+			t.Errorf("fail=%t: cached=%t with %d resident, want cached=%t and %d resident", fail, cached, s.n, !fail, resident)
 		}
 		s.mu.Unlock()
 	}
@@ -214,8 +262,8 @@ func TestCacheEntryHoldsNoPointers(t *testing.T) {
 	walk("idx value", idx.Elem())
 }
 
-// TestCacheMissAllocBudget pins the getOrCompute path's allocations. A
-// cold miss on a full cache, which inserts one entry and evicts
+// TestCacheMissAllocBudget pins the claim/finish path's allocations. A
+// cold miss on a full cache, which claims one entry and evicts
 // another, allocates nothing: the new entry takes the evicted entry's
 // slot, nobody waits on it, so no waiter record is made, and the index
 // stops growing once the cache is full. A hit allocates nothing.
@@ -226,7 +274,7 @@ func TestCacheMissAllocBudget(t *testing.T) {
 	var next int64
 	miss := func() {
 		next++
-		c.getOrCompute(nil, specKey{n: next}, &a, fn)
+		cachedOrCompute(c, specKey{n: next}, &a, fn)
 	}
 	for i := 0; i < 4096; i++ {
 		miss()
@@ -235,7 +283,7 @@ func TestCacheMissAllocBudget(t *testing.T) {
 		t.Errorf("a cold miss on a full cache allocates %.3f objects, want 0", got)
 	}
 	hot := specKey{n: next}
-	if got := testing.AllocsPerRun(2000, func() { c.getOrCompute(nil, hot, &a, fn) }); got != 0 {
+	if got := testing.AllocsPerRun(2000, func() { cachedOrCompute(c, hot, &a, fn) }); got != 0 {
 		t.Errorf("a cache hit allocates %.3f objects, want 0", got)
 	}
 }
@@ -253,7 +301,7 @@ func TestCacheEntryFootprint(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	c := newCache(DefaultCacheSize)
 	for i := 0; i < 2*DefaultCacheSize; i++ {
-		c.getOrCompute(nil, specKey{op: 1, n: int64(i), mach: machKey{tflp: 1}}, &a, fn)
+		cachedOrCompute(c, specKey{op: 1, n: int64(i), mach: machKey{tflp: 1}}, &a, fn)
 	}
 	runtime.GC()
 	runtime.ReadMemStats(&after)

@@ -8,6 +8,8 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+
+	"optspeed/internal/core"
 )
 
 // Options configures an Engine. Zero values take defaults.
@@ -86,23 +88,22 @@ func (e *Engine) Stats() Stats {
 // maps it to a 500 without leaking the panic text.
 var ErrEvaluationPanic = errors.New("sweep: evaluation panicked")
 
-// recoverOutcome runs eval on a and converts a panic inside it into an
-// error answer: the engine runs model code on its own worker
-// goroutines, outside any net/http per-request recover, so a panicking
-// evaluation must become a per-spec error rather than a process crash
-// (and must still close the cache entry it holds). Whatever eval wrote
-// before it panicked is discarded: a keeps only its Index and the
-// ErrEvaluationPanic error.
-func recoverOutcome(a *Answer, eval func(*Answer)) {
+// recoverPanic runs eval and converts a panic inside it into an
+// ErrEvaluationPanic error: the engine runs model code on its own
+// worker goroutines, outside any net/http per-request recover, so a
+// panicking evaluation must become a per-spec error rather than a
+// process crash (and must still finish the cache entries it holds).
+func recoverPanic(eval func()) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			*a = Answer{Index: a.Index, Err: fmt.Errorf("%w: %v", ErrEvaluationPanic, r)}
+			err = fmt.Errorf("%w: %v", ErrEvaluationPanic, r)
 		}
 	}()
-	eval(a)
+	eval()
+	return nil
 }
 
-// --- zero-copy result pipeline: pooled chunks and scratch ---
+// --- zero-copy result pipeline: pooled chunks ---
 
 // Chunk is one reusable batch of streamed results. Chunks flow out of
 // Open in place of one channel send per Result; a consumer that has
@@ -121,10 +122,7 @@ const chunkCap = 64
 // The pools are package-level: pooled buffers carry no engine state, so
 // engines share them, and a service that builds short-lived engines
 // (tests, benchmarks) still reuses warm buffers.
-var (
-	chunkPool   sync.Pool // *Chunk
-	scratchPool sync.Pool // *groupScratch
-)
+var chunkPool sync.Pool // *Chunk
 
 // getChunk returns a chunk with at least capHint capacity and zero
 // length.
@@ -155,93 +153,229 @@ func (e *Engine) Recycle(c *Chunk) {
 	chunkPool.Put(c)
 }
 
-// groupScratch holds the per-group working slices of the batched
-// procs path, pooled so a steady stream of groups allocates nothing
-// for them.
-type groupScratch struct {
-	keys    []specKey
-	missIdx []int
-	procs   []int
+// A unit is what a worker evaluates at once: one spec, or one procs
+// group of a batched space (a space of an op with a batch evaluator and
+// a procs axis), whose members differ only in Procs and so share one
+// problem and one machine. Every unit takes the same steps: its worker
+// names its members, and evalUnit resolves them, claims each in the
+// cache, computes the members it owns under one sem slot, finishes
+// their entries, and only then awaits the members in flight elsewhere.
+type unit struct {
+	rs    []Result      // one slot per member, its Spec named
+	base  int           // rs[0]'s index in the batch
+	mach  *machResolved // the members' machine; nil resolves a list spec's own
+	batch batchFunc     // the group's evaluator; nil for a single spec
+
+	// Working memory, reused from unit to unit on one worker: a member
+	// per slot, and a group's owned Procs.
+	ms    []member
+	procs []int
 }
 
-func getScratch() *groupScratch {
-	if v := scratchPool.Get(); v != nil {
-		return v.(*groupScratch)
-	}
-	return &groupScratch{}
+// member is one unit member between its claim and its answer.
+type member struct {
+	key   specKey
+	t     ticket
+	state uint8
 }
 
-// evalResolved answers spec s, the i-th of its request, resolved as
-// r/rerr, through the cache, updating counters. It overwrites all of a,
-// which may be a recycled chunk slot: the answer is written once, where
-// the consumer reads it. cancel releases a coalesced wait on another
-// goroutine's in-flight computation; the computation itself is never
-// interrupted. An ErrWaitCancelled answer is only written when THIS
-// caller's cancel fired: if another caller abandoned the in-flight
-// entry (its context died while it was parked on the semaphore), the
-// poisoned answer is retried rather than handed to a live caller as if
-// it had cancelled.
-func (e *Engine) evalResolved(cancel <-chan struct{}, i int, s Spec, r resolved, rerr error, a *Answer) {
-	if rerr != nil {
-		// Unresolvable specs (bad stencil/shape/machine) fail fast and
-		// are never cached: the resolution error is the evaluation error.
-		e.keyErrors.Add(1)
-		*a = Answer{Index: i, Err: rerr}
-		return
+// Member states.
+const (
+	memberDone  uint8 = iota // answered: a key error, a hit or an awaited answer
+	memberOpen               // resolved and still to claim
+	memberOwned              // owns its pending cache entry
+	memberWait               // awaits an entry in flight elsewhere
+)
+
+// evalUnit answers u into its slots, overwriting each slot's Answer
+// whole (a slot may be a recycled chunk's), and counts what it did. It
+// reports false if cancel fired first, while the unit waited for a sem
+// slot or on another unit's entry; the slots then hold nothing to keep.
+// The computation itself is never interrupted.
+//
+// Two rules keep units from deadlocking on each other's claims, a
+// group's and a single spec's alike:
+//   - a unit never awaits while it holds an unfinished claim: it
+//     finishes every entry it owns before it awaits any;
+//   - a unit never holds sem while it awaits: it takes sem only around
+//     its computation.
+//
+// So a unit that awaits holds nothing anyone needs, and the owner of
+// every awaited entry can finish it without waiting itself.
+func (e *Engine) evalUnit(cancel <-chan struct{}, u *unit) bool {
+	rs, ms := u.rs, u.ms[:len(u.rs)]
+	mach := u.mach
+	if mach == nil {
+		m := resolveMachine(rs[0].Spec.Machine)
+		mach = &m
 	}
-	a.Index = i
-	for {
-		var computed bool
-		hit := e.cache.getOrCompute(cancel, r.key, a, func(a *Answer) {
-			// The engine-wide semaphore is taken around the computation
-			// only — coalesced waiters cost nothing — so the Workers cap
-			// holds across every concurrent caller. Waiters for a slot
-			// stay cancellable; the in-flight entry this closure holds is
-			// removed by the cache's error path.
-			select {
-			case e.sem <- struct{}{}:
-			case <-cancel:
-				a.Err = ErrWaitCancelled
-				return
-			}
-			defer func() { <-e.sem }()
-			computed = true
-			recoverOutcome(a, func(a *Answer) { evaluate(s, r, a) })
-			if a.Err != nil {
-				e.errors.Add(1)
-			}
-		})
-		if computed {
-			e.evals.Add(1)
+	prob, stCode, probErr := rs[0].Spec.problem()
+	open := 0
+	for i := range rs {
+		a := &rs[i].Answer
+		r, err := resolvedFromParts(rs[i].Spec, prob, stCode, probErr, mach)
+		if err != nil {
+			// Unresolvable specs (bad stencil/shape/machine) fail fast and
+			// are never cached: the resolution error is the answer.
+			e.keyErrors.Add(1)
+			*a = Answer{Index: u.base + i, Err: err}
+			ms[i].state = memberDone
+			continue
 		}
-		if errors.Is(a.Err, ErrWaitCancelled) {
-			select {
-			case <-cancel:
-				return
-			default:
-				// Another caller's cancellation closed the entry we
-				// coalesced on; the errored entry is gone from the
-				// cache, so retrying makes us the computer.
+		a.Index = u.base + i
+		ms[i].key, ms[i].state = r.key, memberOpen
+		open++
+	}
+	for open > 0 {
+		owned := 0
+		for i := range ms {
+			m := &ms[i]
+			if m.state != memberOpen {
 				continue
 			}
+			m.t = e.cache.claim(m.key, &rs[i].Answer)
+			switch {
+			case m.t.owned():
+				m.state = memberOwned
+				owned++
+			case m.t.w != nil:
+				m.state = memberWait
+			default:
+				e.hits.Add(1)
+				rs[i].CacheHit = true
+				m.state = memberDone
+				open--
+			}
 		}
-		if hit {
-			e.hits.Add(1)
+		if owned > 0 {
+			computed := e.compute(cancel, u, prob, mach)
+			for i := range ms {
+				if ms[i].state != memberOwned {
+					continue
+				}
+				a := &rs[i].Answer
+				if computed {
+					e.evals.Add(1)
+					if a.Err != nil {
+						e.errors.Add(1)
+					}
+				}
+				ms[i].t.finish(a)
+				ms[i].state = memberDone
+			}
+			if !computed {
+				return false
+			}
+			open -= owned
 		}
-		a.CacheHit = hit
-		return
+		for i := range ms {
+			m := &ms[i]
+			if m.state != memberWait {
+				continue
+			}
+			a := &rs[i].Answer
+			if !await(cancel, m.t.w, a) {
+				return false
+			}
+			if errors.Is(a.Err, ErrWaitCancelled) {
+				// Another claimant's cancellation removed the entry this
+				// member awaited; claiming it again makes this unit its
+				// owner or a waiter on a live one.
+				m.state = memberOpen
+				continue
+			}
+			// A failed computation is never "served from the cache":
+			// its waiters get the error without the hit flag.
+			if a.Err == nil {
+				e.hits.Add(1)
+				a.CacheHit = true
+			}
+			m.state = memberDone
+			open--
+		}
+	}
+	return true
+}
+
+// compute writes the answers of u's owned members under one sem slot:
+// evaluate's for a single spec, or the group's batch evaluator's over
+// the owned members' Procs, both under recoverPanic. The engine-wide
+// sem bounds concurrent computations, so the Workers cap holds across
+// every concurrent caller, and a batched group, one fused computation,
+// takes one slot. If cancel fires before a slot is free, compute writes
+// ErrWaitCancelled instead (finishing an entry with it removes it and
+// sends its waiters to claim it again) and reports false.
+func (e *Engine) compute(cancel <-chan struct{}, u *unit, prob core.Problem, mach *machResolved) bool {
+	select {
+	case e.sem <- struct{}{}:
+	case <-cancel:
+		u.answer(nil, nil, ErrWaitCancelled)
+		return false
+	}
+	if u.batch == nil {
+		a := &u.rs[0].Answer
+		*a = Answer{Index: a.Index}
+		// evaluate reads only the resolved problem and machine. Whatever
+		// it wrote before a panic is discarded.
+		if err := recoverPanic(func() { evaluate(u.rs[0].Spec, resolved{problem: prob, arch: mach.arch}, a) }); err != nil {
+			*a = Answer{Index: a.Index, Err: err}
+		}
+	} else {
+		procs := u.procs[:0]
+		for i := range u.rs {
+			if u.ms[i].state == memberOwned {
+				procs = append(procs, u.rs[i].Spec.Procs)
+			}
+		}
+		var vals []float64
+		var errs []error
+		var err error
+		if perr := recoverPanic(func() { vals, errs, err = u.batch(prob, mach.arch, procs) }); perr != nil {
+			err = perr
+		}
+		u.answer(vals, errs, err)
+	}
+	<-e.sem
+	return true
+}
+
+// answer overwrites the owned members' answers with err, or else, for
+// the j-th owned member, with errs[j] or vals[j].
+func (u *unit) answer(vals []float64, errs []error, err error) {
+	j := 0
+	for i := range u.rs {
+		if u.ms[i].state != memberOwned {
+			continue
+		}
+		a := &u.rs[i].Answer
+		*a = Answer{Index: a.Index}
+		switch {
+		case err != nil:
+			a.Err = err
+		case errs[j] != nil:
+			a.Err = errs[j]
+		default:
+			a.Value = vals[j]
+		}
+		j++
 	}
 }
 
-// Evaluate answers a single spec, consulting and filling the cache.
+// Evaluate answers a single spec, consulting and filling the cache, as
+// a one-spec unit on the caller's goroutine.
 func (e *Engine) Evaluate(ctx context.Context, s Spec) (Result, error) {
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
 	}
-	res := Result{Spec: s}
-	r, err := s.resolve()
-	e.evalResolved(ctx.Done(), 0, s, r, err, &res.Answer)
-	return res, res.Err
+	// The slot escapes through the op table's indirect call, so the slot
+	// and its member share one allocation.
+	var one struct {
+		rs [1]Result
+		ms [1]member
+	}
+	one.rs[0].Spec = s
+	e.evalUnit(ctx.Done(), &unit{rs: one.rs[:], ms: one.ms[:]})
+	return one.rs[0], one.rs[0].Err
 }
 
 // fanOut runs worker on up to e.workers goroutines over units work
@@ -281,70 +415,76 @@ func (e *Engine) fanOut(ctx context.Context, units int, worker func(out chan<- *
 	return out
 }
 
-// streamChunks evaluates the batch on the worker pool, accumulating
-// results into pooled chunks. Each worker names the specs it claims
-// (Batch.At) and resolves them: a list's spec in full, a space's on its
-// machine axis value, already resolved in machines.
-func (e *Engine) streamChunks(ctx context.Context, b Batch, machines []machResolved) <-chan *Chunk {
+// streamChunks evaluates the batch on the worker pool, one unit at a
+// time, and accumulates whole units into pooled chunks. A unit is one
+// spec, or, with batch, one procs group: Space.At keeps the procs axis
+// innermost, so group g is the contiguous run of specs sharing one
+// (problem, machine) pair. Each worker names the specs it claims
+// (Batch.At); a space's specs resolve on their machine axis value,
+// already resolved in machines.
+func (e *Engine) streamChunks(ctx context.Context, b Batch, machines []machResolved, batch batchFunc) <-chan *Chunk {
 	// A space's machine index is its position's digit below the procs
 	// axis (Space.At's nesting order).
-	procsLen := 1
+	procsLen, size := 1, 1
 	if b.Space != nil {
 		procsLen = max(len(b.Space.Procs), 1)
 	}
-	return e.fanOut(ctx, b.Size(), func(out chan<- *Chunk, next func() int) {
-		chunk := getChunk(chunkCap)
-		// flush hands the current chunk to the consumer; it reports
+	if batch != nil {
+		size = procsLen
+	}
+	// A chunk is full once another unit would not fit.
+	limit := max(chunkCap, size)
+	return e.fanOut(ctx, b.Size()/size, func(out chan<- *Chunk, next func() int) {
+		u := unit{batch: batch, ms: make([]member, size)}
+		if batch != nil {
+			u.procs = make([]int, 0, size)
+		}
+		chunk := getChunk(limit)
+		// send hands the current chunk to the consumer; it reports
 		// false when the context died (the chunk is recycled and the
 		// worker must stop).
-		flush := func() bool {
+		send := func() bool {
 			select {
 			case out <- chunk:
-				chunk = getChunk(chunkCap)
 				return true
 			case <-ctx.Done():
 				e.Recycle(chunk)
 				return false
 			}
 		}
-		for i := next(); i >= 0; i = next() {
-			// A chunk is flushed once full, so the slot fits.
+		for g := next(); g >= 0; g = next() {
 			n := len(chunk.Results)
-			chunk.Results = chunk.Results[:n+1]
-			res := &chunk.Results[n]
-			res.Spec = b.At(i)
-			var r resolved
-			var err error
-			if b.Space != nil {
-				r, err = res.Spec.resolveOn(&machines[i/procsLen%len(machines)])
-			} else {
-				r, err = res.Spec.resolve()
+			u.rs, u.base = chunk.Results[n:n+size], g*size
+			for j := range u.rs {
+				u.rs[j].Spec = b.At(u.base + j)
 			}
-			e.evalResolved(ctx.Done(), i, res.Spec, r, err, &res.Answer)
-			if errors.Is(res.Err, ErrWaitCancelled) {
-				// The context died while this worker was parked on
-				// another goroutine's in-flight computation; the sweep
-				// is over.
-				chunk.Results = chunk.Results[:n]
+			if machines != nil {
+				u.mach = &machines[u.base/procsLen%len(machines)]
+			}
+			if !e.evalUnit(ctx.Done(), &u) {
+				// The context died while the unit waited; the sweep is
+				// over.
 				break
 			}
-			if len(chunk.Results) >= chunkCap {
-				if !flush() {
+			chunk.Results = chunk.Results[:n+size]
+			if len(chunk.Results)+size > limit {
+				if !send() {
 					return
 				}
+				chunk = getChunk(limit)
 				continue
 			}
 			// Opportunistic flush: hand over the partial chunk only if
 			// the consumer is ready right now, so a live consumer sees
-			// per-result progress while a busy one gets batches.
+			// per-unit progress while a busy one gets batches.
 			select {
 			case out <- chunk:
-				chunk = getChunk(chunkCap)
+				chunk = getChunk(limit)
 			default:
 			}
 		}
 		if len(chunk.Results) > 0 {
-			flush()
+			send()
 		} else {
 			e.Recycle(chunk)
 		}
@@ -418,15 +558,16 @@ func (e *Engine) Collect(ctx context.Context, ch <-chan *Chunk, work Batch) ([]R
 // channel closes, so the caller must not modify either before then.
 // Each worker names and resolves the specs it claims. Chunks stay
 // small while the consumer keeps up (workers flush opportunistically
-// per result) but grow toward chunkCap under backpressure. A space is
+// per unit) but grow toward chunkCap under backpressure. A space is
 // evaluated space-aware: each machine axis value is resolved once per
 // space, here, and a space of an op with a batch evaluator and a
-// processor axis computes the shared (problem, machine) work once per
-// procs group, one chunk per group. A space whose axis product
-// overflows is rejected up front.
+// processor axis is evaluated one procs group per unit, so the shared
+// (problem, machine) work is computed once per group; a chunk holds
+// whole groups. A space whose axis product overflows is rejected up
+// front.
 func (e *Engine) Open(ctx context.Context, b Batch) (<-chan *Chunk, int, error) {
 	if b.Space == nil {
-		return e.streamChunks(ctx, b, nil), len(b.Specs), nil
+		return e.streamChunks(ctx, b, nil, nil), len(b.Specs), nil
 	}
 	sp := b.Space
 	size := sp.Size()
@@ -437,138 +578,9 @@ func (e *Engine) Open(ctx context.Context, b Batch) (<-chan *Chunk, int, error) 
 	for i, m := range sp.Machines {
 		machines[i] = resolveMachine(m)
 	}
+	var batch batchFunc
 	if d, _ := lookupOp(sp.Op); d != nil && d.batch != nil && len(sp.Procs) > 1 {
-		return e.streamBatched(ctx, d.batch, sp, machines), size, nil
+		batch = d.batch
 	}
-	return e.streamChunks(ctx, b, machines), size, nil
-}
-
-// streamBatched streams a space of an op with a batch evaluator and a
-// processor axis, one chunk per procs group. Space.At keeps the procs
-// axis innermost, so group g is the contiguous run of specs sharing one
-// (problem, machine) pair, and its machine is axis value g mod
-// len(Machines); each group probes the cache for all members, then
-// computes the absentees with a single validated batch call instead of
-// |Procs| independent evaluations, and hands the whole group to the
-// consumer as one reusable chunk.
-func (e *Engine) streamBatched(ctx context.Context, batch batchFunc, sp *Space, machines []machResolved) <-chan *Chunk {
-	return e.fanOut(ctx, sp.Size()/len(sp.Procs), func(out chan<- *Chunk, next func() int) {
-		for g := next(); g >= 0; g = next() {
-			c := e.evalBatchGroup(ctx.Done(), batch, sp, g, &machines[g%len(machines)])
-			if c == nil {
-				return // cancelled mid-group
-			}
-			select {
-			case out <- c:
-			case <-ctx.Done():
-				e.Recycle(c)
-				return
-			}
-		}
-	})
-}
-
-// evalBatchGroup answers procs group g of sp, on its resolved machine,
-// as a pooled chunk. It returns nil if the caller's cancel fired while
-// probing or computing; otherwise a chunk with one Result per member,
-// each answer written straight into its slot. The group's problem is
-// built once, and each member is keyed through resolvedFromParts, so
-// errors and their precedence are Spec.resolve's. Cache hits are
-// served individually; the misses share one batched computation under
-// a single semaphore slot, and the cache keeps each from its slot
-// (put) so later sweeps hit. All per-group working slices come from
-// the scratch pool, and a full cache reuses evicted slots, so a steady
-// stream of groups allocates only what the batch evaluator builds
-// internally.
-func (e *Engine) evalBatchGroup(cancel <-chan struct{}, batch batchFunc, sp *Space, g int, mach *machResolved) *Chunk {
-	groupLen := len(sp.Procs)
-	base := g * groupLen
-	c := getChunk(groupLen)
-	rs := c.Results[:groupLen]
-	sc := getScratch()
-	defer scratchPool.Put(sc)
-	if cap(sc.keys) < groupLen {
-		sc.keys = make([]specKey, groupLen)
-	}
-	keys := sc.keys[:groupLen]
-	missIdx := sc.missIdx[:0]
-	// Members differ from the group's first spec only in Procs.
-	first := sp.At(base)
-	prob, stCode, probErr := first.problem()
-	for i := range rs {
-		res := &rs[i]
-		res.Spec = first
-		res.Spec.Procs = sp.Procs[i]
-		r, err := resolvedFromParts(res.Spec, prob, stCode, probErr, mach)
-		if err != nil {
-			e.keyErrors.Add(1)
-			res.Answer = Answer{Index: base + i, Err: err}
-			continue
-		}
-		keys[i] = r.key
-		res.Index = base + i
-		if !e.cache.peek(cancel, r.key, &res.Answer) {
-			missIdx = append(missIdx, i)
-			continue
-		}
-		if errors.Is(res.Err, ErrWaitCancelled) {
-			select {
-			case <-cancel:
-				sc.missIdx = missIdx
-				e.Recycle(c)
-				return nil
-			default:
-				// Another caller's cancellation poisoned the entry we
-				// coalesced on; recompute it with the batch.
-				missIdx = append(missIdx, i)
-				continue
-			}
-		}
-		if res.Err == nil {
-			e.hits.Add(1)
-		}
-		res.CacheHit = res.Err == nil
-	}
-	sc.missIdx = missIdx
-	if len(missIdx) == 0 {
-		c.Results = rs
-		return c
-	}
-	// One semaphore slot covers the whole batched group: the group is a
-	// single fused model computation, which keeps the Workers cap the
-	// bound on concurrent computations.
-	select {
-	case e.sem <- struct{}{}:
-	case <-cancel:
-		e.Recycle(c)
-		return nil
-	}
-	procs := sc.procs[:0]
-	for _, i := range missIdx {
-		procs = append(procs, rs[i].Spec.Procs)
-	}
-	sc.procs = procs
-	// A member reached the batch only if it resolved, so the group's
-	// problem and machine are valid.
-	vals, errs, batchErr := batch(prob, mach.arch, procs)
-	<-e.sem
-	for j, i := range missIdx {
-		a := &rs[i].Answer
-		*a = Answer{Index: base + i}
-		switch {
-		case batchErr != nil:
-			a.Err = batchErr
-		case errs[j] != nil:
-			a.Err = errs[j]
-		default:
-			a.Value = vals[j]
-		}
-		e.evals.Add(1)
-		if a.Err != nil {
-			e.errors.Add(1)
-		}
-		e.cache.put(keys[i], a)
-	}
-	c.Results = rs
-	return c
+	return e.streamChunks(ctx, b, machines, batch), size, nil
 }

@@ -149,33 +149,47 @@ func TestCancelledOwnerDoesNotPoisonCoalescedWaiter(t *testing.T) {
 	}
 }
 
+// waitForEntry spins until spec's cache entry is resident and, with
+// waiter set, until another claimant has parked on it.
+func waitForEntry(t *testing.T, e *Engine, spec Spec, waiter bool) {
+	t.Helper()
+	r, err := spec.resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := r.key.hash()
+	sh := e.cache.shardFor(h)
+	for done := false; !done; runtime.Gosched() {
+		sh.mu.Lock()
+		i := sh.find(h, r.key)
+		done = i != nilSlot && (!waiter || sh.waiters[i] != nil)
+		sh.mu.Unlock()
+	}
+}
+
 func TestCoalescedErrorNotAHit(t *testing.T) {
-	c := newCache(8)
-	started := make(chan struct{})
-	release := make(chan struct{})
-	go c.getOrCompute(nil, specKey{n: 101}, &Answer{}, func(a *Answer) {
-		close(started)
-		<-release
-		a.Err = errors.New("model error")
-	})
-	<-started
-	got := make(chan bool, 1)
-	waiterUp := make(chan struct{})
-	go func() {
-		close(waiterUp)
-		hit := c.getOrCompute(nil, specKey{n: 101}, &Answer{}, func(*Answer) {
-			t.Error("waiter recomputed a coalesced key")
-		})
-		got <- hit
-	}()
-	// Let the waiter park on the in-flight entry before releasing the
-	// computation; the entry exists until fn returns, so only scheduling
-	// delay past this handoff could race, and 50ms dwarfs it.
-	<-waiterUp
-	time.Sleep(50 * time.Millisecond)
-	close(release)
-	if hit := <-got; hit {
-		t.Fatal("coalesced waiter on a failed computation reported a cache hit")
+	// The owner claims the key and parks on the held evaluation slot, so
+	// the second caller coalesces onto its entry; the computation then
+	// fails, and the waiter must get the error without the hit flag.
+	e := New(Options{Workers: 1})
+	spec := Spec{Op: OpSpeedup, N: 8, Stencil: "5-point", Shape: "strip", Machine: syncBusSpec(), Procs: 4096}
+	e.sem <- struct{}{}
+	got := make(chan Result, 2)
+	for range 2 {
+		go func() {
+			r, _ := e.Evaluate(context.Background(), spec)
+			got <- r
+		}()
+	}
+	waitForEntry(t, e, spec, true)
+	<-e.sem
+	for range 2 {
+		if r := <-got; r.Err == nil || r.CacheHit {
+			t.Fatalf("got %+v; want the model error, and no cache hit for the coalesced waiter", r.Answer)
+		}
+	}
+	if st := e.Stats(); st.Evaluations != 1 || st.CacheHits != 0 {
+		t.Fatalf("%d evaluations and %d hits, want 1 and 0", st.Evaluations, st.CacheHits)
 	}
 }
 
@@ -473,18 +487,7 @@ func TestCoalescingConcurrentDuplicates(t *testing.T) {
 			got[i] = r
 		}()
 	}
-	r, err := spec.resolve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := r.key.hash()
-	sh := e.cache.shardFor(h)
-	for waiting := false; !waiting; runtime.Gosched() {
-		sh.mu.Lock()
-		i := sh.find(h, r.key)
-		waiting = i != nilSlot && sh.waiters[i] != nil
-		sh.mu.Unlock()
-	}
+	waitForEntry(t, e, spec, true)
 	for range cap(e.sem) {
 		<-e.sem
 	}
@@ -562,62 +565,198 @@ func TestGridOpsKeyIgnoresSeedN(t *testing.T) {
 }
 
 func TestRecoverOutcome(t *testing.T) {
-	out := Answer{Index: 5}
-	recoverOutcome(&out, func(*Answer) { panic("boom") })
-	if out.Err == nil || !strings.Contains(out.Err.Error(), "boom") {
-		t.Fatalf("panic not converted to error: %+v", out)
+	err := recoverPanic(func() { panic("boom") })
+	if err == nil || !strings.Contains(err.Error(), "boom") {
+		t.Fatalf("panic not converted to error: %v", err)
 	}
-	if !errors.Is(out.Err, ErrEvaluationPanic) {
-		t.Fatalf("recovered panic not marked with ErrEvaluationPanic: %v", out.Err)
+	if !errors.Is(err, ErrEvaluationPanic) {
+		t.Fatalf("recovered panic not marked with ErrEvaluationPanic: %v", err)
 	}
-	out = Answer{Index: 5}
-	recoverOutcome(&out, func(a *Answer) { a.Grid = 7 })
-	if out.Grid != 7 || out.Index != 5 || out.Err != nil {
-		t.Fatalf("non-panicking answer mangled: %+v", out)
+	if err := recoverPanic(func() {}); err != nil {
+		t.Fatalf("no panic, but got %v", err)
 	}
 	// An evaluator that writes some numbers and then panics leaves only
 	// the panic error, in a slot that keeps its Index.
-	out = Answer{Index: 9}
-	recoverOutcome(&out, func(a *Answer) {
+	d, _ := lookupOp(OpCriticalPath)
+	eval := d.eval
+	d.eval = func(_ Spec, _ resolved, a *Answer) {
 		a.Alloc = Alloc{Procs: 14, Speedup: 3}
 		a.Value, a.Grid, a.CacheHit = 3, 2, true
 		a.Scaled.Speedup = 3
 		panic("boom")
-	})
-	if !errors.Is(out.Err, ErrEvaluationPanic) {
-		t.Fatalf("half-written answer's panic not recovered: %v", out.Err)
 	}
-	if want := (Answer{Index: 9, Err: out.Err}); !reflect.DeepEqual(out, want) {
-		t.Fatalf("half-written answer kept %+v, want only the panic error and Index 9", out)
+	defer func() { d.eval = eval }()
+	var specs []Spec
+	for n := 64; n < 74; n++ {
+		specs = append(specs, Spec{Op: OpCriticalPath, N: n, Stencil: "5-point", Shape: "square", Machine: syncBusSpec(), Procs: 4})
+	}
+	rs, err := New(Options{Workers: 1}).Run(context.Background(), specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range rs {
+		if !errors.Is(r.Err, ErrEvaluationPanic) {
+			t.Fatalf("half-written answer %d's panic not recovered: %v", i, r.Err)
+		}
+		if want := (Answer{Index: i, Err: r.Err}); !reflect.DeepEqual(r.Answer, want) {
+			t.Fatalf("half-written answer kept %+v, want only the panic error and Index %d", r.Answer, i)
+		}
+	}
+}
+
+// TestUnitCoalescingAcrossPaths runs one cold batched space twice at
+// once on one engine, as procs-group units, while a third caller runs
+// the same specs as a flat list, as single-spec units. Every key must
+// be computed exactly once, whichever kind of unit claims it first, and
+// every caller must get a fresh engine's answers.
+func TestUnitCoalescingAcrossPaths(t *testing.T) {
+	ctx := context.Background()
+	e := New(Options{Workers: 4})
+	evals := 0
+	for round := range 4 {
+		sp := Space{
+			Op:       OpSpeedup,
+			Ns:       []int{64 + 8*round, 128 + 8*round},
+			Stencils: []string{"5-point", "9-point"},
+			Shapes:   []string{"strip", "square"},
+			Machines: []core.MachineSpec{syncBusSpec(), {Type: "hypercube"}, {Type: "mesh"}},
+			Procs:    []int{1, 2, 4, 8, 16, 32},
+		}
+		want, err := New(Options{}).RunSpace(ctx, sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make([][]Result, 3)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for k := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				var err error
+				if k < 2 {
+					got[k], err = e.RunSpace(ctx, sp)
+				} else {
+					got[k], err = e.Run(ctx, sp.Expand())
+				}
+				if err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+		evals += sp.Size()
+		if st := e.Stats(); st.Evaluations != uint64(evals) {
+			t.Fatalf("round %d: %d evaluations, want %d: a key was computed twice", round, st.Evaluations, evals)
+		}
+		for k := range got {
+			for i := range want {
+				if want[i].Err != nil {
+					t.Fatalf("spec %d fails: %v", i, want[i].Err)
+				}
+				r := got[k][i]
+				r.CacheHit = false
+				if !reflect.DeepEqual(r, want[i]) {
+					t.Fatalf("round %d caller %d result %d: got %+v, want a fresh engine's %+v", round, k, i, r, want[i])
+				}
+			}
+		}
+	}
+}
+
+// TestUnitBatchPanic swaps in a panicking batch evaluator. Every member
+// of each group must answer ErrEvaluationPanic; the group's sem slot
+// must come back, so the next sweep on a one-worker engine completes;
+// and no pending entry may be left, so a repeat computes again instead
+// of waiting for ever.
+func TestUnitBatchPanic(t *testing.T) {
+	ctx := context.Background()
+	sp := Space{
+		Op:       OpCriticalPath,
+		Ns:       []int{64, 128},
+		Stencils: []string{"5-point"},
+		Shapes:   []string{"strip", "square"},
+		Machines: []core.MachineSpec{syncBusSpec()},
+		Procs:    []int{2, 4, 8},
+	}
+	e := New(Options{Workers: 1})
+	run := func() []Result {
+		t.Helper()
+		done := make(chan []Result, 1)
+		go func() {
+			rs, err := e.RunSpace(ctx, sp)
+			if err != nil {
+				t.Error(err)
+			}
+			done <- rs
+		}()
+		select {
+		case rs := <-done:
+			return rs
+		case <-time.After(10 * time.Second):
+			t.Fatal("the sweep hung: a sem slot or a pending entry was left behind")
+			return nil
+		}
+	}
+	d, _ := lookupOp(OpCriticalPath)
+	batch := d.batch
+	d.batch = func(core.Problem, core.Architecture, []int) ([]float64, []error, error) { panic("boom") }
+	defer func() { d.batch = batch }()
+	for round := 1; round <= 2; round++ {
+		for i, r := range run() {
+			if !errors.Is(r.Err, ErrEvaluationPanic) || r.Index != i || r.CacheHit {
+				t.Fatalf("round %d member %d: got %+v, want ErrEvaluationPanic", round, i, r.Answer)
+			}
+		}
+		if st := e.Stats(); st.Evaluations != uint64(round*sp.Size()) || st.CacheLen != 0 {
+			t.Fatalf("round %d: %d evaluations with %d cached, want %d and none", round, st.Evaluations, st.CacheLen, round*sp.Size())
+		}
+	}
+	d.batch = batch
+	want, err := New(Options{}).RunSpace(ctx, sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := run(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("after the panics: got %+v, want a fresh engine's %+v", got, want)
 	}
 }
 
 func TestCoalescedWaiterReleasedOnCancel(t *testing.T) {
-	c := newCache(8)
-	started := make(chan struct{})
-	release := make(chan struct{})
-	go c.getOrCompute(nil, specKey{n: 102}, &Answer{}, func(a *Answer) {
-		close(started)
-		<-release
-		a.Grid = 1
-	})
-	<-started
-	cancel := make(chan struct{})
-	close(cancel)
-	var out Answer
-	hit := c.getOrCompute(cancel, specKey{n: 102}, &out, func(*Answer) {
-		t.Error("waiter recomputed a coalesced key")
-	})
-	if hit || out.Err != ErrWaitCancelled {
-		t.Fatalf("cancelled waiter got %+v hit=%t, want ErrWaitCancelled", out, hit)
+	// The owner claims the key and parks on the held evaluation slot; a
+	// waiter coalesced onto its entry must return ErrWaitCancelled as
+	// soon as its own context dies, while the owner is still parked.
+	e := New(Options{Workers: 1})
+	spec := Spec{N: 300, Stencil: "5-point", Shape: "square", Machine: syncBusSpec()}
+	e.sem <- struct{}{}
+	owner := make(chan Result, 1)
+	go func() {
+		r, _ := e.Evaluate(context.Background(), spec)
+		owner <- r
+	}()
+	waitForEntry(t, e, spec, false)
+	ctx, cancel := context.WithCancel(context.Background())
+	waiter := make(chan Result, 1)
+	go func() {
+		r, _ := e.Evaluate(ctx, spec)
+		waiter <- r
+	}()
+	waitForEntry(t, e, spec, true)
+	cancel()
+	if r := <-waiter; r.Err != ErrWaitCancelled || r.CacheHit {
+		t.Fatalf("cancelled waiter got %+v, want ErrWaitCancelled", r.Answer)
 	}
-	close(release)
-	// The original computation still completes and fills the cache.
-	hit = c.getOrCompute(nil, specKey{n: 102}, &out, func(*Answer) {
-		t.Error("completed key recomputed")
-	})
-	if !hit || out.Grid != 1 {
-		t.Fatalf("in-flight result lost after a cancelled wait: %+v hit=%t", out, hit)
+	<-e.sem
+	o := <-owner
+	if o.Err != nil || o.CacheHit {
+		t.Fatalf("owner got %+v, want its own computation", o.Answer)
+	}
+	// The original computation completed and filled the cache.
+	r, err := e.Evaluate(context.Background(), spec)
+	if err != nil || !r.CacheHit || r.Alloc != o.Alloc {
+		t.Fatalf("in-flight result lost after a cancelled wait: %+v", r.Answer)
 	}
 }
 

@@ -170,10 +170,14 @@ func TestResolveAndLookupAllocBudget(t *testing.T) {
 	if _, err := e.Evaluate(context.Background(), spec); err != nil {
 		t.Fatal(err)
 	}
-	var out Answer
+	// A worker's unit: its slot and member are the worker's, not the
+	// lookup's.
+	var rs [1]Result
+	u := unit{rs: rs[:], ms: make([]member, 1)}
+	out := &rs[0]
 	allocs := testing.AllocsPerRun(200, func() {
-		r, err := spec.resolve()
-		e.evalResolved(nil, 0, spec, r, err, &out)
+		out.Spec = spec
+		e.evalUnit(nil, &u)
 		if out.Err != nil || !out.CacheHit {
 			t.Fatalf("warm eval failed: err=%v hit=%t", out.Err, out.CacheHit)
 		}
@@ -218,8 +222,9 @@ func TestStencilAndProblemCopyBudget(t *testing.T) {
 
 // TestCacheConcurrentEvictionStress hammers a tiny sharded cache from
 // many goroutines with overlapping keys — far more keys than capacity,
-// so eviction, coalescing, put, and peek race continuously — and
-// checks every returned answer is the right one for its key.
+// so eviction, coalescing, claims that compute, claims that only take
+// what is there, and lookups race continuously — and checks every
+// returned answer is the right one for its key.
 func TestCacheConcurrentEvictionStress(t *testing.T) {
 	c := newCache(8)
 	const (
@@ -238,19 +243,27 @@ func TestCacheConcurrentEvictionStress(t *testing.T) {
 			for it := 0; it < iters; it++ {
 				i := (g*31 + it*17) % keys
 				k := keyFor(i)
+				var out Answer
 				switch it % 3 {
 				case 0:
-					var out Answer
-					c.getOrCompute(nil, k, &out, func(a *Answer) { a.Grid = wantGrid(i) })
+					cachedOrCompute(c, k, &out, func(a *Answer) { a.Grid = wantGrid(i) })
 					if out.Err != nil || out.Grid != wantGrid(i) {
 						errs <- fmt.Errorf("key %d: got %+v", i, out)
 						return
 					}
 				case 1:
-					c.put(k, &Answer{Grid: wantGrid(i)})
+					// Claim and finish at once if the key was absent; a
+					// hit must be the key's own answer.
+					switch tk := c.claim(k, &out); {
+					case tk.owned():
+						tk.finish(&Answer{Grid: wantGrid(i)})
+					case tk.w == nil && (out.Err != nil || out.Grid != wantGrid(i)):
+						errs <- fmt.Errorf("hit key %d: got %+v", i, out)
+						return
+					}
 				case 2:
-					var out Answer
-					if ok := c.peek(nil, k, &out); ok && (out.Err != nil || out.Grid != wantGrid(i)) {
+					h := k.hash()
+					if ok := peek(c.shardFor(h), h, k, &out); ok && (out.Err != nil || out.Grid != wantGrid(i)) {
 						errs <- fmt.Errorf("peek key %d: got %+v", i, out)
 						return
 					}
@@ -268,21 +281,31 @@ func TestCacheConcurrentEvictionStress(t *testing.T) {
 	}
 }
 
-// TestCachePutRespectsResidents ensures put never replaces a
-// resident entry (the first insert wins: an in-flight entry may have
-// waiters) and drops errored answers.
+// TestCachePutRespectsResidents ensures a claim never replaces a
+// resident entry (the first answer wins: an entry in flight may have
+// waiters, and a settled one is a hit) and that finishing with an error
+// drops the entry.
 func TestCachePutRespectsResidents(t *testing.T) {
 	c := newCache(8)
 	k := specKey{n: 7}
-	c.put(k, &Answer{Grid: 1})
-	c.put(k, &Answer{Grid: 2})
 	var out Answer
-	if ok := c.peek(nil, k, &out); !ok || out.Grid != 1 {
-		t.Fatalf("put replaced a resident entry: %+v ok=%t", out, ok)
+	for _, grid := range []int{1, 2} {
+		if tk := c.claim(k, &out); tk.owned() {
+			tk.finish(&Answer{Grid: grid})
+		}
+	}
+	h := k.hash()
+	if ok := peek(c.shardFor(h), h, k, &out); !ok || out.Grid != 1 {
+		t.Fatalf("a claim replaced a resident entry: %+v ok=%t", out, ok)
 	}
 	bad := specKey{n: 8}
-	c.put(bad, &Answer{Err: fmt.Errorf("boom")})
-	if ok := c.peek(nil, bad, &out); ok {
+	tb := c.claim(bad, &out)
+	if !tb.owned() {
+		t.Fatal("an absent key's claim does not own it")
+	}
+	tb.finish(&Answer{Err: fmt.Errorf("boom")})
+	h = bad.hash()
+	if ok := peek(c.shardFor(h), h, bad, &out); ok {
 		t.Fatal("errored answer was cached")
 	}
 }

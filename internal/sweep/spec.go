@@ -81,7 +81,8 @@ type opDef struct {
 	eval func(s Spec, r resolved, a *Answer)
 	// batch, if set, evaluates one (problem, machine) pair at many
 	// processor counts, doing the work the counts share once. A space
-	// of this op with a procs axis takes the batched fast path. It
+	// of this op with a procs axis is evaluated one procs group per
+	// unit, with one batch call for the group's owned members. It
 	// follows the core.SpeedupBatch contract: vals[i]/errs[i] per point
 	// with values and errors identical to eval's, and a final error
 	// failing the whole batch.
